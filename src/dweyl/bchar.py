@@ -14,18 +14,18 @@ by a table fixture in the test suite:
 Values follow the wreath-product border-strip recursion: a cycle of
 length k is peeled as a k-box border strip from either component, with
 the usual sign (-1)**height, and a *negative* cycle peeled from the
-second component contributes an extra factor -1.
+second component contributes an extra factor -1.  The one implementation
+is the abacus kernel ``dweyl.symchar.mn_value``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .partitions import Bipartition, Partition, enumerate_partitions, size
-from .symchar import border_strips, sym_degree
+from .partitions import Bipartition, Partition, enumerate_bipartitions, size
+from .symchar import mn_value, sym_centralizer_order, sym_degree
 
 
 class BClassType(NamedTuple):
@@ -44,47 +44,17 @@ def b_classes(n: int) -> tuple[BClassType, ...]:
     """All classes of the rank-n group, |positive| + |negative| = n.
 
     Frozen order: |negative| ascending, then each component in
-    partition enumeration order.
+    partition enumeration order, which is the bipartition order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = []
-    for m in range(n + 1):
-        for lam in enumerate_partitions(n - m):
-            for mu in enumerate_partitions(m):
-                out.append(BClassType(lam, mu))
-    return tuple(out)
+    return tuple(BClassType(positive, negative) for positive, negative in enumerate_bipartitions(n))
 
 
 def b_centralizer_order(c: BClassType) -> int:
-    """Centralizer order: prod (2i)^a_i a_i! over both cycle types."""
-    out = 1
-    for part, m in Counter(c.positive).items():
-        out *= (2 * part) ** m * factorial(m)
-    for part, m in Counter(c.negative).items():
-        out *= (2 * part) ** m * factorial(m)
-    return out
-
-
-@cache
-def _wreath_value(alpha: Partition, beta: Partition, pos: Partition, neg: Partition) -> int:
-    if not pos and not neg:
-        return 1 if not alpha and not beta else 0
-    if pos:
-        k, rest = pos[0], pos[1:]
-        total = 0
-        for sub, sign in border_strips(alpha, k):
-            total += sign * _wreath_value(sub, beta, rest, neg)
-        for sub, sign in border_strips(beta, k):
-            total += sign * _wreath_value(alpha, sub, rest, neg)
-        return total
-    k, rest = neg[0], neg[1:]
-    total = 0
-    for sub, sign in border_strips(alpha, k):
-        total += sign * _wreath_value(sub, beta, pos, rest)
-    for sub, sign in border_strips(beta, k):
-        total -= sign * _wreath_value(alpha, sub, pos, rest)
-    return total
+    """Centralizer order: 2**(l(positive) + l(negative)) z(positive) z(negative)."""
+    twos = 2 ** (len(c.positive) + len(c.negative))
+    return twos * sym_centralizer_order(c.positive) * sym_centralizer_order(c.negative)
 
 
 def b_char_value(label: Bipartition, c: BClassType) -> int:
@@ -92,7 +62,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     alpha, beta = label
     if size(alpha) + size(beta) != size(c.positive) + size(c.negative):
         raise ValueError(f"size mismatch between {label} and {c}")
-    return _wreath_value(alpha, beta, c.positive, c.negative)
+    return mn_value(alpha, beta, c.positive, c.negative)
 
 
 def b_degree(label: Bipartition) -> int:

@@ -34,12 +34,13 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .bchar import BClassType, b_centralizer_order, b_char_value, b_degree
+from .bchar import BClassType, b_centralizer_order, b_char_value, b_classes, b_degree
 from .partitions import (
     Bipartition,
     Partition,
+    as_partition,
     enumerate_bipartitions,
-    enumerate_partitions,
+    format_bipartition,
     format_partition,
     length,
     parse_partition,
@@ -82,12 +83,13 @@ def make_irr_label(first: Partition, second: Partition, eps: int = 0) -> DIrrLab
     """Build a canonical character label, validating the degeneracy sign."""
     if eps not in (-1, 0, 1):
         raise ValueError(f"eps must be -1, 0 or +1, got {eps}")
+    first, second = as_partition(first), as_partition(second)
     if first == second:
         if eps == 0:
-            raise ValueError(f"label ({first};{second}) is degenerate and needs a sign")
+            raise ValueError(f"label {format_bipartition((first, second))} is degenerate and needs a sign")
         return DIrrLabel((first, second), eps)
     if eps != 0:
-        raise ValueError(f"label ({first};{second}) is non-degenerate; no sign allowed")
+        raise ValueError(f"label {format_bipartition((first, second))} is non-degenerate; no sign allowed")
     if _part_key(first) < _part_key(second):
         first, second = second, first
     return DIrrLabel((first, second), 0)
@@ -119,19 +121,14 @@ def _splittable(positive: Partition, negative: Partition) -> bool:
 @cache
 def d_classes(n: int) -> tuple[DClassType, ...]:
     """All conjugacy class labels of the rank-n group, n >= 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     out = []
-    for m in range(n + 1):
-        for lam in enumerate_partitions(n - m):
-            for mu in enumerate_partitions(m):
-                if length(mu) % 2:
-                    continue
-                if _splittable(lam, mu):
-                    out.append(DClassType(lam, mu, 1))
-                    out.append(DClassType(lam, mu, -1))
-                else:
-                    out.append(DClassType(lam, mu, None))
+    for c in b_classes(n):
+        if length(c.negative) % 2:
+            continue
+        if _splittable(c.positive, c.negative):
+            out += [DClassType(c.positive, c.negative, 1), DClassType(c.positive, c.negative, -1)]
+        else:
+            out.append(DClassType(c.positive, c.negative, None))
     return tuple(out)
 
 

@@ -120,6 +120,7 @@ def test_degenerate_label_without_sign_exits_two(capsys):
     code, _, err = run(capsys, "decompose", "--n", "4", "--a", "2", "--b", "2",
                        "--A", "([1],[1])", "--B", "([1],[1])+")
     assert code == 2
+    assert "label ([1],[1]) is degenerate and needs a sign" in err
 
 
 def test_usage_error_exits_two():

@@ -47,6 +47,8 @@ def test_make_irr_label_canonicalization():
         make_irr_label((2,), (2,))  # needs a sign
     with pytest.raises(ValueError):
         make_irr_label((3,), (1,), 1)  # sign on a non-degenerate label
+    with pytest.raises(ValueError):
+        make_irr_label((1, 3), ())  # not a partition
 
 
 def test_centralizer_orders():

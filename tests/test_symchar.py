@@ -92,6 +92,38 @@ def test_border_strips_leave_partitions():
                     assert sign in (-1, 1)
 
 
+def brute_force_strips(shape, k):
+    """Every (mu, sign) with mu inside shape, |shape/mu| = k and shape/mu an
+    edge-connected skew shape without a 2x2 block; sign (-1)**(rows - 1)."""
+    out = []
+    for mu in enumerate_partitions(size(shape) - k):
+        if len(mu) > len(shape) or any(m > s for m, s in zip(mu, shape)):
+            continue
+        padded = mu + (0,) * (len(shape) - len(mu))
+        cells = {(i, j) for i, row in enumerate(shape) for j in range(padded[i], row)}
+        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells for i, j in cells):
+            continue
+        seen, todo = set(), [min(cells)]
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in seen:
+                continue
+            seen.add((i, j))
+            todo += [c for c in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)) if c in cells]
+        if seen != cells:
+            continue
+        rows = len({i for i, _ in cells})
+        out.append((mu, (-1) ** (rows - 1)))
+    return sorted(out)
+
+
+def test_border_strips_match_brute_force():
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            for k in range(1, n + 1):
+                assert sorted(border_strips(lam, k)) == brute_force_strips(lam, k), (lam, k)
+
+
 def test_known_s3_table():
     # classes (1,1,1), (2,1), (3)
     table = {
