@@ -24,7 +24,7 @@ from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .partitions import Bipartition, Partition, enumerate_bipartitions, size
+from .partitions import Bipartition, Partition, enumerate_bipartitions, format_bipartition, size
 from .symchar import mn_value, sym_centralizer_order, sym_degree
 
 
@@ -61,7 +61,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     """Value of the irreducible character [alpha; beta] on class c."""
     alpha, beta = label
     if size(alpha) + size(beta) != size(c.positive) + size(c.negative):
-        raise ValueError(f"size mismatch between {label} and {c}")
+        raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition((c.positive, c.negative))}")
     return mn_value(alpha, beta, c.positive, c.negative)
 
 

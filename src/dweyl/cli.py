@@ -25,6 +25,7 @@ from .dchar import (
     d_irr_labels,
     format_class,
     format_irr_label,
+    irr_label_key,
     parse_irr_label,
 )
 from .decomp import InducedQuery, branch_set, decompose_induced
@@ -105,8 +106,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         result = decompose_induced(q)
     ordered = {
         format_irr_label(X): result.multiplicities[X]
-        for X in d_irr_labels(args.n)
-        if X in result.multiplicities
+        for X in sorted(result.multiplicities, key=irr_label_key)
     }
     payload = {
         "n": args.n,

@@ -95,6 +95,16 @@ def make_irr_label(first: Partition, second: Partition, eps: int = 0) -> DIrrLab
     return DIrrLabel((first, second), 0)
 
 
+def irr_label_key(chi: DIrrLabel) -> tuple:
+    """Sort key putting labels of one rank in d_irr_labels order.
+
+    That order is |first| descending, then first and second each in
+    partition enumeration order (descending tuples), then + before -.
+    """
+    first, second = chi.label
+    return (-size(first), tuple(-x for x in first), tuple(-x for x in second), -chi.eps)
+
+
 @cache
 def d_irr_labels(n: int) -> tuple[DIrrLabel, ...]:
     """All irreducible character labels of the rank-n group, n >= 1.
@@ -156,7 +166,7 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
     """
     n = 2 * size(gamma1)
     if n != size(c.positive) + size(c.negative):
-        raise ValueError(f"size mismatch between gamma1={gamma1} and {c}")
+        raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
     if c.split is None:
         return 0
     pi = tuple(part // 2 for part in c.positive)
@@ -169,7 +179,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
     first, second = chi.label
     n = size(first) + size(second)
     if n != size(c.positive) + size(c.negative):
-        raise ValueError(f"size mismatch between {chi} and {c}")
+        raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
     restricted = b_char_value(chi.label, BClassType(c.positive, c.negative))
     if chi.eps == 0:
         return restricted

@@ -1,20 +1,34 @@
-"""Littlewood-Richardson coefficients by skew-tableau enumeration.
+"""Littlewood-Richardson coefficients, by two independent rules.
 
 c(alpha, beta; gamma) is the multiplicity of the irreducible character
 [gamma] of S_n in the character induced from [alpha] x [beta] along the
-Young subgroup S_a x S_b, n = a + b.  It is computed here as the number
-of Littlewood-Richardson fillings of the skew shape gamma/alpha with
-content beta: rows weakly increase, columns strictly increase, and the
-reverse reading word (each row right to left, rows top to bottom) is a
-ballot sequence.  The representation-theoretic definition is kept as an
-independent check in the verification engine.
+Young subgroup S_a x S_b, n = a + b.  Both rules count Littlewood-
+Richardson fillings of gamma/alpha with content beta: rows weakly
+increase, columns strictly increase, and the reverse reading word (each
+row right to left, rows top to bottom) is a ballot sequence.
+
+* lr_coefficient answers one (alpha, beta, gamma) by filling the cells
+  of the fixed skew shape gamma/alpha one at a time.
+* lr_expand builds every gamma at once, output-sensitively: it grows
+  gamma from alpha by adding beta's rows as horizontal strips, the k-th
+  strip holding the letter k, and keeps a strip only if the letters
+  stay a ballot sequence (the Remmel-Whitney / Lascoux-Schutzenberger
+  product rule, as in Buch's lrcalc).  Partial fillings that end in the
+  same shape with the same row counts of the last letter have the same
+  futures and are merged, so the work follows the number of fillings
+  and never the number of partitions of n.
+
+Each rule is tested against the other, and the representation-theoretic
+definition is kept as a third check in the verification engine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cache
+from types import MappingProxyType
 
-from .partitions import Partition, enumerate_partitions, size
+from .partitions import Partition, size
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -70,12 +84,81 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     return place(0)
 
 
-def lr_expand(alpha: Partition, beta: Partition) -> dict[Partition, int]:
-    """All gamma with nonzero coefficient in alpha * beta, with coefficients."""
-    n = size(alpha) + size(beta)
+def _horizontal_strips(shape: Partition, last: tuple[int, ...] | None, m: int):
+    """Ways to add a horizontal strip of m copies of the next letter.
+
+    ``last`` holds how many copies of the previous letter each row of
+    ``shape`` has (None before the first letter).  The ballot condition
+    reads: the new letters in rows <= r number at most the previous
+    letters in rows < r.  Yields (new shape, new letters per row).
+    Depth-first over the rows that can take a box, with an explicit
+    stack, so a shape with many rows costs no recursion.
+    """
+    rows = len(shape)
+    # Rows with room, each with its most boxes and the ballot bound on
+    # the running total there: row 0 is unbounded, row r > 0 may grow up
+    # to the old length of row r - 1 (row `rows` is a new row).
+    cands: list[tuple[int, int, int]] = []
+    above = 0
+    for r in range(rows + 1):
+        cap = m if r == 0 else shape[r - 1] - (shape[r] if r < rows else 0)
+        bound = m if last is None else above
+        if cap and bound:
+            cands.append((r, min(cap, bound, m), bound))
+        if last is not None and r < rows:
+            above += last[r]
+    room = [0] * (len(cands) + 1)  # boxes the candidates from j on can take
+    for j in range(len(cands) - 1, -1, -1):
+        room[j] = room[j + 1] + cands[j][1]
+    if room[0] < m:
+        return  # no strip of m boxes fits; also keeps the empty path below from yielding
+    xs = [0] * len(cands)
+    # (candidate index, boxes it takes, boxes placed before it); a node's
+    # subtree is popped before its siblings, so xs holds its path.
+    stack = [(-1, 0, 0)]
+    while stack:
+        j, x, used = stack.pop()
+        if j >= 0:
+            xs[j] = x
+            used += x
+        j += 1
+        if j < len(cands):
+            _, cap, bound = cands[j]
+            left = m - used
+            for x in range(max(0, left - room[j + 1]), min(cap, bound - used, left) + 1):
+                stack.append((j, x, used))
+            continue
+        new = list(shape) + [0]
+        placed = [0] * (rows + 1)
+        for (r, _, _), x in zip(cands, xs):
+            new[r] += x
+            placed[r] = x
+        if not new[-1]:
+            new.pop()
+            placed.pop()
+        yield tuple(new), tuple(placed)
+
+
+@cache
+def lr_expand(alpha: Partition, beta: Partition) -> Mapping[Partition, int]:
+    """All gamma with nonzero coefficient in alpha * beta, with coefficients.
+
+    Keys come in the order of enumerate_partitions (descending tuples).
+    The result is cached and read-only.
+    """
+    if len(beta) > len(alpha):
+        # c is symmetric in alpha and beta; fewer strips is faster.
+        alpha, beta = beta, alpha
+    states: dict[tuple[Partition, tuple[int, ...] | None], int] = {(alpha, None): 1}
+    for k, m in enumerate(beta):
+        final = k == len(beta) - 1
+        grown: dict[tuple[Partition, tuple[int, ...] | None], int] = {}
+        for (shape, last), count in states.items():
+            for new, placed in _horizontal_strips(shape, last, m):
+                key = (new, None if final else placed)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
     out: dict[Partition, int] = {}
-    for gamma in enumerate_partitions(n):
-        c = lr_coefficient(alpha, beta, gamma)
-        if c:
-            out[gamma] = c
-    return out
+    for (shape, _), count in states.items():
+        out[shape] = out.get(shape, 0) + count
+    return MappingProxyType({gamma: out[gamma] for gamma in sorted(out, reverse=True)})

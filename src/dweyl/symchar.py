@@ -14,7 +14,7 @@ from collections import Counter
 from functools import cache
 from math import factorial, prod
 
-from .partitions import Partition, size
+from .partitions import Partition, format_partition, size
 
 
 @cache
@@ -91,7 +91,7 @@ def mn_value(first: Partition, second: Partition, positive: Partition, negative:
 def sym_char_value(lam: Partition, mu: Partition) -> int:
     """Value of the irreducible character [lam] at cycle type mu."""
     if size(lam) != size(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+        raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
     return _mn(_abacus(lam), 0, mu, ())
 
 

@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -129,3 +130,8 @@ def test_orthogonality():
             for c2 in classes[i:]:
                 s = sum(b_char_value(x, c) * b_char_value(x, c2) for x in labels)
                 assert s == (b_centralizer_order(c) if c == c2 else 0)
+
+
+def test_size_mismatch_message_uses_label_grammar():
+    with pytest.raises(ValueError, match=re.escape("between ([2],[]) and ([1],[])")):
+        b_char_value(((2,), ()), BClassType((1,), ()))

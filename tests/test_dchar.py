@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dweyl.bchar import BClassType, b_char_value
@@ -14,6 +16,7 @@ from dweyl.dchar import (
     delta_value,
     format_class,
     format_irr_label,
+    irr_label_key,
     fuse_class,
     group_order_d,
     make_irr_label,
@@ -181,3 +184,15 @@ def test_parse_irr_label_rejects(bad):
 def test_parse_class_rejects(bad):
     with pytest.raises(ValueError):
         parse_class(bad)
+
+
+def test_irr_label_key_reproduces_enumeration_order():
+    for n in range(1, 11):
+        assert sorted(d_irr_labels(n), key=irr_label_key) == list(d_irr_labels(n))
+
+
+def test_size_mismatch_messages_use_label_grammar():
+    with pytest.raises(ValueError, match=re.escape("between ([2],[]) and ([1],[])")):
+        d_char_value(make_irr_label((2,), ()), DClassType((1,), (), None))
+    with pytest.raises(ValueError, match=re.escape("gamma1=[1] and ([1],[])")):
+        delta_value((1,), DClassType((1,), (), None))

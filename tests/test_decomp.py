@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dweyl.dchar import (
@@ -225,3 +227,32 @@ def test_frobenius_reciprocity_against_class_fusion():
                 result = decompose_induced(q)
                 for X in d_irr_labels(n):
                     assert result.multiplicities.get(X, 0) == restriction_multiplicity(a, b, A, B, X)
+
+
+def scan_decompose(q):
+    """Reference expansion: test every label of the rank-n group."""
+    mults = {}
+    for X in d_irr_labels(q.n):
+        m = induced_multiplicity(q, X)
+        if m:
+            mults[X] = m
+    return mults
+
+
+def test_support_generation_matches_label_scan_exhaustively():
+    for n in range(4, 9):
+        for a in range(1, n):
+            for A in d_irr_labels(a):
+                for B in d_irr_labels(n - a):
+                    q = InducedQuery(n, a, n - a, A, B)
+                    got = decompose_induced(q).multiplicities
+                    assert list(got.items()) == list(scan_decompose(q).items()), q
+
+
+def test_support_generation_matches_label_scan_sampled():
+    rng = random.Random(20140)
+    for n in range(9, 17):
+        for _ in range(4):
+            a = rng.randint(1, n - 1)
+            q = InducedQuery(n, a, n - a, rng.choice(d_irr_labels(a)), rng.choice(d_irr_labels(n - a)))
+            assert list(decompose_induced(q).multiplicities.items()) == list(scan_decompose(q).items()), q

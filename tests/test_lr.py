@@ -1,5 +1,7 @@
 from math import comb
 
+import pytest
+
 from dweyl.lr import lr_coefficient, lr_expand
 from dweyl.oracle import lr_coefficient_by_characters
 from dweyl.partitions import enumerate_partitions
@@ -63,3 +65,28 @@ def test_against_character_inner_product_small():
 
 def test_specific_inner_product_oracle_value():
     assert lr_coefficient_by_characters((2, 1), (2, 1), (3, 2, 1)) == 2
+
+
+def test_strip_product_matches_tableau_filling():
+    # the two LR rules are independent; compare them on every pair up to size 10
+    for total in range(11):
+        gammas = enumerate_partitions(total)
+        for a in range(total + 1):
+            for alpha in enumerate_partitions(a):
+                for beta in enumerate_partitions(total - a):
+                    expanded = lr_expand(alpha, beta)
+                    assert list(expanded) == [g for g in gammas if g in expanded]
+                    for gamma in gammas:
+                        assert expanded.get(gamma, 0) == lr_coefficient(alpha, beta, gamma)
+
+
+def test_expand_is_read_only():
+    expanded = lr_expand((2, 1), (1,))
+    with pytest.raises(TypeError):
+        expanded[(3, 1)] = 5
+    assert lr_expand((2, 1), (1,)) == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+
+
+def test_expand_many_rows_without_recursion():
+    column = (1,) * 1500
+    assert lr_expand(column, (1,)) == {(2,) + (1,) * 1499: 1, (1,) * 1501: 1}

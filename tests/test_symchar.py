@@ -1,3 +1,4 @@
+import re
 from math import factorial
 
 import pytest
@@ -134,3 +135,8 @@ def test_known_s3_table():
     classes = [(1, 1, 1), (2, 1), (3,)]
     for lam, row in table.items():
         assert [sym_char_value(lam, mu) for mu in classes] == row
+
+
+def test_size_mismatch_message_uses_label_grammar():
+    with pytest.raises(ValueError, match=re.escape("|[2,1]| != |[2,2]|")):
+        sym_char_value((2, 1), (2, 2))
