@@ -2,8 +2,13 @@
 
 Every command is deterministic given its flags and prints valid JSON on
 success (``--format table`` renders a human-readable view instead where
-supported).  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-label syntax error.
+supported).
+
+Exit codes:
+  0  success
+  1  verification mismatch, or a violated invariant (an ArithmeticError)
+  2  usage or label syntax error
+  3  resource limit: the input is too large for a recursive kernel
 
 Label grammar (exact, used in flags and JSON keys alike):
   partition      [3,1]     empty: []
@@ -41,7 +46,7 @@ from .partitions import (
 )
 from .symchar import sym_char_value
 
-_GRAMMAR = __doc__.split("Label grammar", 1)[1]
+_EPILOG = __doc__[__doc__.index("Exit codes:"):]
 
 
 def _print_table(rows: dict[str, dict[str, int]]) -> None:
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dweyl",
         description="Induced character decompositions for Weyl groups of type D.",
-        epilog="Label grammar" + _GRAMMAR,
+        epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -220,6 +225,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("see 'dweyl --help' for the label grammar", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: resource limit: the input is too large for the recursion depth of a kernel", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

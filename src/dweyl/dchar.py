@@ -185,7 +185,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
         return restricted
     total = restricted + chi.eps * delta_value(first, c)
     if total % 2:
-        raise ArithmeticError(f"non-integral degenerate value for {chi} at {c}")
+        raise ArithmeticError(f"non-integral degenerate value for {format_irr_label(chi)} at {format_class(c)}")
     return total // 2
 
 
@@ -207,7 +207,7 @@ def fuse_class(ca: DClassType, cb: DClassType) -> DClassType:
     negative = union(ca.negative, cb.negative)
     if _splittable(positive, negative):
         if ca.split is None or cb.split is None:
-            raise ArithmeticError(f"impossible fusion {ca} * {cb}: unsplit block in a splittable product")
+            raise ArithmeticError(f"impossible fusion {format_class(ca)} * {format_class(cb)}: unsplit block in a splittable product")
         return DClassType(positive, negative, ca.split * cb.split)
     return DClassType(positive, negative, None)
 

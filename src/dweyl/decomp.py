@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dchar import DIrrLabel, irr_label_key
+from .dchar import DIrrLabel, format_irr_label, irr_label_key
 from .lr import lr_coefficient, lr_expand
 from .partitions import Bipartition, Partition, remove_box, removable_rows, size
 
@@ -90,6 +90,13 @@ def _check_label(chi: DIrrLabel, n: int, what: str) -> None:
         raise ValueError(f"{what} is degenerate and needs a sign")
 
 
+def _odd_total(q: InducedQuery, X: DIrrLabel) -> ArithmeticError:
+    return ArithmeticError(
+        f"odd degenerate total for {format_irr_label(q.A)} x {format_irr_label(q.B)} "
+        f"(n={q.n}, a={q.a}, b={q.b}) at {format_irr_label(X)}; labelling bug upstream"
+    )
+
+
 def _validate_query(q: InducedQuery) -> None:
     if q.n < 4:
         raise ValueError(f"induction formula requires n >= 4, got n={q.n}")
@@ -111,7 +118,7 @@ def induced_multiplicity(q: InducedQuery, X: DIrrLabel) -> int:
     if e:
         total += e * lr_coefficient(q.A.label[0], q.B.label[0], X.label[0])
     if total % 2:
-        raise ArithmeticError(f"odd degenerate total for {q} at {X}; labelling bug upstream")
+        raise _odd_total(q, X)
     return total // 2
 
 
@@ -146,7 +153,7 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
             e = q.A.eps * q.B.eps * eps
             doubled = (total + e * lr_expand(a1, b1).get(g1, 0)) if e else total
             if doubled % 2:
-                raise ArithmeticError(f"odd degenerate total for {q} at {DIrrLabel((g1, g2), eps)}; labelling bug upstream")
+                raise _odd_total(q, DIrrLabel((g1, g2), eps))
             if doubled:
                 mults[DIrrLabel((g1, g2), eps)] = doubled // 2
     ordered = {X: mults[X] for X in sorted(mults, key=irr_label_key)}

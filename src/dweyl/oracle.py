@@ -3,8 +3,17 @@
 Everything here works with concrete group elements so that the closed
 formulas in the rest of the package can be checked against independent
 computations: groups are stored as full element lists, conjugacy
-classes come from orbit enumeration, and induced characters from
-explicit summation over elements or subgroup classes.
+classes come from each element's signed cycle type, and induced
+characters from explicit summation over elements or subgroup classes.
+
+A signed cycle type with a negative cycle or an odd positive cycle is a
+single class of the even-signed group.  Any other type (all cycles
+positive and even) splits in two, and its tag comes from one conjugacy
+test: the element is conjugate under the even-signed group to the
+sign-free representative (tag +) exactly when a signed permutation
+conjugating it onto that representative has an even number of sign
+changes.  This is well defined because such an element's centralizer
+in the full signed permutation group lies inside the even-signed group.
 
 A signed permutation of {1..n} is a tuple w of length n whose entry
 w[i] = +j or -j says that point i+1 maps to point j with that sign.
@@ -18,6 +27,7 @@ the package has no such bound.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
@@ -29,6 +39,7 @@ from .dchar import (
     DIrrLabel,
     d_char_value,
     d_irr_labels,
+    format_irr_label,
     group_order_d,
 )
 from .decomp import DecompositionResult, InducedQuery, induced_multiplicity
@@ -66,27 +77,51 @@ def sp_flips(w: SignedPerm) -> int:
     return sum(1 for x in w if x < 0)
 
 
-def signed_cycle_type(w: SignedPerm) -> tuple[Partition, Partition]:
-    """Cycle types of the positive and negative cycles of w."""
-    n = len(w)
-    seen = [False] * n
+def _cycle_walk(w: SignedPerm) -> tuple[Partition, Partition, int]:
+    """Positive and negative cycle types of w, plus the parity of the
+    sign changes of a conjugator taking w to a sign-free element.
+
+    Along a cycle i_0 -> i_1 -> ... the conjugator sends i_j to
+    eps_j * (its target point), with eps_0 = 1 and
+    eps_(j+1) = eps_j * sign w(i_j); its sign changes are the j with
+    eps_j = -1.  The parity only means something when every cycle is
+    positive, so that each cycle closes up.
+    """
+    seen = [False] * (len(w) + 1)
     pos: list[int] = []
     neg: list[int] = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
+    flips = 0
+    for start in range(1, len(w) + 1):
+        if seen[start]:
             continue
         count = 0
-        sign = 1
+        eps_negative = False
         i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
+        while not seen[i]:
+            seen[i] = True
             count += 1
-            x = w[i - 1]
-            if x < 0:
-                sign = -sign
-            i = abs(x)
-        (pos if sign > 0 else neg).append(count)
-    return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
+            flips += eps_negative
+            i = w[i - 1]
+            if i < 0:
+                eps_negative = not eps_negative
+                i = -i
+        (neg if eps_negative else pos).append(count)
+    pos.sort(reverse=True)
+    neg.sort(reverse=True)
+    return tuple(pos), tuple(neg), flips % 2
+
+
+def signed_cycle_type(w: SignedPerm) -> tuple[Partition, Partition]:
+    """Cycle types of the positive and negative cycles of w."""
+    positive, negative, _ = _cycle_walk(w)
+    return positive, negative
+
+
+def _class_type(positive: Partition, negative: Partition, flips: int) -> DClassType:
+    """Class label from _cycle_walk's result (see the module docstring)."""
+    if negative or any(part % 2 for part in positive):
+        return DClassType(positive, negative, None)
+    return DClassType(positive, negative, -1 if flips else 1)
 
 
 def plain_element(lam: Partition, n: int) -> SignedPerm:
@@ -110,17 +145,17 @@ def flip_at(n: int, point: int) -> SignedPerm:
     return tuple(w)
 
 
-def _generators(n: int) -> list[SignedPerm]:
-    gens = []
-    for i in range(1, n):
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        gens.append(tuple(w))
-    if n >= 2:
-        w = list(range(1, n + 1))
-        w[n - 2], w[n - 1] = -n, -(n - 1)
-        gens.append(tuple(w))
-    return gens
+def _signed_perms(n: int, even: bool):
+    """Signed permutations of rank n, by permutation and then by sign
+    mask; with even, only those with an even number of sign changes."""
+    signs = [
+        tuple(-1 if mask >> i & 1 else 1 for i in range(n))
+        for mask in range(1 << n)
+        if not (even and bin(mask).count("1") % 2)
+    ]
+    for perm in itertools.permutations(range(1, n + 1)):
+        for sign in signs:
+            yield tuple(map(operator.mul, perm, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -130,66 +165,40 @@ class GroupTable:
     """Fully enumerated even-signed permutation group of rank n.
 
     Immutable after construction: element list, element -> index map,
-    conjugacy classes from orbit enumeration, and the class label of
-    each class.  For a splittable cycle type the class containing the
-    sign-free representative gets the + tag.
+    conjugacy classes from the signed cycle type of each element, and
+    the class label of each class.  For a splittable cycle type the
+    class containing the sign-free representative gets the + tag; the
+    other elements of the type are told apart by the parity of a
+    conjugator onto it.  Class ids follow the first appearance of a
+    class in element order, and member lists are in element order.
     """
 
     def __init__(self, n: int):
         self.n = n
-        elements: list[SignedPerm] = []
-        for perm in itertools.permutations(range(1, n + 1)):
-            for mask in range(1 << n):
-                if bin(mask).count("1") % 2:
-                    continue
-                elements.append(
-                    tuple(-perm[i] if mask >> i & 1 else perm[i] for i in range(n))
-                )
-        self.elements = elements
-        self.index = {w: i for i, w in enumerate(elements)}
-        gens = _generators(n)
-
-        class_of = [-1] * len(elements)
-        classes: list[list[int]] = []
-        for i0, w0 in enumerate(elements):
-            if class_of[i0] >= 0:
-                continue
-            cid = len(classes)
-            members = [i0]
-            class_of[i0] = cid
-            stack = [w0]
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    y = sp_mul(g, sp_mul(x, g))  # generators are involutions
-                    j = self.index[y]
-                    if class_of[j] < 0:
-                        class_of[j] = cid
-                        members.append(j)
-                        stack.append(y)
-            classes.append(members)
-        self.class_of = class_of
-        self.classes = classes
-        self.centralizer_orders = [len(elements) // len(m) for m in classes]
-
-        raw_of_class = [signed_cycle_type(elements[m[0]]) for m in classes]
-        by_raw: dict[tuple[Partition, Partition], list[int]] = defaultdict(list)
-        for cid, raw in enumerate(raw_of_class):
-            by_raw[raw].append(cid)
-        class_types: list[DClassType] = [DClassType((), ())] * len(classes)
-        for (positive, negative), cids in by_raw.items():
-            if not negative and all(part % 2 == 0 for part in positive):
-                if len(cids) != 2:
-                    raise AssertionError(f"type {(positive, negative)} should split into 2 classes, got {len(cids)}")
-                plus = class_of[self.index[plain_element(positive, n)]]
-                for cid in cids:
-                    class_types[cid] = DClassType(positive, negative, 1 if cid == plus else -1)
-            else:
-                if len(cids) != 1:
-                    raise AssertionError(f"type {(positive, negative)} should be a single class, got {len(cids)}")
-                class_types[cids[0]] = DClassType(positive, negative, None)
-        self.class_types = class_types
-        self.type_to_class = {t: cid for cid, t in enumerate(class_types)}
+        self.elements = list(_signed_perms(n, even=True))
+        self.index = {w: i for i, w in enumerate(self.elements)}
+        self.type_to_class: dict[DClassType, int] = {}
+        self.class_types: list[DClassType] = []
+        self.classes: list[list[int]] = []
+        self.class_of: list[int] = []
+        # walk result -> class id: each type gives two keys (flip parity 0
+        # and 1), which are two classes only when the type splits
+        walk_to_class: dict[tuple[Partition, Partition, int], int] = {}
+        # the index's int objects, not fresh ones, go into the member lists
+        for w, i in self.index.items():
+            walk = _cycle_walk(w)
+            cid = walk_to_class.get(walk)
+            if cid is None:
+                ty = _class_type(*walk)
+                cid = self.type_to_class.get(ty)
+                if cid is None:
+                    cid = self.type_to_class[ty] = len(self.classes)
+                    self.class_types.append(ty)
+                    self.classes.append([])
+                walk_to_class[walk] = cid
+            self.classes[cid].append(i)
+            self.class_of.append(cid)
+        self.centralizer_orders = [len(self.elements) // len(m) for m in self.classes]
 
     def class_size(self, cid: int) -> int:
         return len(self.classes[cid])
@@ -263,6 +272,14 @@ def _fused_counts(n: int, a: int, b: int) -> tuple[dict[tuple[DClassType, DClass
 BlockFn = Callable[[DClassType], int]
 
 
+def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
+    """Per ambient class c: the sum of (fa x fb) over the subgroup elements in c."""
+    return [
+        sum(cnt * fa(pa) * fb(pb) for (pa, pb), cnt in counts.items())
+        for counts in _fused_counts(n, a, b)
+    ]
+
+
 def induce_class_function(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[Fraction]:
     """Values, per ambient class, of the class function induced from fa x fb.
 
@@ -272,15 +289,9 @@ def induce_class_function(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> l
     by conjugacy class.
     """
     t = build_group(n)
-    counts = _fused_counts(n, a, b)
     h_order = group_order_d(a) * group_order_d(b)
-    out = []
-    for cid in range(len(t.classes)):
-        s = 0
-        for (pa, pb), cnt in counts[cid].items():
-            s += cnt * fa(pa) * fb(pb)
-        out.append(Fraction(t.centralizer_orders[cid] * s, h_order))
-    return out
+    sums = _class_sums(n, a, b, fa, fb)
+    return [Fraction(z * s, h_order) for z, s in zip(t.centralizer_orders, sums)]
 
 
 def induced_value_elementwise(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn, g: SignedPerm) -> Fraction:
@@ -330,20 +341,28 @@ def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
 
 
 def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> DecompositionResult:
-    """Decompose the induced character of A x B by explicit summation."""
+    """Decompose the induced character of A x B by explicit summation.
+
+    The inner product of the induced character with X over the rank-n
+    group, |class| * |centralizer| = |group| cancelled, is
+    (1/|H|) * sum over classes c of s_c * X(c), where s_c sums A x B
+    over the subgroup elements in c; one exact integer division.
+    """
     t = build_group(n)
-    ind = induce_class_function(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
-    order = group_order_d(n)
+    h_order = group_order_d(a) * group_order_d(b)
+    sums = _class_sums(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
+    support = [(s, ty) for s, ty in zip(sums, t.class_types) if s]
     mults: dict[DIrrLabel, int] = {}
     for X in d_irr_labels(n):
-        total = Fraction(0)
-        for cid, ty in enumerate(t.class_types):
-            total += t.class_size(cid) * ind[cid] * d_char_value(X, ty)
-        total /= order
-        if total.denominator != 1 or total < 0:
-            raise ArithmeticError(f"non-character inner product {total} for {A} x {B} vs {X}")
+        num = sum(s * d_char_value(X, ty) for s, ty in support)
+        total, rest = divmod(num, h_order)
+        if rest or total < 0:
+            raise ArithmeticError(
+                f"non-character inner product {num}/{h_order} for "
+                f"{format_irr_label(A)} x {format_irr_label(B)} vs {format_irr_label(X)}"
+            )
         if total:
-            mults[X] = int(total)
+            mults[X] = total
     return DecompositionResult(n, a, b, A, B, mults, method="oracle")
 
 
@@ -376,13 +395,6 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Independent formulas used to cross-check individual steps
 
-def iter_ambient_elements(n: int):
-    """All signed permutations of rank n (both parities)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            yield tuple(-perm[i] if mask >> i & 1 else perm[i] for i in range(n))
-
-
 def centralizer_chain_values(n: int, pi: Partition) -> dict[str, int]:
     """The four centralizer orders attached to a doubled cycle type.
 
@@ -397,7 +409,7 @@ def centralizer_chain_values(n: int, pi: Partition) -> dict[str, int]:
     t = build_group(n)
     w = plain_element(tuple(2 * x for x in pi), n)
     in_d = t.centralizer_orders[t.class_id_of(w)]
-    in_b = sum(1 for x in iter_ambient_elements(n) if sp_mul(x, w) == sp_mul(w, x))
+    in_b = sum(1 for x in _signed_perms(n, even=False) if sp_mul(x, w) == sp_mul(w, x))
     plain = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
     in_plain = sum(1 for x in plain if sp_mul(x, w) == sp_mul(w, x))
     m = n // 2

@@ -127,3 +127,40 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["chartable", "--type", "Q", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_recursion_limit_exits_three(capsys):
+    ones = "[" + ",".join(["1"] * 1200) + "]"
+    code, out, err = run(capsys, "lr", "--alpha", "[]", "--beta", ones, "--gamma", ones)
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "resource limit" in err
+
+
+def test_invariant_violation_exits_one_with_grammar_labels(capsys, monkeypatch):
+    # A block "character" supported on the identity alone is not a
+    # character: its inner products are not integers.
+    import dweyl.oracle
+
+    def identity_indicator(chi, c):
+        return 1 if not c.negative and set(c.positive) == {1} else 0
+
+    monkeypatch.setattr(dweyl.oracle, "d_char_value", identity_indicator)
+    code, out, err = run(
+        capsys, "decompose", "--n", "4", "--a", "2", "--b", "2",
+        "--A", "([1],[1])+", "--B", "([1],[1])-", "--method", "oracle",
+    )
+    assert code == 1
+    assert out == ""
+    assert "non-character inner product 1/16 for ([1],[1])+ x ([1],[1])-" in err
+
+
+def test_help_lists_exit_codes():
+    from dweyl.cli import build_parser
+
+    text = build_parser().format_help()
+    assert "Exit codes:" in text
+    for line in ("0  success", "1  verification mismatch", "2  usage or label syntax error", "3  resource limit"):
+        assert line in text
+    assert "Label grammar" in text

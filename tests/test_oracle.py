@@ -57,9 +57,69 @@ def test_build_group_sizes():
 
 
 def test_class_count_matches_labels():
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert len(build_group(n).classes) == len(d_irr_labels(n))
         assert set(build_group(n).class_types) == set(d_classes(n))
+
+
+def orbit_classes(n):
+    """Reference classes by orbit search: conjugate by the Coxeter
+    generators (all involutions) until no new element appears.  Returns
+    class_of and the member lists, ids in order of first appearance."""
+    t = build_group(n)
+    gens = []
+    for i in range(1, n):
+        w = list(range(1, n + 1))
+        w[i - 1], w[i] = w[i], w[i - 1]
+        gens.append(tuple(w))
+    if n >= 2:
+        w = list(range(1, n + 1))
+        w[n - 2], w[n - 1] = -n, -(n - 1)
+        gens.append(tuple(w))
+    class_of = [-1] * len(t.elements)
+    classes = []
+    for i0, w0 in enumerate(t.elements):
+        if class_of[i0] >= 0:
+            continue
+        cid = len(classes)
+        members = [i0]
+        class_of[i0] = cid
+        stack = [w0]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                j = t.index[sp_mul(g, sp_mul(x, g))]
+                if class_of[j] < 0:
+                    class_of[j] = cid
+                    members.append(j)
+                    stack.append(t.elements[j])
+        classes.append(members)
+    return class_of, classes
+
+
+def test_cycle_type_classes_match_orbit_search():
+    for n in range(1, 7):
+        t = build_group(n)
+        class_of, classes = orbit_classes(n)
+        assert t.class_of == class_of
+        assert [set(m) for m in t.classes] == [set(m) for m in classes]
+        assert all(m == sorted(m) for m in t.classes)
+        # unsplittable types are one orbit, splittable types two, and
+        # the + orbit is the one holding the sign-free representative
+        orbits_of_type = {}
+        for members in classes:
+            raw = signed_cycle_type(t.elements[members[0]])
+            orbits_of_type.setdefault(raw, []).append(members)
+        for (positive, negative), orbits in orbits_of_type.items():
+            if not negative and all(p % 2 == 0 for p in positive):
+                assert len(orbits) == 2
+                plus = class_of[t.index[plain_element(positive, n)]]
+                for members in orbits:
+                    tag = 1 if class_of[members[0]] == plus else -1
+                    assert t.class_types[class_of[members[0]]] == DClassType(positive, negative, tag)
+            else:
+                assert len(orbits) == 1
+                assert t.class_types[class_of[orbits[0][0]]] == DClassType(positive, negative, None)
 
 
 def test_class_types_constant_on_classes():
