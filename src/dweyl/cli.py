@@ -7,7 +7,7 @@ supported).
 Exit codes:
   0  success
   1  verification mismatch, or a violated invariant (an ArithmeticError)
-  2  usage or label syntax error
+  2  usage or label syntax error, or a size outside the supported range
   3  resource limit: the input is too large for a recursive kernel
 
 Label grammar (exact, used in flags and JSON keys alike):
@@ -35,8 +35,9 @@ from .dchar import (
 )
 from .decomp import InducedQuery, branch_set, decompose_induced
 from .lr import lr_coefficient, lr_expand
-from .oracle import MAX_RANK, oracle_induce, verify_formula
+from .oracle import MAX_RANK, check_verify_rank, oracle_induce, verify_formula
 from .partitions import (
+    RangeError,
     enumerate_bipartitions,
     enumerate_partitions,
     format_bipartition,
@@ -72,7 +73,7 @@ def cmd_lr(args: argparse.Namespace) -> int:
 def cmd_chartable(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise RangeError("need n >= 1")
     if args.type == "A":
         classes = enumerate_partitions(n)
         rows = {
@@ -142,10 +143,12 @@ def cmd_branch(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         combos = [(n, a, n - a) for n in range(4, MAX_RANK + 1) for a in range(1, n)]
-    elif args.n is not None and args.a is not None and args.b is not None:
-        combos = [(args.n, args.a, args.b)]
     elif args.n is not None:
-        combos = [(args.n, a, args.n - a) for a in range(1, args.n)]
+        check_verify_rank(args.n)
+        if args.a is not None and args.b is not None:
+            combos = [(args.n, args.a, args.b)]
+        else:
+            combos = [(args.n, a, args.n - a) for a in range(1, args.n)]
     else:
         raise ValueError("verify needs --all or --n (optionally with --a and --b)")
     pairs = 0
@@ -221,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("see 'dweyl --help' for the label grammar", file=sys.stderr)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .dchar import DIrrLabel, format_irr_label, irr_label_key
 from .lr import lr_coefficient, lr_expand
-from .partitions import Bipartition, Partition, remove_box, removable_rows, size
+from .partitions import Bipartition, Partition, RangeError, remove_box, removable_rows, size
 
 
 class InducedQuery(NamedTuple):
@@ -97,19 +97,26 @@ def _odd_total(q: InducedQuery, X: DIrrLabel) -> ArithmeticError:
     )
 
 
-def _validate_query(q: InducedQuery) -> None:
+def validate_query(q: InducedQuery) -> None:
+    """Raise ValueError unless q is a well-formed induction problem."""
     if q.n < 4:
-        raise ValueError(f"induction formula requires n >= 4, got n={q.n}")
+        raise RangeError(f"induction formula requires n >= 4, got n={q.n}")
     if q.a < 1 or q.b < 1 or q.a + q.b != q.n:
-        raise ValueError(f"need a, b >= 1 with a + b = n, got a={q.a}, b={q.b}, n={q.n}")
+        raise RangeError(f"need a, b >= 1 with a + b = n, got a={q.a}, b={q.b}, n={q.n}")
     _check_label(q.A, q.a, "A")
     _check_label(q.B, q.b, "B")
 
 
 def induced_multiplicity(q: InducedQuery, X: DIrrLabel) -> int:
     """Multiplicity of X in the character induced from A x B."""
-    _validate_query(q)
+    validate_query(q)
     _check_label(X, q.n, "X")
+    return induced_multiplicity_unchecked(q, X)
+
+
+def induced_multiplicity_unchecked(q: InducedQuery, X: DIrrLabel) -> int:
+    """induced_multiplicity for a query that passed validate_query and a
+    well-formed rank-n label X; checks neither."""
     coeff = a_coefficient(q.A.label, q.B.label, X.label)
     if X.eps == 0:
         return coeff
@@ -128,7 +135,7 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
     Built from the LR products of a_coefficient's orderings (see the
     module docstring); labels come in d_irr_labels order.
     """
-    _validate_query(q)
+    validate_query(q)
     (a1, a2), (b1, b2) = q.A.label, q.B.label
     orderings_a = [(a1, a2)] if a1 == a2 else [(a1, a2), (a2, a1)]
     orderings_b = [(b1, b2)] if b1 == b2 else [(b1, b2), (b2, b1)]

@@ -2,9 +2,16 @@
 
 Everything here works with concrete group elements so that the closed
 formulas in the rest of the package can be checked against independent
-computations: groups are stored as full element lists, conjugacy
-classes come from each element's signed cycle type, and induced
-characters from explicit summation over elements or subgroup classes.
+computations: conjugacy classes come from each element's signed cycle
+type, and induced characters from explicit summation over elements or
+subgroup classes.
+
+A signed permutation of {1..n} is a tuple w of length n whose entry
+w[i] = +j or -j says that point i+1 maps to point j with that sign.
+An element lies in the even-signed (type D) group exactly when the
+number of negative entries is even.  Elements are ordered by their
+unsigned permutation (lexicographically) and then by their sign mask
+m, in which bit i-1 is set when w(i) is negative.
 
 A signed cycle type with a negative cycle or an odd positive cycle is a
 single class of the even-signed group.  Any other type (all cycles
@@ -15,10 +22,24 @@ conjugating it onto that representative has an even number of sign
 changes.  This is well defined because such an element's centralizer
 in the full signed permutation group lies inside the even-signed group.
 
-A signed permutation of {1..n} is a tuple w of length n whose entry
-w[i] = +j or -j says that point i+1 maps to point j with that sign.
-An element lies in the even-signed (type D) group exactly when the
-number of negative entries is even.
+The elements sharing one unsigned permutation share its cycles; only
+the signs differ, and what the class needs of them are parities of the
+sign mask, which are linear over GF(2):
+
+* a cycle with point mask c is negative exactly when popcount(m & c)
+  is odd;
+* the parity of the conjugator's sign changes (see _cycle_walk) is
+  popcount(m & F) mod 2 for one flip mask F of the permutation: along
+  a cycle i_0 -> i_1 -> ... -> i_(L-1) the sign of w(i_l) is carried to
+  the L-1-l points after i_l, so F holds the points i_l with L-1-l odd.
+
+So one walk per unsigned permutation gives every sign mask a code (a
+bit per negative cycle, plus the flip bit) as the XOR of the codes of
+its points, the codes of all 2^n masks follow by doubling, and each
+element costs two list lookups: code, then class.  Building a group
+table is work in proportion to n!, the block subgroup is enumerated
+directly as pairs of block elements, and element lists, the element ->
+index map and class member lists are built only when asked for.
 
 Construction is capped at n = 6 (23040 elements); the formula side of
 the package has no such bound.
@@ -28,9 +49,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import defaultdict
+from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -42,8 +63,8 @@ from .dchar import (
     format_irr_label,
     group_order_d,
 )
-from .decomp import DecompositionResult, InducedQuery, induced_multiplicity
-from .partitions import Partition, enumerate_partitions, size
+from .decomp import DecompositionResult, InducedQuery, induced_multiplicity_unchecked, validate_query
+from .partitions import Partition, RangeError, enumerate_partitions, size
 from .symchar import sym_centralizer_order, sym_char_value
 
 MAX_RANK = 6
@@ -145,63 +166,145 @@ def flip_at(n: int, point: int) -> SignedPerm:
     return tuple(w)
 
 
+def _even_masks(n: int) -> list[int]:
+    """Sign masks of rank n with an even number of set bits, ascending."""
+    return [m for m in range(1 << n) if not bin(m).count("1") % 2]
+
+
 def _signed_perms(n: int, even: bool):
     """Signed permutations of rank n, by permutation and then by sign
     mask; with even, only those with an even number of sign changes."""
     signs = [
         tuple(-1 if mask >> i & 1 else 1 for i in range(n))
-        for mask in range(1 << n)
-        if not (even and bin(mask).count("1") % 2)
+        for mask in (_even_masks(n) if even else range(1 << n))
     ]
     for perm in itertools.permutations(range(1, n + 1)):
         for sign in signs:
             yield tuple(map(operator.mul, perm, sign))
 
 
+def _mask_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """Cycle lengths of an unsigned permutation, and the code of every
+    sign mask m < 2^n put on it (see the module docstring).
+
+    Cycles are walked from their smallest point, in _cycle_walk's order.
+    Bit 0 of a code holds the parity of the conjugator's sign changes,
+    and bit j+1 is set when cycle j is negative.  Both are parities of
+    m, so the code of m is the XOR of the codes of its points: a point
+    of cycle j has bit j+1, and bit 0 when it is in the flip mask.
+    """
+    lengths: list[int] = []
+    point_codes = [0] * len(perm)
+    for start in range(len(perm)):
+        if point_codes[start]:
+            continue
+        bit = 2 << len(lengths)
+        points = []
+        i = start
+        while not point_codes[i]:
+            point_codes[i] = bit
+            points.append(i)
+            i = perm[i] - 1
+        for i in points[-2::-2]:  # the points i_l with L-1-l odd
+            point_codes[i] |= 1
+        lengths.append(len(points))
+    codes = [0]
+    for point_code in point_codes:
+        codes += [code ^ point_code for code in codes]
+    return tuple(lengths), codes
+
+
+@cache
+def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
+    """Class label of each code of _mask_codes, for the cycle lengths in
+    walk order; None for a code with an odd number of negative cycles,
+    which belongs to no even-signed element."""
+    out: list[DClassType | None] = [None] * (2 << len(lengths))
+    for negs in range(1 << len(lengths)):
+        positive = tuple(sorted((x for j, x in enumerate(lengths) if not negs >> j & 1), reverse=True))
+        negative = tuple(sorted((x for j, x in enumerate(lengths) if negs >> j & 1), reverse=True))
+        if len(negative) % 2 == 0:
+            out[negs << 1] = _class_type(positive, negative, 0)
+            out[negs << 1 | 1] = _class_type(positive, negative, 1)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Group tables
 
 class GroupTable:
-    """Fully enumerated even-signed permutation group of rank n.
+    """Even-signed permutation group of rank n, with its conjugacy classes.
 
-    Immutable after construction: element list, element -> index map,
-    conjugacy classes from the signed cycle type of each element, and
-    the class label of each class.  For a splittable cycle type the
-    class containing the sign-free representative gets the + tag; the
-    other elements of the type are told apart by the parity of a
-    conjugator onto it.  Class ids follow the first appearance of a
-    class in element order, and member lists are in element order.
+    Built from one walk per unsigned permutation, by the parity argument
+    of the module docstring: class_of holds the class id of every
+    element in element order, class_types the label of each class,
+    class_sizes and centralizer_orders its sizes.  For a splittable
+    cycle type the class containing the sign-free representative gets
+    the + tag.  Class ids follow the first appearance of a class in
+    element order.
+
+    elements, index (element -> position) and classes (the member
+    positions of each class, in element order) are built on first use
+    and then kept; oracle_induce and verify_formula never build them
+    for the ambient group.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.elements = list(_signed_perms(n, even=True))
-        self.index = {w: i for i, w in enumerate(self.elements)}
-        self.type_to_class: dict[DClassType, int] = {}
-        self.class_types: list[DClassType] = []
-        self.classes: list[list[int]] = []
-        self.class_of: list[int] = []
-        # walk result -> class id: each type gives two keys (flip parity 0
-        # and 1), which are two classes only when the type splits
-        walk_to_class: dict[tuple[Partition, Partition, int], int] = {}
-        # the index's int objects, not fresh ones, go into the member lists
-        for w, i in self.index.items():
-            walk = _cycle_walk(w)
-            cid = walk_to_class.get(walk)
-            if cid is None:
-                ty = _class_type(*walk)
-                cid = self.type_to_class.get(ty)
-                if cid is None:
-                    cid = self.type_to_class[ty] = len(self.classes)
-                    self.class_types.append(ty)
-                    self.classes.append([])
-                walk_to_class[walk] = cid
-            self.classes[cid].append(i)
-            self.class_of.append(cid)
-        self.centralizer_orders = [len(self.elements) // len(m) for m in self.classes]
+        even = _even_masks(n)
+        # ids in order of first meeting a type, renumbered below into
+        # order of first appearance in element order
+        provisional: dict[DClassType, int] = {}
+        code_ids: dict[tuple[int, ...], list[int | None]] = {}
+        class_of: list[int] = []
+        for perm in itertools.permutations(range(1, n + 1)):
+            lengths, codes = _mask_codes(perm)
+            ids = code_ids.get(lengths)
+            if ids is None:
+                ids = code_ids[lengths] = [
+                    None if ty is None else provisional.setdefault(ty, len(provisional))
+                    for ty in _code_types(lengths)
+                ]
+            class_of.extend(map(ids.__getitem__, map(codes.__getitem__, even)))
+        first = list(dict.fromkeys(class_of))
+        renumber = [0] * len(provisional)
+        for cid, pid in enumerate(first):
+            renumber[pid] = cid
+        types = list(provisional)
+        # cycle lengths in walk order -> class id of each code
+        self._code_classes = {
+            lengths: [None if pid is None else renumber[pid] for pid in ids] for lengths, ids in code_ids.items()
+        }
+        self.class_of = list(map(renumber.__getitem__, class_of))
+        self.class_types = [types[pid] for pid in first]
+        self.type_to_class = {ty: cid for cid, ty in enumerate(self.class_types)}
+        sizes = Counter(self.class_of)
+        self.class_sizes = [sizes[cid] for cid in range(len(first))]
+        self.centralizer_orders = [len(class_of) // s for s in self.class_sizes]
+
+    @cached_property
+    def elements(self) -> list[SignedPerm]:
+        return list(_signed_perms(self.n, even=True))
+
+    @cached_property
+    def index(self) -> dict[SignedPerm, int]:
+        return {w: i for i, w in enumerate(self.elements)}
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        members: list[list[int]] = [[] for _ in self.class_types]
+        for i, cid in enumerate(self.class_of):
+            members[cid].append(i)
+        return members
+
+    def mask_classes(self, perm: tuple[int, ...], masks: list[int]):
+        """Class ids of the elements with unsigned permutation perm (the
+        images of 1..n) and each of the given even sign masks."""
+        lengths, codes = _mask_codes(perm)
+        return map(self._code_classes[lengths].__getitem__, map(codes.__getitem__, masks))
 
     def class_size(self, cid: int) -> int:
-        return len(self.classes[cid])
+        return self.class_sizes[cid]
 
     def class_id_of(self, w: SignedPerm) -> int:
         return self.class_of[self.index[w]]
@@ -210,7 +313,7 @@ class GroupTable:
 @cache
 def build_group(n: int) -> GroupTable:
     if not 1 <= n <= MAX_RANK:
-        raise ValueError(f"explicit group construction is capped at n = {MAX_RANK}")
+        raise RangeError(f"explicit group construction is capped at n = {MAX_RANK}")
     return GroupTable(n)
 
 
@@ -252,21 +355,31 @@ def _embed_blocks(wa: SignedPerm, wb: SignedPerm) -> SignedPerm:
 
 @cache
 def _fused_counts(n: int, a: int, b: int) -> tuple[dict[tuple[DClassType, DClassType], int], ...]:
-    """Per ambient class: how many subgroup elements of each block-type pair it contains."""
+    """Per ambient class: how many subgroup elements of each block-type pair it contains.
+
+    The subgroup is enumerated as pairs of block elements: a pair of
+    block permutations, walked once as one rank-n permutation, carries
+    every pair of even block sign masks.  Each embedded element is
+    classified by its own signed cycle type, each block element by its
+    block's table (same element order, so positions are arithmetic).
+    """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    t = build_group(n)
-    ta = build_group(a)
-    tb = build_group(b)
-    counts: list[dict[tuple[DClassType, DClassType], int]] = [defaultdict(int) for _ in t.classes]
-    for i, w in enumerate(t.elements):
-        if not _in_block_subgroup(w, a):
-            continue
-        wa, wb = _block_parts(w, a)
-        pa = ta.class_types[ta.class_of[ta.index[wa]]]
-        pb = tb.class_types[tb.class_of[tb.index[wb]]]
-        counts[t.class_of[i]][(pa, pb)] += 1
-    return tuple(dict(c) for c in counts)
+    t, ta, tb = build_group(n), build_group(a), build_group(b)
+    even_a, even_b = _even_masks(a), _even_masks(b)
+    half_a, half_b = len(even_a), len(even_b)
+    masks = [ma | mb << a for ma in even_a for mb in even_b]
+    perms_b = list(itertools.permutations(range(a + 1, n + 1)))
+    tally: Counter = Counter()
+    for ia, perm_a in enumerate(itertools.permutations(range(1, a + 1))):
+        row_a = ta.class_of[ia * half_a:(ia + 1) * half_a]
+        for ib, perm_b in enumerate(perms_b):
+            row_b = tb.class_of[ib * half_b:(ib + 1) * half_b]
+            tally.update(zip(t.mask_classes(perm_a + perm_b, masks), itertools.product(row_a, row_b)))
+    counts: list[dict[tuple[DClassType, DClassType], int]] = [{} for _ in t.class_types]
+    for (cid, (ca, cb)), cnt in tally.items():
+        counts[cid][(ta.class_types[ca], tb.class_types[cb])] = cnt
+    return tuple(counts)
 
 
 BlockFn = Callable[[DClassType], int]
@@ -340,6 +453,16 @@ def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
     }
 
 
+@cache
+def _char_rows(n: int, a: int, b: int) -> tuple[list[int], tuple[tuple[DIrrLabel, list[int]], ...]]:
+    """The ambient classes meeting the block subgroup, and per label of
+    the rank-n group its character values at them, in that order."""
+    t = build_group(n)
+    meeting = [cid for cid, counts in enumerate(_fused_counts(n, a, b)) if counts]
+    types = [t.class_types[cid] for cid in meeting]
+    return meeting, tuple((X, [d_char_value(X, ty) for ty in types]) for X in d_irr_labels(n))
+
+
 def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> DecompositionResult:
     """Decompose the induced character of A x B by explicit summation.
 
@@ -348,13 +471,13 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     (1/|H|) * sum over classes c of s_c * X(c), where s_c sums A x B
     over the subgroup elements in c; one exact integer division.
     """
-    t = build_group(n)
     h_order = group_order_d(a) * group_order_d(b)
     sums = _class_sums(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
-    support = [(s, ty) for s, ty in zip(sums, t.class_types) if s]
+    meeting, rows = _char_rows(n, a, b)
+    support = [(j, sums[cid]) for j, cid in enumerate(meeting) if sums[cid]]
     mults: dict[DIrrLabel, int] = {}
-    for X in d_irr_labels(n):
-        num = sum(s * d_char_value(X, ty) for s, ty in support)
+    for X, row in rows:
+        num = sum(s * row[j] for j, s in support)
         total, rest = divmod(num, h_order)
         if rest or total < 0:
             raise ArithmeticError(
@@ -374,8 +497,20 @@ class VerificationReport(NamedTuple):
     mismatches: tuple
 
 
+def check_verify_rank(n: int) -> None:
+    """Reject a rank that verification cannot run at, before any work."""
+    if not 4 <= n <= MAX_RANK:
+        raise RangeError(
+            f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 "
+            f"and explicit group construction is capped at n = {MAX_RANK}"
+        )
+
+
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     """Compare the closed formula with explicit induction for all (E, X)."""
+    check_verify_rank(n)
+    if a < 1 or b < 1 or a + b != n:
+        raise RangeError(f"need a, b >= 1 with a + b = n, got a={a}, b={b}, n={n}")
     mismatches = []
     pairs = 0
     labels_n = d_irr_labels(n)
@@ -383,9 +518,10 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
         for B in d_irr_labels(b):
             explicit = oracle_induce(n, a, b, A, B).multiplicities
             q = InducedQuery(n, a, b, A, B)
+            validate_query(q)
             for X in labels_n:
                 pairs += 1
-                formula = induced_multiplicity(q, X)
+                formula = induced_multiplicity_unchecked(q, X)
                 actual = explicit.get(X, 0)
                 if formula != actual:
                     mismatches.append((A, B, X, formula, actual))

@@ -20,6 +20,11 @@ Bipartition = tuple[Partition, Partition]
 PairSplit = tuple[int, int]
 
 
+class RangeError(ValueError):
+    """A well-formed input outside the range a computation supports,
+    such as a rank or a block size; not a label or syntax error."""
+
+
 def as_partition(parts) -> Partition:
     """Validate an iterable of parts and return it as a Partition."""
     p = tuple(int(x) for x in parts)

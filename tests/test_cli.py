@@ -110,6 +110,29 @@ def test_verify_whole_rank(capsys):
     assert payload["mismatches"] == []
 
 
+def test_verify_large_rank_fails_fast(capsys, monkeypatch):
+    import dweyl.oracle
+
+    def refuse(n):
+        raise AssertionError(f"enumerated the labels of rank {n}")
+
+    monkeypatch.setattr(dweyl.oracle, "d_irr_labels", refuse)
+    code, out, err = run(capsys, "verify", "--n", "40", "--a", "1", "--b", "39")
+    assert code == 2
+    assert out == ""
+    assert "capped at n = 6" in err
+    assert "grammar" not in err
+
+
+def test_verify_rank_out_of_range_exits_two(capsys):
+    for n in ("0", "1", "3", "7"):
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert code == 2, n
+        assert out == ""
+        assert "verify needs 4 <= n <= 6" in err
+        assert "grammar" not in err
+
+
 def test_bad_label_exits_two(capsys):
     code, _, err = run(capsys, "lr", "--alpha", "[2,", "--beta", "[1]")
     assert code == 2

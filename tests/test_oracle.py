@@ -1,4 +1,6 @@
+from collections import defaultdict
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,6 +16,12 @@ from dweyl.dchar import (
     make_irr_label,
 )
 from dweyl.oracle import (
+    _block_parts,
+    _char_rows,
+    _class_type,
+    _cycle_walk,
+    _fused_counts,
+    _in_block_subgroup,
     build_group,
     centralizer_chain_values,
     classify_element,
@@ -120,6 +128,88 @@ def test_cycle_type_classes_match_orbit_search():
             else:
                 assert len(orbits) == 1
                 assert t.class_types[class_of[orbits[0][0]]] == DClassType(positive, negative, None)
+
+
+def walk_table(n):
+    """Reference group table: the even-signed elements listed by
+    permutation and then by sign mask, one _cycle_walk per element, class
+    ids in order of first appearance, member lists in element order."""
+    elements = [
+        tuple(-x if mask >> i & 1 else x for i, x in enumerate(perm))
+        for perm in permutations(range(1, n + 1))
+        for mask in range(1 << n)
+        if bin(mask).count("1") % 2 == 0
+    ]
+    type_to_class = {}
+    class_types, classes, class_of = [], [], []
+    for i, w in enumerate(elements):
+        ty = _class_type(*_cycle_walk(w))
+        cid = type_to_class.setdefault(ty, len(class_types))
+        if cid == len(class_types):
+            class_types.append(ty)
+            classes.append([])
+        classes[cid].append(i)
+        class_of.append(cid)
+    centralizers = [len(elements) // len(members) for members in classes]
+    return elements, class_of, class_types, classes, centralizers
+
+
+def test_per_permutation_classes_match_per_element_walk():
+    for n in range(1, 7):
+        t = build_group(n)
+        elements, class_of, class_types, classes, centralizers = walk_table(n)
+        assert t.class_of == class_of
+        assert t.class_types == class_types
+        assert t.type_to_class == {ty: cid for cid, ty in enumerate(class_types)}
+        assert t.centralizer_orders == centralizers
+        assert [t.class_size(cid) for cid in range(len(classes))] == [len(m) for m in classes]
+        assert t.classes == classes
+        assert t.elements == elements
+        assert list(t.index.items()) == [(w, i) for i, w in enumerate(elements)]
+
+
+def scan_fused_counts(n, a, b):
+    """Reference _fused_counts: scan every element of the rank-n group
+    for the block subgroup and classify its two blocks."""
+    t, ta, tb = build_group(n), build_group(a), build_group(b)
+    counts = [defaultdict(int) for _ in t.classes]
+    for i, w in enumerate(t.elements):
+        if not _in_block_subgroup(w, a):
+            continue
+        wa, wb = _block_parts(w, a)
+        pa = ta.class_types[ta.class_of[ta.index[wa]]]
+        pb = tb.class_types[tb.class_of[tb.index[wb]]]
+        counts[t.class_of[i]][(pa, pb)] += 1
+    return tuple(dict(c) for c in counts)
+
+
+def test_fused_counts_match_scan_over_the_group():
+    for n in range(2, 7):
+        for a in range(1, n):
+            assert _fused_counts(n, a, n - a) == scan_fused_counts(n, a, n - a), (n, a)
+
+
+def test_verify_formula_builds_no_ambient_element_list():
+    for cached in (build_group, _fused_counts, _char_rows):
+        cached.cache_clear()
+    report = verify_formula(6, 2, 4)
+    assert report.mismatches == ()
+    built = {"elements", "index", "classes"} & set(vars(build_group(6)))
+    assert not built
+
+
+def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
+    import dweyl.oracle
+
+    def refuse(n):
+        raise AssertionError(f"enumerated the labels of rank {n}")
+
+    monkeypatch.setattr(dweyl.oracle, "d_irr_labels", refuse)
+    for n, a, b in [(40, 1, 39), (7, 3, 4), (3, 1, 2), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="verify needs 4 <= n <= 6"):
+            verify_formula(n, a, b)
+    with pytest.raises(ValueError, match="a \\+ b = n"):
+        verify_formula(5, 2, 2)
 
 
 def test_class_types_constant_on_classes():
