@@ -70,18 +70,23 @@ def a_coefficient(alpha: Bipartition, beta: Bipartition, gamma: Bipartition) -> 
     a1, a2 = alpha
     b1, b2 = beta
     g1, g2 = gamma
-    orderings_a = [(a1, a2)] if a1 == a2 else [(a1, a2), (a2, a1)]
-    orderings_b = [(b1, b2)] if b1 == b2 else [(b1, b2), (b2, b1)]
+    s1, s2, sa1, sa2, sb1, sb2 = map(size, (g1, g2, a1, a2, b1, b2))
+    orderings_a = [(a1, a2, sa1, sa2)] if a1 == a2 else [(a1, a2, sa1, sa2), (a2, a1, sa2, sa1)]
+    orderings_b = [(b1, b2, sb1, sb2)] if b1 == b2 else [(b1, b2, sb1, sb2), (b2, b1, sb2, sb1)]
     total = 0
-    for x1, x2 in orderings_a:
-        for y1, y2 in orderings_b:
-            if size(g1) == size(x1) + size(y1) and size(g2) == size(x2) + size(y2):
+    for x1, x2, sx1, sx2 in orderings_a:
+        for y1, y2, sy1, sy2 in orderings_b:
+            if s1 == sx1 + sy1 and s2 == sx2 + sy2:
                 total += lr_coefficient(x1, y1, g1) * lr_coefficient(x2, y2, g2)
     return total
 
 
 def _check_label(chi: DIrrLabel, n: int, what: str) -> None:
     first, second = chi.label
+    for part in (first, second):
+        positive = type(part) is tuple and all(type(x) is int and x > 0 for x in part)
+        if not positive or any(x < y for x, y in zip(part, part[1:])):
+            raise ValueError(f"{what} component {part!r} is not a partition")
     if size(first) + size(second) != n:
         raise ValueError(f"{what} has size {size(first) + size(second)}, expected {n}")
     if chi.eps != 0 and first != second:

@@ -36,20 +36,23 @@ sign mask, which are linear over GF(2):
 So one walk per unsigned permutation gives every sign mask a code (a
 bit per negative cycle, plus the flip bit) as the XOR of the codes of
 its points, the codes of all 2^n masks follow by doubling, and each
-element costs two list lookups: code, then class.  Building a group
-table is work in proportion to n!, the block subgroup is enumerated
-directly as pairs of block elements, and element lists, the element ->
-index map and class member lists are built only when asked for.
+element's class type is one lookup in the code table of its cycle
+lengths.  Building a group table is work in proportion to n!, and its
+element lists, element -> index map and class member lists are built
+only when asked for.
 
-Construction is capped at n = 6 (23040 elements); the formula side of
-the package has no such bound.
+Induction builds no table of the rank-n group: the block subgroup is
+enumerated as pairs of block elements, each classified by its own signed
+cycle type.  verify_formula and oracle_induce are capped at n = 8 (at
+most 322560 subgroup elements), group tables at n = 7; the formula side
+of the package has no such bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
@@ -67,7 +70,7 @@ from .decomp import DecompositionResult, InducedQuery, induced_multiplicity_unch
 from .partitions import Partition, RangeError, enumerate_partitions, size
 from .symchar import sym_centralizer_order, sym_char_value
 
-MAX_RANK = 6
+MAX_RANK = 8  # verify_formula and oracle_induce; group tables stop one below
 
 SignedPerm = tuple[int, ...]
 
@@ -245,8 +248,7 @@ class GroupTable:
 
     elements, index (element -> position) and classes (the member
     positions of each class, in element order) are built on first use
-    and then kept; oracle_induce and verify_formula never build them
-    for the ambient group.
+    and then kept.
     """
 
     def __init__(self, n: int):
@@ -271,10 +273,6 @@ class GroupTable:
         for cid, pid in enumerate(first):
             renumber[pid] = cid
         types = list(provisional)
-        # cycle lengths in walk order -> class id of each code
-        self._code_classes = {
-            lengths: [None if pid is None else renumber[pid] for pid in ids] for lengths, ids in code_ids.items()
-        }
         self.class_of = list(map(renumber.__getitem__, class_of))
         self.class_types = [types[pid] for pid in first]
         self.type_to_class = {ty: cid for cid, ty in enumerate(self.class_types)}
@@ -297,12 +295,6 @@ class GroupTable:
             members[cid].append(i)
         return members
 
-    def mask_classes(self, perm: tuple[int, ...], masks: list[int]):
-        """Class ids of the elements with unsigned permutation perm (the
-        images of 1..n) and each of the given even sign masks."""
-        lengths, codes = _mask_codes(perm)
-        return map(self._code_classes[lengths].__getitem__, map(codes.__getitem__, masks))
-
     def class_size(self, cid: int) -> int:
         return self.class_sizes[cid]
 
@@ -312,8 +304,8 @@ class GroupTable:
 
 @cache
 def build_group(n: int) -> GroupTable:
-    if not 1 <= n <= MAX_RANK:
-        raise RangeError(f"explicit group construction is capped at n = {MAX_RANK}")
+    if not 1 <= n < MAX_RANK:
+        raise RangeError(f"explicit group tables are capped at n = {MAX_RANK - 1}")
     return GroupTable(n)
 
 
@@ -354,42 +346,49 @@ def _embed_blocks(wa: SignedPerm, wb: SignedPerm) -> SignedPerm:
 
 
 @cache
-def _fused_counts(n: int, a: int, b: int) -> tuple[dict[tuple[DClassType, DClassType], int], ...]:
-    """Per ambient class: how many subgroup elements of each block-type pair it contains.
+def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassType, DClassType], int]]:
+    """Per class type of the rank-n group meeting the block subgroup: how
+    many subgroup elements of each block-type pair it contains.
 
     The subgroup is enumerated as pairs of block elements: a pair of
     block permutations, walked once as one rank-n permutation, carries
     every pair of even block sign masks.  Each embedded element is
-    classified by its own signed cycle type, each block element by its
+    classified by its own signed cycle type, _code_types(lengths) at its
+    code, with no table of the rank-n group; each block element by its
     block's table (same element order, so positions are arithmetic).
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    t, ta, tb = build_group(n), build_group(a), build_group(b)
+    ta, tb = build_group(a), build_group(b)
     even_a, even_b = _even_masks(a), _even_masks(b)
     half_a, half_b = len(even_a), len(even_b)
     masks = [ma | mb << a for ma in even_a for mb in even_b]
     perms_b = list(itertools.permutations(range(a + 1, n + 1)))
-    tally: Counter = Counter()
+    # per cycle lengths in walk order: (code, (block class ids)) -> count
+    tallies: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
     for ia, perm_a in enumerate(itertools.permutations(range(1, a + 1))):
         row_a = ta.class_of[ia * half_a:(ia + 1) * half_a]
         for ib, perm_b in enumerate(perms_b):
             row_b = tb.class_of[ib * half_b:(ib + 1) * half_b]
-            tally.update(zip(t.mask_classes(perm_a + perm_b, masks), itertools.product(row_a, row_b)))
-    counts: list[dict[tuple[DClassType, DClassType], int]] = [{} for _ in t.class_types]
-    for (cid, (ca, cb)), cnt in tally.items():
-        counts[cid][(ta.class_types[ca], tb.class_types[cb])] = cnt
-    return tuple(counts)
+            lengths, codes = _mask_codes(perm_a + perm_b)
+            tallies[lengths].update(zip(map(codes.__getitem__, masks), itertools.product(row_a, row_b)))
+    counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
+    for lengths, tally in tallies.items():
+        types = _code_types(lengths)
+        for (code, (ca, cb)), cnt in tally.items():
+            counts[types[code]][ta.class_types[ca], tb.class_types[cb]] += cnt
+    return {ty: dict(pairs) for ty, pairs in counts.items()}
 
 
 BlockFn = Callable[[DClassType], int]
 
 
 def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
-    """Per ambient class c: the sum of (fa x fb) over the subgroup elements in c."""
+    """Per class type meeting the subgroup, in _fused_counts order: the
+    sum of (fa x fb) over the subgroup elements of that type."""
     return [
         sum(cnt * fa(pa) * fb(pb) for (pa, pb), cnt in counts.items())
-        for counts in _fused_counts(n, a, b)
+        for counts in _fused_counts(n, a, b).values()
     ]
 
 
@@ -403,8 +402,8 @@ def induce_class_function(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> l
     """
     t = build_group(n)
     h_order = group_order_d(a) * group_order_d(b)
-    sums = _class_sums(n, a, b, fa, fb)
-    return [Fraction(z * s, h_order) for z, s in zip(t.centralizer_orders, sums)]
+    sums = dict(zip(_fused_counts(n, a, b), _class_sums(n, a, b, fa, fb)))
+    return [Fraction(z * sums.get(ty, 0), h_order) for z, ty in zip(t.centralizer_orders, t.class_types)]
 
 
 def induced_value_elementwise(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn, g: SignedPerm) -> Fraction:
@@ -454,13 +453,11 @@ def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
 
 
 @cache
-def _char_rows(n: int, a: int, b: int) -> tuple[list[int], tuple[tuple[DIrrLabel, list[int]], ...]]:
-    """The ambient classes meeting the block subgroup, and per label of
-    the rank-n group its character values at them, in that order."""
-    t = build_group(n)
-    meeting = [cid for cid, counts in enumerate(_fused_counts(n, a, b)) if counts]
-    types = [t.class_types[cid] for cid in meeting]
-    return meeting, tuple((X, [d_char_value(X, ty) for ty in types]) for X in d_irr_labels(n))
+def _char_rows(n: int, a: int, b: int) -> tuple[tuple[DIrrLabel, list[int]], ...]:
+    """Per label of the rank-n group, its character values at the class
+    types meeting the block subgroup, in _fused_counts order."""
+    types = list(_fused_counts(n, a, b))
+    return tuple((X, [d_char_value(X, ty) for ty in types]) for X in d_irr_labels(n))
 
 
 def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> DecompositionResult:
@@ -471,13 +468,13 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     (1/|H|) * sum over classes c of s_c * X(c), where s_c sums A x B
     over the subgroup elements in c; one exact integer division.
     """
+    if a < 1 or b < 1 or a + b != n or n > MAX_RANK:
+        raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK}, got a={a}, b={b}, n={n}")
     h_order = group_order_d(a) * group_order_d(b)
     sums = _class_sums(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
-    meeting, rows = _char_rows(n, a, b)
-    support = [(j, sums[cid]) for j, cid in enumerate(meeting) if sums[cid]]
     mults: dict[DIrrLabel, int] = {}
-    for X, row in rows:
-        num = sum(s * row[j] for j, s in support)
+    for X, row in _char_rows(n, a, b):
+        num = sum(map(operator.mul, sums, row))
         total, rest = divmod(num, h_order)
         if rest or total < 0:
             raise ArithmeticError(
@@ -502,7 +499,7 @@ def check_verify_rank(n: int) -> None:
     if not 4 <= n <= MAX_RANK:
         raise RangeError(
             f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 "
-            f"and explicit group construction is capped at n = {MAX_RANK}"
+            f"and the explicit oracle is capped at n = {MAX_RANK}"
         )
 
 

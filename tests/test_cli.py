@@ -120,16 +120,50 @@ def test_verify_large_rank_fails_fast(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--n", "40", "--a", "1", "--b", "39")
     assert code == 2
     assert out == ""
-    assert "capped at n = 6" in err
+    assert "capped at n = 8" in err
     assert "grammar" not in err
 
 
 def test_verify_rank_out_of_range_exits_two(capsys):
-    for n in ("0", "1", "3", "7"):
+    for n in ("0", "1", "3", "9"):
         code, out, err = run(capsys, "verify", "--n", n)
         assert code == 2, n
         assert out == ""
-        assert "verify needs 4 <= n <= 6" in err
+        assert "verify needs 4 <= n <= 8" in err
+        assert "grammar" not in err
+
+
+def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
+    import dweyl.cli
+    from dweyl.oracle import VerificationReport
+
+    seen = []
+
+    def record(n, a, b):
+        seen.append((n, a, b))
+        return VerificationReport(n, a, b, 1, ())
+
+    monkeypatch.setattr(dweyl.cli, "verify_formula", record)
+    code, out, _ = run(capsys, "verify", "--all")
+    assert code == 0
+    assert seen == [(n, a, n - a) for n in range(4, 9) for a in range(1, n)]
+    assert json.loads(out) == {"pairs_checked": len(seen), "mismatches": []}
+
+
+def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
+    import dweyl.oracle
+
+    def refuse(*args):
+        raise AssertionError(f"enumerated {args}")
+
+    for name in ("build_group", "_mask_codes", "d_irr_labels"):
+        monkeypatch.setattr(dweyl.oracle, name, refuse)
+    for n, a, b in [("12", "6", "6"), ("9", "4", "5"), ("6", "2", "3")]:
+        code, out, err = run(capsys, "decompose", "--n", n, "--a", a, "--b", b,
+                             "--A", "([1],[1])+", "--B", "([1],[1])-", "--method", "oracle")
+        assert code == 2, (n, a, b)
+        assert out == ""
+        assert "the oracle needs a, b >= 1 with a + b = n <= 8" in err
         assert "grammar" not in err
 
 

@@ -91,6 +91,23 @@ def test_query_validation():
         induced_multiplicity(InducedQuery(4, 2, 2, A, A), make_irr_label((4, 1), ()))
 
 
+def test_non_partition_components_rejected():
+    good = make_irr_label((2,), ())
+    bad_components = [(1, 2), (2, 0), (3, -1), [2], (2.0,), (1, 1, 0)]
+    for comp in bad_components:
+        bad = DIrrLabel((comp, ()), 0)
+        for q in (InducedQuery(4, 2, 2, bad, good), InducedQuery(4, 2, 2, good, bad)):
+            with pytest.raises(ValueError, match="is not a partition"):
+                decompose_induced(q)
+            with pytest.raises(ValueError, match="is not a partition"):
+                induced_multiplicity(q, make_irr_label((4,), ()))
+        bad_x = DIrrLabel(((2,), comp), 0)
+        with pytest.raises(ValueError, match="is not a partition"):
+            induced_multiplicity(InducedQuery(4, 2, 2, good, good), bad_x)
+    # the same shapes written as partitions are accepted
+    assert decompose_induced(InducedQuery(4, 2, 2, DIrrLabel(((2,), ()), 0), good)).multiplicities
+
+
 def test_decompose_trivial_contains_trivial_once():
     for n, a in [(4, 2), (5, 2), (6, 3)]:
         b = n - a

@@ -16,6 +16,7 @@ from dweyl.dchar import (
     make_irr_label,
 )
 from dweyl.oracle import (
+    GroupTable,
     _block_parts,
     _char_rows,
     _class_type,
@@ -40,7 +41,7 @@ from dweyl.oracle import (
     sym_induced_product_value,
     verify_formula,
 )
-from dweyl.partitions import enumerate_partitions
+from dweyl.partitions import RangeError, enumerate_partitions
 from dweyl.symchar import sym_centralizer_order
 
 
@@ -60,8 +61,9 @@ def test_build_group_sizes():
     assert len(build_group(4).classes) == 13
     assert len(build_group(5).elements) == 1920
     assert len(build_group(5).classes) == 18
-    with pytest.raises(ValueError):
-        build_group(7)
+    for n in (0, 8):
+        with pytest.raises(RangeError, match="capped at n = 7"):
+            build_group(n)
 
 
 def test_class_count_matches_labels():
@@ -170,17 +172,18 @@ def test_per_permutation_classes_match_per_element_walk():
 
 def scan_fused_counts(n, a, b):
     """Reference _fused_counts: scan every element of the rank-n group
-    for the block subgroup and classify its two blocks."""
+    for the block subgroup and classify its two blocks; keyed by the
+    class type of the element, for the types that occur."""
     t, ta, tb = build_group(n), build_group(a), build_group(b)
-    counts = [defaultdict(int) for _ in t.classes]
+    counts = defaultdict(lambda: defaultdict(int))
     for i, w in enumerate(t.elements):
         if not _in_block_subgroup(w, a):
             continue
         wa, wb = _block_parts(w, a)
         pa = ta.class_types[ta.class_of[ta.index[wa]]]
         pb = tb.class_types[tb.class_of[tb.index[wb]]]
-        counts[t.class_of[i]][(pa, pb)] += 1
-    return tuple(dict(c) for c in counts)
+        counts[t.class_types[t.class_of[i]]][(pa, pb)] += 1
+    return {ty: dict(c) for ty, c in counts.items()}
 
 
 def test_fused_counts_match_scan_over_the_group():
@@ -189,27 +192,59 @@ def test_fused_counts_match_scan_over_the_group():
             assert _fused_counts(n, a, n - a) == scan_fused_counts(n, a, n - a), (n, a)
 
 
-def test_verify_formula_builds_no_ambient_element_list():
+def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
+    built = []
+    init = GroupTable.__init__
+
+    def record(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(GroupTable, "__init__", record)
     for cached in (build_group, _fused_counts, _char_rows):
         cached.cache_clear()
     report = verify_formula(6, 2, 4)
     assert report.mismatches == ()
-    built = {"elements", "index", "classes"} & set(vars(build_group(6)))
-    assert not built
+    assert sorted(built) == [2, 4]
+    for k in built:
+        assert not {"elements", "index", "classes"} & set(vars(build_group(k)))
+    built.clear()
+    trivial = make_irr_label((1,), ())
+    result = oracle_induce(8, 1, 7, trivial, make_irr_label((7,), ()))
+    assert built == [1, 7]
+    # Ind from W(D_7) of the trivial character has degree [W(D_8) : W(D_7)]
+    assert sum(m * d_degree(X) for X, m in result.multiplicities.items()) == 16
+    # and is the sum of the labels with one box added to ((7), ())
+    assert result.multiplicities == {make_irr_label(lam, mu): 1 for lam, mu in [((8,), ()), ((7, 1), ()), ((7,), (1,))]}
 
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
     import dweyl.oracle
 
-    def refuse(n):
-        raise AssertionError(f"enumerated the labels of rank {n}")
+    def refuse(*args):
+        raise AssertionError(f"enumerated {args}")
 
-    monkeypatch.setattr(dweyl.oracle, "d_irr_labels", refuse)
-    for n, a, b in [(40, 1, 39), (7, 3, 4), (3, 1, 2), (0, 0, 0)]:
-        with pytest.raises(ValueError, match="verify needs 4 <= n <= 6"):
+    for name in ("d_irr_labels", "build_group", "_mask_codes"):
+        monkeypatch.setattr(dweyl.oracle, name, refuse)
+    for n, a, b in [(40, 1, 39), (9, 4, 5), (3, 1, 2), (0, 0, 0)]:
+        with pytest.raises(RangeError, match="verify needs 4 <= n <= 8"):
             verify_formula(n, a, b)
-    with pytest.raises(ValueError, match="a \\+ b = n"):
+    with pytest.raises(RangeError, match="a \\+ b = n"):
         verify_formula(5, 2, 2)
+
+
+def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
+    import dweyl.oracle
+
+    def refuse(*args):
+        raise AssertionError(f"enumerated {args}")
+
+    for name in ("d_irr_labels", "build_group", "_mask_codes", "d_char_value"):
+        monkeypatch.setattr(dweyl.oracle, name, refuse)
+    A = B = make_irr_label((2,), ())
+    for n, a, b in [(12, 6, 6), (9, 4, 5), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
+        with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 8"):
+            oracle_induce(n, a, b, A, B)
 
 
 def test_class_types_constant_on_classes():
@@ -278,7 +313,7 @@ def test_fused_counts_cover_subgroup():
     for n, a in [(4, 2), (4, 1), (5, 3)]:
         b = n - a
         counts = _fused_counts(n, a, b)
-        total = sum(v for c in counts for v in c.values())
+        total = sum(v for c in counts.values() for v in c.values())
         assert total == group_order_d(a) * group_order_d(b)
 
 
@@ -316,6 +351,14 @@ def test_oracle_matches_formula_rank_four():
         report = verify_formula(4, a, 4 - a)
         assert report.mismatches == ()
         assert report.pairs_checked == len(d_irr_labels(a)) * len(d_irr_labels(4 - a)) * 13
+
+
+def test_oracle_matches_formula_rank_seven():
+    labels = len(d_irr_labels(7))
+    for a in range(1, 7):
+        report = verify_formula(7, a, 7 - a)
+        assert report.mismatches == ()
+        assert report.pairs_checked == len(d_irr_labels(a)) * len(d_irr_labels(7 - a)) * labels
 
 
 def test_split_partition_pairs():
