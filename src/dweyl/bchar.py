@@ -11,11 +11,13 @@ by a table fixture in the test suite:
 * [(); (1^n)] is the determinant of the reflection representation;
 * [(1^n); ()] is the sign of the underlying permutation.
 
-Values follow the wreath-product border-strip recursion: a cycle of
-length k is peeled as a k-box border strip from either component, with
-the usual sign (-1)**height, and a *negative* cycle peeled from the
-second component contributes an extra factor -1.  The one implementation
-is the abacus kernel ``dweyl.symchar.mn_value``.
+Values follow the wreath-product Murnaghan-Nakayama rule, run by the
+abacus walk of ``dweyl.symchar`` on pairs of bead masks: a k-cycle is a
+k-box border strip on either component, with sign (-1)**height, and a
+*negative* cycle on the second component takes an extra factor -1.  As
+there, a class's first value walks back from the label and a second
+label asked at the class walks its whole column forward, with no
+recursion either way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, enumerate_bipartitions, format_bipartition, size
-from .symchar import mn_value, sym_centralizer_order, sym_degree
+from .symchar import _shape, backward, column, first_request, memo, sym_centralizer_order, sym_degree
 
 
 class BClassType(NamedTuple):
@@ -59,10 +61,13 @@ def b_centralizer_order(c: BClassType) -> int:
 
 def b_char_value(label: Bipartition, c: BClassType) -> int:
     """Value of the irreducible character [alpha; beta] on class c."""
-    alpha, beta = label
-    if size(alpha) + size(beta) != size(c.positive) + size(c.negative):
-        raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition((c.positive, c.negative))}")
-    return mn_value(alpha, beta, c.positive, c.negative)
+    value = memo(c)[0].get(label)
+    if value is None:
+        (first, n), (second, m) = _shape(label[0]), _shape(label[1])
+        if n + m != _shape(c.positive)[1] + _shape(c.negative)[1]:
+            raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
+        value = first_request(c, label, lambda: backward(c, (first, second)), lambda: column(c))
+    return value
 
 
 def b_degree(label: Bipartition) -> int:

@@ -8,7 +8,7 @@ Exit codes:
   0  success
   1  verification mismatch, or a violated invariant (an ArithmeticError)
   2  usage or label syntax error, or a size outside the supported range
-  3  resource limit: the input is too large for a recursive kernel
+  3  resource limit: the input is too large for the recursive LR kernel
 
 Label grammar (exact, used in flags and JSON keys alike):
   partition      [3,1]     empty: []
@@ -75,26 +75,16 @@ def cmd_chartable(args: argparse.Namespace) -> int:
     if n < 1:
         raise RangeError("need n >= 1")
     if args.type == "A":
-        classes = enumerate_partitions(n)
-        rows = {
-            format_partition(lam): {format_partition(mu): sym_char_value(lam, mu) for mu in classes}
-            for lam in enumerate_partitions(n)
-        }
+        labels = classes = enumerate_partitions(n)
+        value, label_text, class_text = sym_char_value, format_partition, format_partition
     elif args.type == "B":
-        classes = b_classes(n)
-        rows = {
-            f"({format_partition(al)},{format_partition(be)})": {
-                f"({format_partition(c.positive)},{format_partition(c.negative)})": b_char_value((al, be), c)
-                for c in classes
-            }
-            for al, be in enumerate_bipartitions(n)
-        }
+        labels, classes, value = enumerate_bipartitions(n), b_classes(n), b_char_value
+        label_text = class_text = format_bipartition
     else:
-        classes = d_classes(n)
-        rows = {
-            format_irr_label(chi): {format_class(c): d_char_value(chi, c) for c in classes}
-            for chi in d_irr_labels(n)
-        }
+        labels, classes, value = d_irr_labels(n), d_classes(n), d_char_value
+        label_text, class_text = format_irr_label, format_class
+    columns = [class_text(c) for c in classes]
+    rows = {label_text(x): dict(zip(columns, [value(x, c) for c in classes])) for x in labels}
     if args.format == "table":
         _print_table(rows)
     else:

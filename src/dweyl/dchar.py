@@ -25,6 +25,13 @@ orthogonality tests:
   one adding this difference with a plus sign.
 * Classes of a product of two such groups acting on disjoint blocks
   fuse by concatenating cycle types; split tags multiply.
+
+Values come from the abacus walk of ``dweyl.symchar``, with no
+recursion, under its first-request rule: a class's first value walks
+back from the label; a second label asked at the class reads the
+column of the full group at its cycle types, walked forward once and
+shared by the two classes of a split type, and the degenerate
+difference reads the symmetric group at pi the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple, Optional
 
-from .bchar import BClassType, b_centralizer_order, b_char_value, b_classes, b_degree
+from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
 from .partitions import (
     Bipartition,
     Partition,
@@ -47,7 +54,7 @@ from .partitions import (
     size,
     union,
 )
-from .symchar import sym_char_value
+from .symchar import _shape, backward, column, first_request, memo, sym_char_value
 
 
 class DIrrLabel(NamedTuple):
@@ -158,14 +165,36 @@ def d_class_size(c: DClassType) -> int:
     return group_order_d(n) // d_centralizer_order(c)
 
 
+@cache
+def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
+    """Bead masks and rank of a character label, after checking that it
+    is canonical."""
+    (first, second), eps = chi
+    (mask1, a), (mask2, b) = _shape(first), _shape(second)
+    if make_irr_label(first, second, eps) != chi:
+        raise ValueError(f"label {format_irr_label(chi)} is not canonical: write {format_irr_label(make_irr_label(first, second, eps))}")
+    return (mask1, mask2), a + b
+
+
+def _check_class(c: DClassType) -> int:
+    """Rank of a class label, after checking it."""
+    positive, negative, split = c
+    n = _shape(positive)[1] + _shape(negative)[1]
+    if length(negative) % 2:
+        raise ValueError(f"class {format_class(c)} has an odd number of negative cycles")
+    if split not in (None, 1, -1) or (split is None) == _splittable(positive, negative):
+        raise ValueError(f"class {format_class(c)} needs a +/- tag exactly when all its cycles are positive and even")
+    return n
+
+
 def delta_value(gamma1: Partition, c: DClassType) -> int:
     """Value of the degenerate difference character for [gamma1; gamma1].
 
     Supported on split classes only:  on (2*pi, (), s) the value is
     s * (-1)**(n/2) * 2**len(pi) * chi_gamma1(pi), with n = 2|gamma1|.
     """
-    n = 2 * size(gamma1)
-    if n != size(c.positive) + size(c.negative):
+    n = 2 * _shape(gamma1)[1]
+    if n != _check_class(c):
         raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
     if c.split is None:
         return 0
@@ -173,20 +202,31 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
     return c.split * (-1) ** (n // 2) * 2 ** len(pi) * sym_char_value(gamma1, pi)
 
 
-@cache
-def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
-    """Value of the irreducible character chi on class c."""
-    first, second = chi.label
-    n = size(first) + size(second)
-    if n != size(c.positive) + size(c.negative):
-        raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
-    restricted = b_char_value(chi.label, BClassType(c.positive, c.negative))
+def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
+    """chi's value at c from the value there of [chi.label] of the full
+    group, whose column the two classes of a split type share."""
     if chi.eps == 0:
-        return restricted
-    total = restricted + chi.eps * delta_value(first, c)
+        return ambient
+    total = ambient + chi.eps * delta_value(chi.label[0], c)
     if total % 2:
         raise ArithmeticError(f"non-integral degenerate value for {format_irr_label(chi)} at {format_class(c)}")
     return total // 2
+
+
+def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
+    """Value of the irreducible character chi on class c."""
+    value = memo(c)[0].get(chi)
+    if value is None:
+        state, n = _label_state(chi)
+        if n != _check_class(c):
+            raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
+        value = first_request(
+            c,
+            chi,
+            lambda: _restrict(chi, c, backward(c[:2], state)),
+            lambda: {X: _restrict(X, c, col[X.label]) for col in [column(c[:2])] for X in d_irr_labels(n)},
+        )
+    return value
 
 
 def d_degree(chi: DIrrLabel) -> int:
@@ -254,13 +294,7 @@ def parse_class(text: str) -> DClassType:
     m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*(?:,\s*([+-])\s*)?\)$", s)
     if not m:
         raise ValueError(f"malformed class label {text!r}; expected e.g. ([2,1,1],[]) or ([4],[],+)")
-    positive = parse_partition(m.group(1))
-    negative = parse_partition(m.group(2))
     split = None if m.group(3) is None else (1 if m.group(3) == "+" else -1)
-    if length(negative) % 2:
-        raise ValueError(f"class {text!r} has an odd number of negative cycles")
-    if split is not None and not _splittable(positive, negative):
-        raise ValueError(f"class {text!r} carries a split tag but its type does not split")
-    if split is None and _splittable(positive, negative):
-        raise ValueError(f"class {text!r} has a splittable type and needs a +/- tag")
-    return DClassType(positive, negative, split)
+    c = DClassType(parse_partition(m.group(1)), parse_partition(m.group(2)), split)
+    _check_class(c)
+    return c

@@ -385,9 +385,12 @@ BlockFn = Callable[[DClassType], int]
 
 def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
     """Per class type meeting the subgroup, in _fused_counts order: the
-    sum of (fa x fb) over the subgroup elements of that type."""
+    sum of (fa x fb) over the subgroup elements of that type.  fa and fb
+    are called once per block class."""
+    va = {ty: fa(ty) for ty in build_group(a).class_types}
+    vb = {ty: fb(ty) for ty in build_group(b).class_types}
     return [
-        sum(cnt * fa(pa) * fb(pb) for (pa, pb), cnt in counts.items())
+        sum(cnt * va[pa] * vb[pb] for (pa, pb), cnt in counts.items())
         for counts in _fused_counts(n, a, b).values()
     ]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,19 @@ def test_chartable_types(capsys):
         parse_irr_label(chi_key)
         for class_key in row:
             parse_class(class_key)
+
+
+@pytest.mark.parametrize(
+    "kind, n, digest",
+    [
+        ("D", "6", "77254fddbb0458ba3a00dcaafecadc028c0b5b8bb6ed1e8c21c2fc60fd50e7cb"),
+        ("B", "4", "523003fe0f6be6f3cb4f57bd574ada9e80dc17c7d5c1b5229e88f9ab7fff9f7d"),
+    ],
+)
+def test_chartable_json_is_pinned(capsys, kind, n, digest):
+    code, out, _ = run(capsys, "chartable", "--type", kind, "--n", n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_chartable_table_format(capsys):

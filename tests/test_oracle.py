@@ -1,4 +1,4 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,6 +19,7 @@ from dweyl.oracle import (
     GroupTable,
     _block_parts,
     _char_rows,
+    _class_sums,
     _class_type,
     _cycle_walk,
     _fused_counts,
@@ -305,6 +306,23 @@ def test_centralizer_chain_small():
     for pi in enumerate_partitions(2):
         vals = centralizer_chain_values(4, pi)
         assert len(set(vals.values())) == 1
+
+
+def test_class_sums_call_each_block_function_once_per_block_class():
+    calls = Counter()
+
+    def block(side):
+        def f(ty):
+            calls[side, ty] += 1
+            return len(ty.positive) - len(ty.negative)
+
+        return f
+
+    sums = _class_sums(6, 2, 4, block("a"), block("b"))
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(build_group(2).class_types) + len(build_group(4).class_types)
+    counts = _fused_counts(6, 2, 4).values()
+    assert sums == [sum(m * (len(pa.positive) - len(pa.negative)) * (len(pb.positive) - len(pb.negative)) for (pa, pb), m in c.items()) for c in counts]
 
 
 def test_fused_counts_cover_subgroup():
