@@ -64,7 +64,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     value = memo(c)[0].get(label)
     if value is None:
         (first, n), (second, m) = _shape(label[0]), _shape(label[1])
-        if n + m != _shape(c.positive)[1] + _shape(c.negative)[1]:
+        if n + m != memo(c)[1]:
             raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
         value = first_request(c, label, lambda: backward(c, (first, second)), lambda: column(c))
     return value

@@ -2,19 +2,14 @@
 
 Every command is deterministic given its flags and prints valid JSON on
 success (``--format table`` renders a human-readable view instead where
-supported).
+supported).  Labels, in flags and JSON keys alike, follow
+``partitions.GRAMMAR``, which ``--help`` prints.
 
 Exit codes:
   0  success
   1  verification mismatch, or a violated invariant (an ArithmeticError)
   2  usage or label syntax error, or a size outside the supported range
   3  resource limit: the input is too large for the recursive LR kernel
-
-Label grammar (exact, used in flags and JSON keys alike):
-  partition      [3,1]     empty: []
-  bipartition    ([3,1],[2])
-  D character    ([3],[1])        degenerate: ([2],[2])+  ([2],[2])-
-  D class        ([2,1,1],[])     split: ([4],[],+)  ([4],[],-)
 """
 
 from __future__ import annotations
@@ -25,6 +20,7 @@ import sys
 
 from .bchar import b_char_value, b_classes
 from .dchar import (
+    check_label,
     d_char_value,
     d_classes,
     d_irr_labels,
@@ -37,17 +33,17 @@ from .decomp import InducedQuery, branch_set, decompose_induced
 from .lr import lr_coefficient, lr_expand
 from .oracle import MAX_RANK, check_verify_rank, oracle_induce, verify_formula
 from .partitions import (
+    GRAMMAR,
     RangeError,
     enumerate_bipartitions,
     enumerate_partitions,
     format_bipartition,
     format_partition,
     parse_partition,
-    size,
 )
 from .symchar import sym_char_value
 
-_EPILOG = __doc__[__doc__.index("Exit codes:"):]
+_EPILOG = __doc__[__doc__.index("Exit codes:"):] + "\nLabel grammar:\n" + "".join("  " + line for line in GRAMMAR.splitlines(True))
 
 
 def _print_table(rows: dict[str, dict[str, int]]) -> None:
@@ -123,8 +119,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_branch(args: argparse.Namespace) -> int:
     X = parse_irr_label(args.X)
-    if size(X.label[0]) + size(X.label[1]) != args.n:
-        raise ValueError(f"label {args.X} has size {size(X.label[0]) + size(X.label[1])}, expected {args.n}")
+    check_label(X, args.n)
     members = sorted(branch_set(X.label))
     print(json.dumps([format_bipartition(bp) for bp in members]))
     return 0

@@ -36,7 +36,6 @@ difference reads the symmetric group at pi the same way.
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from math import factorial
 from typing import NamedTuple, Optional
@@ -48,13 +47,15 @@ from .partitions import (
     as_partition,
     enumerate_bipartitions,
     format_bipartition,
+    format_class,
+    format_irr_label,
     format_partition,
     length,
-    parse_partition,
+    read_label,
     size,
     union,
 )
-from .symchar import _shape, backward, column, first_request, memo, sym_char_value
+from .symchar import _shape, backward, check_class, column, first_request, memo, splittable, sym_char_value
 
 
 class DIrrLabel(NamedTuple):
@@ -87,19 +88,31 @@ def _part_key(p: Partition) -> tuple[int, Partition]:
 
 
 def make_irr_label(first: Partition, second: Partition, eps: int = 0) -> DIrrLabel:
-    """Build a canonical character label, validating the degeneracy sign."""
+    """The checked label of [first; second] with sign eps, the larger
+    component (by size, then as a tuple) first."""
+    if _part_key(as_partition(first)) < _part_key(as_partition(second)):
+        first, second = second, first
+    chi = DIrrLabel((first, second), eps)
+    check_label(chi)
+    return chi
+
+
+def check_label(chi: DIrrLabel, n: Optional[int] = None) -> int:
+    """Rank of chi (n if given) after checking it is as make_irr_label
+    builds it: partitions, the larger first, a sign exactly when equal."""
+    (first, second), eps = chi
+    rank = size(as_partition(first)) + size(as_partition(second))
     if eps not in (-1, 0, 1):
         raise ValueError(f"eps must be -1, 0 or +1, got {eps}")
-    first, second = as_partition(first), as_partition(second)
-    if first == second:
-        if eps == 0:
-            raise ValueError(f"label {format_bipartition((first, second))} is degenerate and needs a sign")
-        return DIrrLabel((first, second), eps)
-    if eps != 0:
+    if first == second and not eps:
+        raise ValueError(f"label {format_bipartition((first, second))} is degenerate and needs a sign")
+    if first != second and eps:
         raise ValueError(f"label {format_bipartition((first, second))} is non-degenerate; no sign allowed")
     if _part_key(first) < _part_key(second):
-        first, second = second, first
-    return DIrrLabel((first, second), 0)
+        raise ValueError(f"label {format_irr_label(chi)} is not canonical: write {format_irr_label(((second, first), 0))}")
+    if n is not None and rank != n:
+        raise ValueError(f"label {format_irr_label(chi)} has size {rank}, expected {n}")
+    return rank
 
 
 def irr_label_key(chi: DIrrLabel) -> tuple:
@@ -131,10 +144,6 @@ def d_irr_labels(n: int) -> tuple[DIrrLabel, ...]:
     return tuple(out)
 
 
-def _splittable(positive: Partition, negative: Partition) -> bool:
-    return not negative and all(part % 2 == 0 for part in positive)
-
-
 @cache
 def d_classes(n: int) -> tuple[DClassType, ...]:
     """All conjugacy class labels of the rank-n group, n >= 1."""
@@ -142,7 +151,7 @@ def d_classes(n: int) -> tuple[DClassType, ...]:
     for c in b_classes(n):
         if length(c.negative) % 2:
             continue
-        if _splittable(c.positive, c.negative):
+        if splittable(c.positive, c.negative):
             out += [DClassType(c.positive, c.negative, 1), DClassType(c.positive, c.negative, -1)]
         else:
             out.append(DClassType(c.positive, c.negative, None))
@@ -167,24 +176,9 @@ def d_class_size(c: DClassType) -> int:
 
 @cache
 def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
-    """Bead masks and rank of a character label, after checking that it
-    is canonical."""
-    (first, second), eps = chi
-    (mask1, a), (mask2, b) = _shape(first), _shape(second)
-    if make_irr_label(first, second, eps) != chi:
-        raise ValueError(f"label {format_irr_label(chi)} is not canonical: write {format_irr_label(make_irr_label(first, second, eps))}")
-    return (mask1, mask2), a + b
-
-
-def _check_class(c: DClassType) -> int:
-    """Rank of a class label, after checking it."""
-    positive, negative, split = c
-    n = _shape(positive)[1] + _shape(negative)[1]
-    if length(negative) % 2:
-        raise ValueError(f"class {format_class(c)} has an odd number of negative cycles")
-    if split not in (None, 1, -1) or (split is None) == _splittable(positive, negative):
-        raise ValueError(f"class {format_class(c)} needs a +/- tag exactly when all its cycles are positive and even")
-    return n
+    """Bead masks and rank of a character label, checked."""
+    n = check_label(chi)
+    return (_shape(chi.label[0])[0], _shape(chi.label[1])[0]), n
 
 
 def delta_value(gamma1: Partition, c: DClassType) -> int:
@@ -194,7 +188,7 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
     s * (-1)**(n/2) * 2**len(pi) * chi_gamma1(pi), with n = 2|gamma1|.
     """
     n = 2 * _shape(gamma1)[1]
-    if n != _check_class(c):
+    if n != memo(c)[1]:
         raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
     if c.split is None:
         return 0
@@ -215,10 +209,14 @@ def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
 
 def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
     """Value of the irreducible character chi on class c."""
-    value = memo(c)[0].get(chi)
+    try:
+        value = memo(c)[0].get(chi)
+    except TypeError:  # unhashable: a bad label, which check_label names, or class
+        check_label(chi)
+        raise
     if value is None:
         state, n = _label_state(chi)
-        if n != _check_class(c):
+        if n != memo(c)[1]:
             raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
         value = first_request(
             c,
@@ -230,6 +228,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
 
 
 def d_degree(chi: DIrrLabel) -> int:
+    check_label(chi)
     deg = b_degree(chi.label)
     if chi.eps == 0:
         return deg
@@ -245,7 +244,7 @@ def fuse_class(ca: DClassType, cb: DClassType) -> DClassType:
     """
     positive = union(ca.positive, cb.positive)
     negative = union(ca.negative, cb.negative)
-    if _splittable(positive, negative):
+    if splittable(positive, negative):
         if ca.split is None or cb.split is None:
             raise ArithmeticError(f"impossible fusion {format_class(ca)} * {format_class(cb)}: unsplit block in a splittable product")
         return DClassType(positive, negative, ca.split * cb.split)
@@ -259,42 +258,17 @@ def class_size_sum_check(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Text forms
-
-def format_irr_label(chi: DIrrLabel) -> str:
-    first, second = chi.label
-    base = f"({format_partition(first)},{format_partition(second)})"
-    if chi.eps == 0:
-        return base
-    return base + ("+" if chi.eps > 0 else "-")
-
+# Text forms, in partitions.GRAMMAR
 
 def parse_irr_label(text: str) -> DIrrLabel:
     """Parse a character label: '([3],[1])' or '([2],[2])+'."""
-    s = text.strip()
-    m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*\)\s*([+-]?)$", s)
-    if not m:
-        raise ValueError(f"malformed character label {text!r}; expected e.g. ([3],[1]) or ([2],[2])+")
-    first = parse_partition(m.group(1))
-    second = parse_partition(m.group(2))
-    eps = {"": 0, "+": 1, "-": -1}[m.group(3)]
+    (first, second), eps = read_label(text, "D character")
     return make_irr_label(first, second, eps)
-
-
-def format_class(c: DClassType) -> str:
-    base = f"({format_partition(c.positive)},{format_partition(c.negative)}"
-    if c.split is None:
-        return base + ")"
-    return base + (",+)" if c.split > 0 else ",-)")
 
 
 def parse_class(text: str) -> DClassType:
     """Parse a class label: '([2,1,1],[])' or '([4],[],+)'."""
-    s = text.strip()
-    m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*(?:,\s*([+-])\s*)?\)$", s)
-    if not m:
-        raise ValueError(f"malformed class label {text!r}; expected e.g. ([2,1,1],[]) or ([4],[],+)")
-    split = None if m.group(3) is None else (1 if m.group(3) == "+" else -1)
-    c = DClassType(parse_partition(m.group(1)), parse_partition(m.group(2)), split)
-    _check_class(c)
+    (positive, negative), split = read_label(text, "D class")
+    c = DClassType(positive, negative, split or None)
+    check_class(c)
     return c

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dchar import DIrrLabel, format_irr_label, irr_label_key
+from .dchar import DIrrLabel, check_label, format_irr_label, irr_label_key
 from .lr import lr_coefficient, lr_expand
 from .partitions import Bipartition, Partition, RangeError, remove_box, removable_rows, size
 
@@ -81,20 +81,6 @@ def a_coefficient(alpha: Bipartition, beta: Bipartition, gamma: Bipartition) -> 
     return total
 
 
-def _check_label(chi: DIrrLabel, n: int, what: str) -> None:
-    first, second = chi.label
-    for part in (first, second):
-        positive = type(part) is tuple and all(type(x) is int and x > 0 for x in part)
-        if not positive or any(x < y for x, y in zip(part, part[1:])):
-            raise ValueError(f"{what} component {part!r} is not a partition")
-    if size(first) + size(second) != n:
-        raise ValueError(f"{what} has size {size(first) + size(second)}, expected {n}")
-    if chi.eps != 0 and first != second:
-        raise ValueError(f"{what} carries a sign but is not degenerate")
-    if chi.eps == 0 and first == second:
-        raise ValueError(f"{what} is degenerate and needs a sign")
-
-
 def _odd_total(q: InducedQuery, X: DIrrLabel) -> ArithmeticError:
     return ArithmeticError(
         f"odd degenerate total for {format_irr_label(q.A)} x {format_irr_label(q.B)} "
@@ -108,14 +94,14 @@ def validate_query(q: InducedQuery) -> None:
         raise RangeError(f"induction formula requires n >= 4, got n={q.n}")
     if q.a < 1 or q.b < 1 or q.a + q.b != q.n:
         raise RangeError(f"need a, b >= 1 with a + b = n, got a={q.a}, b={q.b}, n={q.n}")
-    _check_label(q.A, q.a, "A")
-    _check_label(q.B, q.b, "B")
+    check_label(q.A, q.a)
+    check_label(q.B, q.b)
 
 
 def induced_multiplicity(q: InducedQuery, X: DIrrLabel) -> int:
     """Multiplicity of X in the character induced from A x B."""
     validate_query(q)
-    _check_label(X, q.n, "X")
+    check_label(X, q.n)
     return induced_multiplicity_unchecked(q, X)
 
 
@@ -232,7 +218,7 @@ def branch_restriction(n: int, side: str, X: DIrrLabel, B: DIrrLabel) -> int:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if n < 4:
         raise ValueError(f"branching rule requires n >= 4, got n={n}")
-    _check_label(X, n, "X")
-    _check_label(B, n - 1, "B")
+    check_label(X, n)
+    check_label(B, n - 1)
     z = branch_set(X.label)
     return 1 if B.label in z else 0

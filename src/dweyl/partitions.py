@@ -6,8 +6,7 @@ functions here are pure; the enumeration caches are filled once and
 only ever read afterwards, so concurrent use is safe.
 
 Text forms (the interchange format used by the CLI and all JSON
-output): a partition prints as ``[3,1]`` with the empty partition as
-``[]``; a bipartition prints as ``([3,1],[2])``.
+output) follow ``GRAMMAR``; ``read_label`` reads all four of them.
 """
 
 from __future__ import annotations
@@ -25,14 +24,11 @@ class RangeError(ValueError):
     such as a rank or a block size; not a label or syntax error."""
 
 
-def as_partition(parts) -> Partition:
-    """Validate an iterable of parts and return it as a Partition."""
-    p = tuple(int(x) for x in parts)
-    for i, x in enumerate(p):
-        if x < 1:
-            raise ValueError(f"partition parts must be positive, got {x} in {p}")
-        if i and p[i - 1] < x:
-            raise ValueError(f"partition parts must be weakly decreasing: {p}")
+def as_partition(p) -> Partition:
+    """p itself if it is a partition: a tuple of ints > 0, weakly decreasing."""
+    if type(p) is not tuple or not {*map(type, p)} <= {int} or p and p[-1] < 1 or list(p) != sorted(p, reverse=True):
+        text = format_partition(p) if isinstance(p, (tuple, list)) else repr(p)
+        raise ValueError(f"{text} is not a partition: need a tuple of ints > 0, weakly decreasing")
     return p
 
 
@@ -117,7 +113,31 @@ def remove_box(p: Partition, d: int) -> Partition:
 # ---------------------------------------------------------------------------
 # Text forms
 
-_PARTITION_RE = re.compile(r"^\[\s*(?:\d+(?:\s*,\s*\d+)*)?\s*\]$")
+GRAMMAR = """\
+partition      [3,1]     empty: []
+bipartition    ([3,1],[2])
+D character    ([3],[1])        degenerate: ([2],[2])+  ([2],[2])-
+D class        ([2,1,1],[])     split: ([4],[],+)  ([4],[],-)
+"""
+
+_EXAMPLES = {line[:15].strip(): " ".join(line[15:].split()) for line in GRAMMAR.splitlines()}
+_PART = r"\[\s*(\d+(?:\s*,\s*\d+)*)?\s*\]"
+# Groups: 1 the parts of a lone partition; 2, 3 those of a pair, then 4 its
+# class tag or 5 its sign.  re compiles it on first use, not at import.
+_LABEL = rf"{_PART}|\(\s*{_PART}\s*,\s*{_PART}\s*(?:,\s*([+-])\s*\)|\)\s*([+-])?)"
+_SHAPES = {"partition": ("[]",), "bipartition": ("()",), "D character": ("()", "()+"), "D class": ("()", "(,+)")}
+
+
+def read_label(text: str, form: str) -> tuple[tuple[Partition, ...], int]:
+    """The partitions of text written as form, a row of GRAMMAR, and its
+    sign: 1 or -1 for a + or - (a class tag or a character sign), else 0."""
+    m = re.fullmatch(_LABEL, text.strip())
+    shape = m and ("[]" if m[0][0] == "[" else "(,+)" if m[4] else "()+" if m[5] else "()")
+    if shape not in _SHAPES[form]:
+        raise ValueError(f"malformed {form} {text!r}; expected e.g. {_EXAMPLES[form]}")
+    bodies = [m[1]] if shape == "[]" else [m[2], m[3]]
+    parts = tuple(as_partition(tuple(map(int, body.split(",")))) if body else () for body in bodies)
+    return parts, {"+": 1, "-": -1}.get(m[4] or m[5], 0)
 
 
 def format_partition(p: Partition) -> str:
@@ -126,13 +146,7 @@ def format_partition(p: Partition) -> str:
 
 def parse_partition(text: str) -> Partition:
     """Parse the text form '[3,1]'; '[]' is the empty partition."""
-    s = text.strip()
-    if not _PARTITION_RE.match(s):
-        raise ValueError(f"malformed partition {text!r}; expected e.g. [3,1] or []")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    return as_partition(int(x) for x in body.split(","))
+    return read_label(text, "partition")[0][0]
 
 
 def format_bipartition(bp: Bipartition) -> str:
@@ -141,8 +155,15 @@ def format_bipartition(bp: Bipartition) -> str:
 
 def parse_bipartition(text: str) -> Bipartition:
     """Parse the text form '([3,1],[2])'."""
-    s = text.strip()
-    m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*\)$", s)
-    if not m:
-        raise ValueError(f"malformed bipartition {text!r}; expected e.g. ([3,1],[2])")
-    return parse_partition(m.group(1)), parse_partition(m.group(2))
+    return read_label(text, "bipartition")[0]
+
+
+def format_irr_label(chi) -> str:
+    bp, eps = chi
+    return format_bipartition(bp) + ("" if eps == 0 else "+" if eps > 0 else "-")
+
+
+def format_class(c) -> str:
+    positive, negative, split = c
+    tag = "" if split is None else ",+" if split > 0 else ",-"
+    return f"({format_partition(positive)},{format_partition(negative)}{tag})"

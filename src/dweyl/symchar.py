@@ -19,14 +19,13 @@ from functools import cache
 from itertools import repeat
 from math import comb, factorial, prod
 
-from .partitions import Partition, enumerate_bipartitions, enumerate_partitions, format_partition
+from .partitions import Partition, as_partition, enumerate_bipartitions, enumerate_partitions, format_class, format_partition
 
 
 @cache
 def _shape(p: Partition) -> tuple[int, int]:
-    """Bead mask (bit 0 clear: one per shape) and size of a checked partition."""
-    if not all(type(x) is int and x > 0 for x in p) or any(x < y for x, y in zip(p, p[1:])):
-        raise ValueError(f"{format_partition(p)} is not a partition")
+    """Bead mask (bit 0 clear: one per shape) and size of a partition, checked."""
+    as_partition(p)
     return sum(1 << (part + len(p) - 1 - i) for i, part in enumerate(p)), sum(p)
 
 
@@ -90,6 +89,24 @@ def _walk(states: dict, cycles, direction: int) -> dict:
     return states
 
 
+def splittable(positive: Partition, negative: Partition) -> bool:
+    """Whether a type D class splits in two: all cycles positive and even."""
+    return not negative and all(part % 2 == 0 for part in positive)
+
+
+def check_class(cls) -> int:
+    """Rank of a class after checking it: (mu, None) of S_n, (positive,
+    negative) of B_n, or (positive, negative, split) of D_n, with an even
+    number of negative cycles and split 1 or -1 exactly when splittable."""
+    positive, negative, *split = cls
+    n = sum(as_partition(positive)) + (0 if negative is None else sum(as_partition(negative)))
+    if split and len(negative) % 2:
+        raise ValueError(f"class {format_class(cls)} has an odd number of negative cycles")
+    if split and (split[0] not in (None, 1, -1) or (split[0] is None) == splittable(positive, negative)):
+        raise ValueError(f"class {format_class(cls)} needs a +/- tag exactly when all its cycles are positive and even")
+    return n
+
+
 def _cycles(cls) -> list[tuple[int, int]]:
     """Signed cycles, ascending: (mu, None) is a class of S_n (twist 0)."""
     positive, negative = cls
@@ -132,9 +149,10 @@ def column(cls) -> dict:
 
 
 @cache
-def memo(cls) -> list[dict]:
-    """[values asked at class cls, by label]; see first_request."""
-    return [{}]
+def memo(cls) -> list:
+    """[values asked at class cls, by label; its rank], made once cls is
+    checked, so a bad class leaves no entry; see first_request."""
+    return [{}, check_class(cls)]
 
 
 def first_request(cls, label, single, whole) -> int:
@@ -168,8 +186,8 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
     cls = mu, None
     value = memo(cls)[0].get(lam)
     if value is None:
-        (mask, n), (_, m) = _shape(lam), _shape(mu)
-        if n != m:
+        mask, n = _shape(lam)
+        if n != memo(cls)[1]:
             raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
         value = first_request(cls, lam, lambda: backward(cls, (mask, 0)), lambda: column(cls))
     return value

@@ -235,3 +235,17 @@ def test_help_lists_exit_codes():
     for line in ("0  success", "1  verification mismatch", "2  usage or label syntax error", "3  resource limit"):
         assert line in text
     assert "Label grammar" in text
+
+
+def test_readme_and_help_show_the_grammar():
+    from pathlib import Path
+
+    from dweyl.cli import build_parser
+    from dweyl.partitions import GRAMMAR
+
+    def rows(text):
+        return [line.strip() for line in text.strip().splitlines()]
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert rows(readme.split("Label grammar", 1)[1].split("```")[1]) == rows(GRAMMAR)
+    assert rows(build_parser().format_help().split("Label grammar:", 1)[1]) == rows(GRAMMAR)

@@ -1,5 +1,10 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dweyl.dchar import DClassType, DIrrLabel, d_classes, d_irr_labels, format_class, format_irr_label, parse_class, parse_irr_label
 from dweyl.partitions import (
     as_partition,
     enumerate_bipartitions,
@@ -136,3 +141,111 @@ def test_text_roundtrip():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_partition(bad)
+
+
+# The four regex parsers that the one label grammar replaced, kept as the
+# reference it must agree with.
+
+def ref_as_partition(parts):
+    p = tuple(int(x) for x in parts)
+    for i, x in enumerate(p):
+        if x < 1 or i and p[i - 1] < x:
+            raise ValueError(f"not a partition: {p}")
+    return p
+
+
+def ref_parse_partition(text):
+    s = text.strip()
+    if not re.match(r"^\[\s*(?:\d+(?:\s*,\s*\d+)*)?\s*\]$", s):
+        raise ValueError(f"malformed partition {text!r}")
+    body = s[1:-1].strip()
+    return ref_as_partition(int(x) for x in body.split(",")) if body else ()
+
+
+def ref_parse_bipartition(text):
+    m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*\)$", text.strip())
+    if not m:
+        raise ValueError(f"malformed bipartition {text!r}")
+    return ref_parse_partition(m.group(1)), ref_parse_partition(m.group(2))
+
+
+def ref_parse_irr_label(text):
+    m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*\)\s*([+-]?)$", text.strip())
+    if not m:
+        raise ValueError(f"malformed character label {text!r}")
+    first, second = ref_parse_partition(m.group(1)), ref_parse_partition(m.group(2))
+    eps = {"": 0, "+": 1, "-": -1}[m.group(3)]
+    if (first == second) != (eps != 0):
+        raise ValueError("a sign exactly on degenerate labels")
+    if (sum(first), first) < (sum(second), second):
+        first, second = second, first
+    return DIrrLabel((first, second), eps)
+
+
+def ref_parse_class(text):
+    m = re.match(r"^\(\s*(\[[^\]]*\])\s*,\s*(\[[^\]]*\])\s*(?:,\s*([+-])\s*)?\)$", text.strip())
+    if not m:
+        raise ValueError(f"malformed class label {text!r}")
+    split = None if m.group(3) is None else (1 if m.group(3) == "+" else -1)
+    positive, negative = ref_parse_partition(m.group(1)), ref_parse_partition(m.group(2))
+    if len(negative) % 2:
+        raise ValueError("odd number of negative cycles")
+    if (split is None) == (not negative and all(part % 2 == 0 for part in positive)):
+        raise ValueError("a tag exactly on split classes")
+    return DClassType(positive, negative, split)
+
+
+PARSERS = [
+    (parse_partition, ref_parse_partition),
+    (parse_bipartition, ref_parse_bipartition),
+    (parse_irr_label, ref_parse_irr_label),
+    (parse_class, ref_parse_class),
+]
+
+
+def assert_parsers_agree(text):
+    for parse, reference in PARSERS:
+        try:
+            expected = reference(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse(text)
+        else:
+            assert parse(text) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="[]()0123456789,+- ", max_size=24))
+def test_grammar_matches_reference_parsers_on_random_text(text):
+    assert_parsers_agree(text)
+
+
+@st.composite
+def spaced_labels(draw):
+    """A partition or a pair, with or without a class tag and a sign,
+    parts drawn freely (so often no partition), spaces put in at random."""
+    part = st.lists(st.integers(0, 12), max_size=3).map(lambda xs: "[" + ",".join(map(str, xs)) + "]")
+    tag, sign = draw(st.sampled_from(["", ",+", ",-"])), draw(st.sampled_from(["", "+", "-"]))
+    text = draw(st.sampled_from([draw(part), f"({draw(part)},{draw(part)}{tag})"])) + sign
+    for at in draw(st.lists(st.integers(0, len(text)), max_size=6)):
+        text = text[:at] + " " * draw(st.integers(1, 2)) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(spaced_labels())
+def test_grammar_matches_reference_parsers_on_spaced_labels(text):
+    assert_parsers_agree(text)
+
+
+def test_parse_format_identity_up_to_rank_eight():
+    for n in range(9):
+        for p in enumerate_partitions(n):
+            assert parse_partition(format_partition(p)) == p
+        for bp in enumerate_bipartitions(n):
+            assert parse_bipartition(format_bipartition(bp)) == bp
+        if n:
+            for chi in d_irr_labels(n):
+                assert parse_irr_label(format_irr_label(chi)) == chi
+            for c in d_classes(n):
+                assert parse_class(format_class(c)) == c

@@ -132,5 +132,21 @@ def test_bad_labels_rejected_in_both_directions(view, label, cls, warm, message)
         view(label, cls)
     for good in warm:
         view(good, cls)
+    entries = memo.cache_info().currsize
     with pytest.raises(ValueError, match=re.escape(message)):
         view(label, cls)
+    assert memo.cache_info().currsize == entries
+
+
+def test_bad_classes_leave_no_memo_entry():
+    memo.cache_clear()
+    sym_char_value((3,), (3,))
+    bad = [(sym_char_value, (3,), (i + 1, i + 2)) for i in range(3)] + [
+        (b_char_value, ((3,), ()), BClassType((1, 2), ())),
+        (d_char_value, make_irr_label((3,), ()), DClassType((3,), (), 1)),
+        (d_char_value, make_irr_label((2,), (1,)), DClassType((2,), (1,), None)),
+    ]
+    for view, label, cls in bad:
+        with pytest.raises(ValueError):
+            view(label, cls)
+        assert memo.cache_info().currsize == 1
