@@ -37,14 +37,7 @@ from .decomp import (
     remark_identity_check,
 )
 from .lr import lr_coefficient, lr_expand
-from .oracle import (
-    GroupTable,
-    build_group,
-    classify_element,
-    oracle_char_table,
-    oracle_induce,
-    verify_formula,
-)
+from .oracle import GroupTable, build_group, oracle_induce, verify_formula
 from .partitions import (
     Bipartition,
     Partition,
@@ -64,3 +57,15 @@ from .partitions import (
 from .symchar import sym_centralizer_order, sym_char_value, sym_degree
 
 __version__ = "0.1.0"
+
+_EXPLICIT = ("classify_element", "oracle_char_table")
+
+
+def __getattr__(name: str):
+    # The explicit-element toolkit is for tests; import it on first use
+    # only, so that importing the package leaves it (and fractions) out.
+    if name in _EXPLICIT:
+        from . import explicit
+
+        return getattr(explicit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

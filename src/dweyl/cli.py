@@ -9,7 +9,8 @@ Exit codes:
   0  success
   1  verification mismatch, or a violated invariant (an ArithmeticError)
   2  usage or label syntax error, or a size outside the supported range
-  3  resource limit: the input is too large for the recursive LR kernel
+  3  resource limit: a kernel ran out of recursion depth (a safety net:
+     no kernel recurses, so no input is known to reach it)
 """
 
 from __future__ import annotations

@@ -19,7 +19,10 @@ row right to left, rows top to bottom) is a ballot sequence.
   and never the number of partitions of n.
 
 Each rule is tested against the other, and the representation-theoretic
-definition is kept as a third check in the verification engine.
+definition is kept as a third check in dweyl.explicit.  lr_coefficient
+checks its arguments with as_partition on a cache miss, lr_expand on
+every call; decomp, which has checked its labels, calls the unchecked
+_lr_expand.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections.abc import Mapping
 from functools import cache
 from types import MappingProxyType
 
-from .partitions import Partition, size
+from .partitions import Partition, as_partition, size
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -43,8 +46,11 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
 
     Zero whenever |gamma| != |alpha| + |beta| or gamma does not contain
     alpha.  The memo cache makes repeated queries cheap; duplicated
-    computation under concurrent first calls is harmless.
+    computation under concurrent first calls is harmless.  Raises
+    ValueError unless all three are partitions.
     """
+    for p in (alpha, beta, gamma):
+        as_partition(p)
     if size(gamma) != size(alpha) + size(beta) or not _contains(gamma, alpha):
         return 0
     if not beta:
@@ -59,29 +65,44 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     ]
     nvals = len(beta)
     fill: dict[tuple[int, int], int] = {}
+    # counts[v]: copies of letter v placed so far; the ballot condition
+    # keeps them weakly decreasing in v, so once a letter is unused no
+    # larger one can be placed
     counts = [0] * (nvals + 1)
-
-    def place(idx: int) -> int:
+    placed = [0] * len(cells)  # letter at each cell of the current path, 0 if none
+    total = 0
+    idx = 0
+    # Depth-first over the cells with an explicit stack (placed), so a
+    # skew shape with many cells costs no recursion.
+    while idx >= 0:
         if idx == len(cells):
-            return 1
+            total += 1
+            idx -= 1
+            continue
         r, c = cells[idx]
+        v = placed[idx]
+        if v:
+            counts[v] -= 1
         right = fill.get((r, c + 1))
         hi = nvals if right is None else right
-        lo = fill.get((r - 1, c), 0) + 1
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= beta[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            fill[(r, c)] = v
-            total += place(idx + 1)
-            del fill[(r, c)]
-            counts[v] -= 1
-        return total
-
-    return place(0)
+        v = max(v + 1, fill.get((r - 1, c), 0) + 1)
+        while v <= hi:
+            if v > 1 and not counts[v - 1]:
+                v = hi + 1  # no larger letter fits either
+            elif counts[v] < beta[v - 1] and (v == 1 or counts[v] < counts[v - 1]):
+                break
+            else:
+                v += 1
+        if v > hi:
+            # a stale fill[(r, c)] is harmless: only later cells read it
+            placed[idx] = 0
+            idx -= 1
+            continue
+        placed[idx] = v
+        counts[v] += 1
+        fill[(r, c)] = v
+        idx += 1
+    return total
 
 
 def _horizontal_strips(shape: Partition, last: tuple[int, ...] | None, m: int):
@@ -139,13 +160,19 @@ def _horizontal_strips(shape: Partition, last: tuple[int, ...] | None, m: int):
         yield tuple(new), tuple(placed)
 
 
-@cache
 def lr_expand(alpha: Partition, beta: Partition) -> Mapping[Partition, int]:
     """All gamma with nonzero coefficient in alpha * beta, with coefficients.
 
     Keys come in the order of enumerate_partitions (descending tuples).
-    The result is cached and read-only.
+    The result is cached and read-only.  Raises ValueError unless both
+    are partitions.
     """
+    return _lr_expand(as_partition(alpha), as_partition(beta))
+
+
+@cache
+def _lr_expand(alpha: Partition, beta: Partition) -> Mapping[Partition, int]:
+    """lr_expand without the partition checks, for callers that made them."""
     if len(beta) > len(alpha):
         # c is symmetric in alpha and beta; fewer strips is faster.
         alpha, beta = beta, alpha

@@ -1,10 +1,13 @@
 """Brute-force verification engine on explicit signed permutations.
 
-Everything here works with concrete group elements so that the closed
-formulas in the rest of the package can be checked against independent
-computations: conjugacy classes come from each element's signed cycle
-type, and induced characters from explicit summation over elements or
-subgroup classes.
+The closed formula of decomp is checked here against an independent
+computation: conjugacy classes come from each element's signed cycle
+type, and induced characters from explicit summation over the elements
+of the block subgroup.  verify_formula compares decompose_induced with
+oracle_induce for every pair of block characters; oracle_induce itself
+uses nothing from the formula.  The explicit-element toolkit that only
+the tests use (element arithmetic, classification of single elements,
+elementwise induction) is in dweyl.explicit.
 
 A signed permutation of {1..n} is a tuple w of length n whose entry
 w[i] = +j or -j says that point i+1 maps to point j with that sign.
@@ -28,18 +31,20 @@ sign mask, which are linear over GF(2):
 
 * a cycle with point mask c is negative exactly when popcount(m & c)
   is odd;
-* the parity of the conjugator's sign changes (see _cycle_walk) is
-  popcount(m & F) mod 2 for one flip mask F of the permutation: along
-  a cycle i_0 -> i_1 -> ... -> i_(L-1) the sign of w(i_l) is carried to
-  the L-1-l points after i_l, so F holds the points i_l with L-1-l odd.
+* the parity of the conjugator's sign changes (see
+  explicit._cycle_walk) is popcount(m & F) mod 2 for one flip mask F of
+  the permutation: along a cycle i_0 -> i_1 -> ... -> i_(L-1) the sign
+  of w(i_l) is carried to the L-1-l points after i_l, so F holds the
+  points i_l with L-1-l odd.
 
-So one walk per unsigned permutation gives every sign mask a code (a
-bit per negative cycle, plus the flip bit) as the XOR of the codes of
-its points, the codes of all 2^n masks follow by doubling, and each
-element's class type is one lookup in the code table of its cycle
-lengths.  Building a group table is work in proportion to n!, and its
-element lists, element -> index map and class member lists are built
-only when asked for.
+So one walk per unsigned permutation gives each point a code (a bit per
+cycle, plus the flip bit), the code of a sign mask is the XOR of the
+codes of its points, and each element's class type is one lookup in
+the code table of its cycle lengths.  The codes are spanned by doubling
+over the masks that are read only: the even masks of a group table, and
+the masks even on both blocks for the block subgroup.  Building a group
+table is work in proportion to n!, and its element lists, element ->
+index map and class member lists are built only when asked for.
 
 Induction builds no table of the rank-n group: the block subgroup is
 enumerated as pairs of block elements, each classified by its own signed
@@ -52,23 +57,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections import Counter, defaultdict
-from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial
 from typing import Callable, NamedTuple
 
-from .dchar import (
-    DClassType,
-    DIrrLabel,
-    d_char_value,
-    d_irr_labels,
-    format_irr_label,
-    group_order_d,
-)
-from .decomp import DecompositionResult, InducedQuery, induced_multiplicity_unchecked, validate_query
-from .partitions import Partition, RangeError, enumerate_partitions, size
-from .symchar import sym_centralizer_order, sym_char_value
+from .dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, format_irr_label, group_order_d, irr_label_key
+from .decomp import DecompositionResult, InducedQuery, decompose_induced
+from .partitions import Partition, RangeError
 
 MAX_RANK = 8  # verify_formula and oracle_induce; group tables stop one below
 
@@ -76,97 +72,14 @@ SignedPerm = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Signed permutation arithmetic
-
-def sp_identity(n: int) -> SignedPerm:
-    return tuple(range(1, n + 1))
-
-
-def sp_mul(u: SignedPerm, v: SignedPerm) -> SignedPerm:
-    """Composition (u * v)(i) = u(v(i))."""
-    return tuple(u[x - 1] if x > 0 else -u[-x - 1] for x in v)
-
-
-def sp_inv(u: SignedPerm) -> SignedPerm:
-    out = [0] * len(u)
-    for i, x in enumerate(u, start=1):
-        if x > 0:
-            out[x - 1] = i
-        else:
-            out[-x - 1] = -i
-    return tuple(out)
-
-
-def sp_flips(w: SignedPerm) -> int:
-    return sum(1 for x in w if x < 0)
-
-
-def _cycle_walk(w: SignedPerm) -> tuple[Partition, Partition, int]:
-    """Positive and negative cycle types of w, plus the parity of the
-    sign changes of a conjugator taking w to a sign-free element.
-
-    Along a cycle i_0 -> i_1 -> ... the conjugator sends i_j to
-    eps_j * (its target point), with eps_0 = 1 and
-    eps_(j+1) = eps_j * sign w(i_j); its sign changes are the j with
-    eps_j = -1.  The parity only means something when every cycle is
-    positive, so that each cycle closes up.
-    """
-    seen = [False] * (len(w) + 1)
-    pos: list[int] = []
-    neg: list[int] = []
-    flips = 0
-    for start in range(1, len(w) + 1):
-        if seen[start]:
-            continue
-        count = 0
-        eps_negative = False
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            count += 1
-            flips += eps_negative
-            i = w[i - 1]
-            if i < 0:
-                eps_negative = not eps_negative
-                i = -i
-        (neg if eps_negative else pos).append(count)
-    pos.sort(reverse=True)
-    neg.sort(reverse=True)
-    return tuple(pos), tuple(neg), flips % 2
-
-
-def signed_cycle_type(w: SignedPerm) -> tuple[Partition, Partition]:
-    """Cycle types of the positive and negative cycles of w."""
-    positive, negative, _ = _cycle_walk(w)
-    return positive, negative
-
+# Signed cycle types by sign-mask codes
 
 def _class_type(positive: Partition, negative: Partition, flips: int) -> DClassType:
-    """Class label from _cycle_walk's result (see the module docstring)."""
+    """Class label from explicit._cycle_walk's result, or from the parts
+    of a code (see the module docstring)."""
     if negative or any(part % 2 for part in positive):
         return DClassType(positive, negative, None)
     return DClassType(positive, negative, -1 if flips else 1)
-
-
-def plain_element(lam: Partition, n: int) -> SignedPerm:
-    """The sign-free permutation with consecutive cycles of type lam."""
-    if size(lam) != n:
-        raise ValueError(f"cycle type {lam} does not fill {n} points")
-    w = list(range(1, n + 1))
-    start = 1
-    for part in lam:
-        for i in range(start, start + part - 1):
-            w[i - 1] = i + 1
-        w[start + part - 2] = start
-        start += part
-    return tuple(w)
-
-
-def flip_at(n: int, point: int) -> SignedPerm:
-    """Sign change at a single point (an element of the ambient group only)."""
-    w = list(range(1, n + 1))
-    w[point - 1] = -point
-    return tuple(w)
 
 
 def _even_masks(n: int) -> list[int]:
@@ -186,22 +99,24 @@ def _signed_perms(n: int, even: bool):
             yield tuple(map(operator.mul, perm, sign))
 
 
-def _mask_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """Cycle lengths of an unsigned permutation, and the code of every
-    sign mask m < 2^n put on it (see the module docstring).
+def _point_codes(perm: tuple[int, ...], first_cycle: int = 0) -> tuple[tuple[int, ...], list[int]]:
+    """Cycle lengths of an unsigned permutation, and the code of each of
+    its points (see the module docstring).
 
-    Cycles are walked from their smallest point, in _cycle_walk's order.
-    Bit 0 of a code holds the parity of the conjugator's sign changes,
-    and bit j+1 is set when cycle j is negative.  Both are parities of
-    m, so the code of m is the XOR of the codes of its points: a point
-    of cycle j has bit j+1, and bit 0 when it is in the flip mask.
+    Cycles are walked from their smallest point, in explicit._cycle_walk's
+    order, and numbered from first_cycle (after the cycles of another
+    block).  Bit 0 of a code holds the parity of the conjugator's sign
+    changes, and bit j+1 is set when cycle j is negative.  Both are
+    parities of the sign mask m, so the code of m is the XOR of the
+    codes of its points: a point of cycle j has bit j+1, and bit 0 when
+    it is in the flip mask.
     """
     lengths: list[int] = []
     point_codes = [0] * len(perm)
     for start in range(len(perm)):
         if point_codes[start]:
             continue
-        bit = 2 << len(lengths)
+        bit = 2 << first_cycle + len(lengths)
         points = []
         i = start
         while not point_codes[i]:
@@ -211,22 +126,33 @@ def _mask_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
         for i in points[-2::-2]:  # the points i_l with L-1-l odd
             point_codes[i] |= 1
         lengths.append(len(points))
-    codes = [0]
-    for point_code in point_codes:
-        codes += [code ^ point_code for code in codes]
-    return tuple(lengths), codes
+    return tuple(lengths), point_codes
+
+
+def _even_codes(point_codes: list[int]) -> list[int]:
+    """Codes of the sign masks with an even number of set bits over
+    these points (bit i for point i), in ascending mask order.
+
+    Doubling over the points keeps the even and the odd masks apart; the
+    last point only turns odd masks into even ones.
+    """
+    even, odd = [0], []
+    for p in point_codes[:-1]:
+        even, odd = even + [c ^ p for c in odd], odd + [c ^ p for c in even]
+    return even + [c ^ point_codes[-1] for c in odd]
 
 
 @cache
 def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
-    """Class label of each code of _mask_codes, for the cycle lengths in
+    """Class label of each code of _point_codes, for the cycle lengths in
     walk order; None for a code with an odd number of negative cycles,
     which belongs to no even-signed element."""
     out: list[DClassType | None] = [None] * (2 << len(lengths))
+    longest_first = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     for negs in range(1 << len(lengths)):
-        positive = tuple(sorted((x for j, x in enumerate(lengths) if not negs >> j & 1), reverse=True))
-        negative = tuple(sorted((x for j, x in enumerate(lengths) if negs >> j & 1), reverse=True))
-        if len(negative) % 2 == 0:
+        if negs.bit_count() % 2 == 0:
+            positive = tuple(lengths[j] for j in longest_first if not negs >> j & 1)
+            negative = tuple(lengths[j] for j in longest_first if negs >> j & 1)
             out[negs << 1] = _class_type(positive, negative, 0)
             out[negs << 1 | 1] = _class_type(positive, negative, 1)
     return tuple(out)
@@ -246,6 +172,10 @@ class GroupTable:
     the + tag.  Class ids follow the first appearance of a class in
     element order.
 
+    The walks are kept for the block subgroup: lengths holds the cycle
+    lengths of each permutation in walk order, and codes (unsigned
+    shorts) the code of every element, in element order.
+
     elements, index (element -> position) and classes (the member
     positions of each class, in element order) are built on first use
     and then kept.
@@ -253,21 +183,25 @@ class GroupTable:
 
     def __init__(self, n: int):
         self.n = n
-        even = _even_masks(n)
         # ids in order of first meeting a type, renumbered below into
         # order of first appearance in element order
         provisional: dict[DClassType, int] = {}
         code_ids: dict[tuple[int, ...], list[int | None]] = {}
         class_of: list[int] = []
+        self.lengths: list[tuple[int, ...]] = []
+        self.codes = array("H")
         for perm in itertools.permutations(range(1, n + 1)):
-            lengths, codes = _mask_codes(perm)
+            lengths, point_codes = _point_codes(perm)
             ids = code_ids.get(lengths)
             if ids is None:
                 ids = code_ids[lengths] = [
                     None if ty is None else provisional.setdefault(ty, len(provisional))
                     for ty in _code_types(lengths)
                 ]
-            class_of.extend(map(ids.__getitem__, map(codes.__getitem__, even)))
+            codes = _even_codes(point_codes)
+            class_of.extend(map(ids.__getitem__, codes))
+            self.lengths.append(lengths)
+            self.codes.extend(codes)
         first = list(dict.fromkeys(class_of))
         renumber = [0] * len(provisional)
         for cid, pid in enumerate(first):
@@ -309,74 +243,53 @@ def build_group(n: int) -> GroupTable:
     return GroupTable(n)
 
 
-def classify_element(w: SignedPerm, table: GroupTable) -> DClassType:
-    """Class label of an explicit element, split tag decided by conjugacy."""
-    if len(w) != table.n:
-        raise ValueError(f"element acts on {len(w)} points, table is rank {table.n}")
-    if w not in table.index:
-        raise ValueError(f"{w} is not an even-signed permutation of rank {table.n}")
-    return table.class_types[table.class_of[table.index[w]]]
-
-
 # ---------------------------------------------------------------------------
 # The block subgroup and explicit induction
-
-def _in_block_subgroup(w: SignedPerm, a: int) -> bool:
-    # Preserves {1..a} setwise with an even number of sign changes in
-    # the block (the complementary block is then automatically even).
-    flips = 0
-    for i in range(a):
-        x = w[i]
-        if abs(x) > a:
-            return False
-        if x < 0:
-            flips += 1
-    return flips % 2 == 0
-
-
-def _block_parts(w: SignedPerm, a: int) -> tuple[SignedPerm, SignedPerm]:
-    wa = w[:a]
-    wb = tuple(x - a if x > 0 else x + a for x in w[a:])
-    return wa, wb
-
-
-def _embed_blocks(wa: SignedPerm, wb: SignedPerm) -> SignedPerm:
-    a = len(wa)
-    return wa + tuple(x + a if x > 0 else x - a for x in wb)
-
 
 @cache
 def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassType, DClassType], int]]:
     """Per class type of the rank-n group meeting the block subgroup: how
     many subgroup elements of each block-type pair it contains.
 
-    The subgroup is enumerated as pairs of block elements: a pair of
-    block permutations, walked once as one rank-n permutation, carries
-    every pair of even block sign masks.  Each embedded element is
-    classified by its own signed cycle type, _code_types(lengths) at its
-    code, with no table of the rank-n group; each block element by its
-    block's table (same element order, so positions are arithmetic).
+    The subgroup is enumerated as pairs of block elements, and each
+    embedded element is classified by its own signed cycle type,
+    _code_types(lengths) at its code, with no table of the rank-n group;
+    each block element by its block's table.  The larger block's cycles
+    are numbered first, so its walks are its table's.  The smaller block
+    is walked once per cycle count of the larger, its cycles numbered
+    after those, and the code of an element is the XOR of its two
+    blocks' codes, each spanned over that block's even masks only.  When
+    block b is the larger, this is the code of the element with its
+    blocks exchanged: a conjugate by a sign-free permutation, so of the
+    same class.
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    ta, tb = build_group(a), build_group(b)
-    even_a, even_b = _even_masks(a), _even_masks(b)
-    half_a, half_b = len(even_a), len(even_b)
-    masks = [ma | mb << a for ma in even_a for mb in even_b]
-    perms_b = list(itertools.permutations(range(a + 1, n + 1)))
-    # per cycle lengths in walk order: (code, (block class ids)) -> count
+    big, small = build_group(max(a, b)), build_group(min(a, b))
+    half_big, half_small = 1 << big.n - 1, 1 << small.n - 1
+    # per cycle count of the larger block: the smaller block's cycle
+    # lengths, codes and class ids, per permutation
+    walks_small: dict[int, list[tuple[tuple[int, ...], list[int], list[int]]]] = {}
+    # per cycle lengths, larger block first: (code, (block class ids)) -> count
     tallies: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
-    for ia, perm_a in enumerate(itertools.permutations(range(1, a + 1))):
-        row_a = ta.class_of[ia * half_a:(ia + 1) * half_a]
-        for ib, perm_b in enumerate(perms_b):
-            row_b = tb.class_of[ib * half_b:(ib + 1) * half_b]
-            lengths, codes = _mask_codes(perm_a + perm_b)
-            tallies[lengths].update(zip(map(codes.__getitem__, masks), itertools.product(row_a, row_b)))
+    for i, lengths_big in enumerate(big.lengths):
+        part = slice(i * half_big, (i + 1) * half_big)
+        codes_big, row_big = big.codes[part], big.class_of[part]
+        cycles = len(lengths_big)
+        if cycles not in walks_small:
+            walks = walks_small[cycles] = []
+            for j, perm in enumerate(itertools.permutations(range(1, small.n + 1))):
+                lengths, point_codes = _point_codes(perm, cycles)
+                walks.append((lengths, _even_codes(point_codes), small.class_of[j * half_small:(j + 1) * half_small]))
+        for lengths_small, codes_small, row_small in walks_small[cycles]:
+            codes = [x ^ y for x in codes_big for y in codes_small]
+            tallies[lengths_big + lengths_small].update(zip(codes, itertools.product(row_big, row_small)))
     counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
     for lengths, tally in tallies.items():
         types = _code_types(lengths)
-        for (code, (ca, cb)), cnt in tally.items():
-            counts[types[code]][ta.class_types[ca], tb.class_types[cb]] += cnt
+        for (code, (i, j)), cnt in tally.items():
+            pair = big.class_types[i], small.class_types[j]
+            counts[types[code]][pair if a >= b else pair[::-1]] += cnt
     return {ty: dict(pairs) for ty, pairs in counts.items()}
 
 
@@ -393,66 +306,6 @@ def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
         sum(cnt * va[pa] * vb[pb] for (pa, pb), cnt in counts.items())
         for counts in _fused_counts(n, a, b).values()
     ]
-
-
-def induce_class_function(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[Fraction]:
-    """Values, per ambient class, of the class function induced from fa x fb.
-
-    fa and fb give the block function on block class labels; virtual
-    characters (negative values) are fine.  Computed from the explicit
-    element counts, i.e. this is the elementwise induction sum grouped
-    by conjugacy class.
-    """
-    t = build_group(n)
-    h_order = group_order_d(a) * group_order_d(b)
-    sums = dict(zip(_fused_counts(n, a, b), _class_sums(n, a, b, fa, fb)))
-    return [Fraction(z * sums.get(ty, 0), h_order) for z, ty in zip(t.centralizer_orders, t.class_types)]
-
-
-def induced_value_elementwise(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn, g: SignedPerm) -> Fraction:
-    """Literal induction sum (1/|H|) * sum over x of (fa x fb)(x g x^-1)."""
-    t = build_group(n)
-    total = 0
-    for x in t.elements:
-        y = sp_mul(sp_mul(x, g), sp_inv(x))
-        if not _in_block_subgroup(y, a):
-            continue
-        ya, yb = _block_parts(y, a)
-        pa = classify_element(ya, build_group(a))
-        pb = classify_element(yb, build_group(b))
-        total += fa(pa) * fb(pb)
-    return Fraction(total, group_order_d(a) * group_order_d(b))
-
-
-def induced_value_from_subgroup_classes(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn, g: SignedPerm) -> Fraction:
-    """Induction via subgroup class representatives and centralizer orders."""
-    t = build_group(n)
-    ta = build_group(a)
-    tb = build_group(b)
-    cid_g = t.class_id_of(g)
-    total = Fraction(0)
-    for ca, members_a in enumerate(ta.classes):
-        ra = ta.elements[members_a[0]]
-        for cb, members_b in enumerate(tb.classes):
-            rb = tb.elements[members_b[0]]
-            h = _embed_blocks(ra, rb)
-            if t.class_id_of(h) != cid_g:
-                continue
-            total += Fraction(
-                fa(ta.class_types[ca]) * fb(tb.class_types[cb]),
-                ta.centralizer_orders[ca] * tb.centralizer_orders[cb],
-            )
-    return t.centralizer_orders[cid_g] * total
-
-
-def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
-    """Character values attached to the explicit classes of the rank-n group."""
-    t = build_group(n)
-    return {
-        (chi, cid): d_char_value(chi, ty)
-        for chi in d_irr_labels(n)
-        for cid, ty in enumerate(t.class_types)
-    }
 
 
 @cache
@@ -507,109 +360,24 @@ def check_verify_rank(n: int) -> None:
 
 
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
-    """Compare the closed formula with explicit induction for all (E, X)."""
+    """Compare decompose_induced with oracle_induce for every (A, B).
+
+    pairs_checked counts every (A, B, X); a mismatch is (A, B, X,
+    formula, oracle) for each X whose two multiplicities differ, 0 where
+    a side omits X, in d_irr_labels order.
+    """
     check_verify_rank(n)
     if a < 1 or b < 1 or a + b != n:
         raise RangeError(f"need a, b >= 1 with a + b = n, got a={a}, b={b}, n={n}")
     mismatches = []
-    pairs = 0
-    labels_n = d_irr_labels(n)
     for A in d_irr_labels(a):
         for B in d_irr_labels(b):
             explicit = oracle_induce(n, a, b, A, B).multiplicities
-            q = InducedQuery(n, a, b, A, B)
-            validate_query(q)
-            for X in labels_n:
-                pairs += 1
-                formula = induced_multiplicity_unchecked(q, X)
-                actual = explicit.get(X, 0)
-                if formula != actual:
-                    mismatches.append((A, B, X, formula, actual))
+            formula = decompose_induced(InducedQuery(n, a, b, A, B)).multiplicities
+            if formula != explicit:
+                for X in sorted(formula.keys() | explicit.keys(), key=irr_label_key):
+                    pair = formula.get(X, 0), explicit.get(X, 0)
+                    if pair[0] != pair[1]:
+                        mismatches.append((A, B, X, *pair))
+    pairs = len(d_irr_labels(a)) * len(d_irr_labels(b)) * len(d_irr_labels(n))
     return VerificationReport(n, a, b, pairs, tuple(mismatches))
-
-
-# ---------------------------------------------------------------------------
-# Independent formulas used to cross-check individual steps
-
-def centralizer_chain_values(n: int, pi: Partition) -> dict[str, int]:
-    """The four centralizer orders attached to a doubled cycle type.
-
-    For the class of the sign-free element of cycle type 2*pi: its
-    centralizer order in the even-signed group, in the ambient group,
-    the sign-free centralizer scaled by 2**len(pi), and the symmetric
-    group centralizer of pi scaled by 2**(2 len(pi)).  All four are
-    computed by direct counting and should agree.
-    """
-    if 2 * size(pi) != n:
-        raise ValueError(f"2 * |{pi}| != {n}")
-    t = build_group(n)
-    w = plain_element(tuple(2 * x for x in pi), n)
-    in_d = t.centralizer_orders[t.class_id_of(w)]
-    in_b = sum(1 for x in _signed_perms(n, even=False) if sp_mul(x, w) == sp_mul(w, x))
-    plain = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    in_plain = sum(1 for x in plain if sp_mul(x, w) == sp_mul(w, x))
-    m = n // 2
-    wp = plain_element(pi, m)
-    small = [tuple(p) for p in itertools.permutations(range(1, m + 1))]
-    in_small = sum(1 for x in small if sp_mul(x, wp) == sp_mul(wp, x))
-    return {
-        "even_signed": in_d,
-        "ambient": in_b,
-        "scaled_plain": 2 ** len(pi) * in_plain,
-        "scaled_symmetric": 2 ** (2 * len(pi)) * in_small,
-    }
-
-
-def split_partition_pairs(pi: Partition, left_size: int) -> set[tuple[Partition, Partition]]:
-    """All (delta, eps) with delta u eps = pi and |delta| = left_size."""
-    out = set()
-    for mask in range(1 << len(pi)):
-        delta = tuple(pi[i] for i in range(len(pi)) if mask >> i & 1)
-        if sum(delta) == left_size:
-            eps = tuple(pi[i] for i in range(len(pi)) if not mask >> i & 1)
-            out.add((delta, eps))
-    return out
-
-
-def sym_induced_product_value(alpha: Partition, beta: Partition, pi: Partition) -> int:
-    """Value at cycle type pi of the character induced from [alpha] x [beta].
-
-    Uses the class-representative induction formula over the Young
-    subgroup: the classes meeting cycle type pi are exactly the splits
-    of pi into the two blocks.
-    """
-    a, b, m = size(alpha), size(beta), size(pi)
-    if a + b != m:
-        raise ValueError(f"|{alpha}| + |{beta}| != |{pi}|")
-    total = Fraction(0)
-    for delta, eps in split_partition_pairs(pi, a):
-        total += Fraction(
-            sym_char_value(alpha, delta) * sym_char_value(beta, eps),
-            sym_centralizer_order(delta) * sym_centralizer_order(eps),
-        )
-    total *= sym_centralizer_order(pi)
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral induced value {total}")
-    return int(total)
-
-
-def lr_coefficient_by_characters(alpha: Partition, beta: Partition, gamma: Partition) -> int:
-    """LR coefficient from the defining inner product over class sums.
-
-    Completely independent of the tableau enumeration: sums character
-    values over pairs of cycle types weighted by class sizes.
-    """
-    a, b = size(alpha), size(beta)
-    if size(gamma) != a + b:
-        return 0
-    num = 0
-    for mu in enumerate_partitions(a):
-        mu_classes = factorial(a) // sym_centralizer_order(mu)
-        for nu in enumerate_partitions(b):
-            nu_classes = factorial(b) // sym_centralizer_order(nu)
-            fused = tuple(sorted(mu + nu, reverse=True))
-            num += mu_classes * nu_classes * sym_char_value(alpha, mu) * sym_char_value(beta, nu) * sym_char_value(gamma, fused)
-    denom = factorial(a) * factorial(b)
-    if num % denom:
-        raise ArithmeticError("inner product is not an integer")
-    return num // denom

@@ -29,19 +29,17 @@ from dweyl.dchar import (
 from dweyl.decomp import InducedQuery, a_coefficient, branch_restriction, induced_multiplicity
 from dweyl.dchar import DIrrLabel
 from dweyl.lr import lr_coefficient
-from dweyl.oracle import (
-    build_group,
+from dweyl.explicit import (
     centralizer_chain_values,
     classify_element,
     flip_at,
     induce_class_function,
     lr_coefficient_by_characters,
-    oracle_induce,
     plain_element,
     sp_mul,
     sym_induced_product_value,
-    verify_formula,
 )
+from dweyl.oracle import build_group, oracle_induce, verify_formula
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, union
 from dweyl.symchar import sym_centralizer_order, sym_char_value
 

@@ -9,6 +9,7 @@ import pytest
 from dweyl.cli import main
 from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_degree, make_irr_label, parse_class
 from dweyl.decomp import InducedQuery, branch_restriction, decompose_induced, induced_multiplicity
+from dweyl.lr import lr_coefficient, lr_expand
 
 GOOD = make_irr_label((2,), ())
 
@@ -22,6 +23,13 @@ LABELS = [
     ("smaller component first", "([1],[3])", DIrrLabel(((1,), (3,)), 0), None, False),
     ("unsigned degenerate", "([1],[1])", DIrrLabel(((1,), (1,)), 0), "([1],[1])", True),
     ("signed non-degenerate", "([2],[])", DIrrLabel(((2,), ()), 1), "([2],[])+", True),
+]
+
+# (case, the partition in the grammar, raw partition)
+PARTITIONS = [
+    ("increasing parts", "[1,3]", (1, 3)),
+    ("float part", "[2.5]", (2.5,)),
+    ("zero part", "[1,0]", (1, 0)),
 ]
 
 # (case, the class in the grammar, class)
@@ -58,6 +66,16 @@ CALLS = [
         "d_char_value": lambda c=c: d_char_value(make_irr_label((sum(c.positive) + sum(c.negative),), ()), c),
         "parse_class": lambda shown=shown: parse_class(shown),
     }.items()
+] + [
+    pytest.param(call, shown, id=f"{case}: {name}")
+    for case, shown, p in PARTITIONS
+    for name, call in {
+        "lr_coefficient alpha": lambda p=p: lr_coefficient(p, (1,), (2, 2)),
+        "lr_coefficient beta": lambda p=p: lr_coefficient((1,), p, (2, 2)),
+        "lr_coefficient gamma": lambda p=p: lr_coefficient((2,), (1,), p),
+        "lr_expand alpha": lambda p=p: lr_expand(p, (1,)),
+        "lr_expand beta": lambda p=p: lr_expand((1,), p),
+    }.items()
 ]
 
 
@@ -84,6 +102,9 @@ CLI_CALLS = [
 ] + [
     pytest.param(["lr", "--alpha", shown, "--beta", "[1]"], shown, id=f"{case}: lr")
     for case, shown, _, _, _ in LABELS[:2]
+] + [
+    pytest.param(["lr", "--alpha", "[2]", "--beta", "[1]", "--gamma", shown], shown, id=f"{case}: lr --gamma")
+    for case, shown, _ in PARTITIONS
 ]
 
 

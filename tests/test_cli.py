@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,7 +174,7 @@ def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("build_group", "_mask_codes", "d_irr_labels"):
+    for name in ("build_group", dweyl.oracle._point_codes.__name__, dweyl.oracle._even_codes.__name__, "d_irr_labels"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     for n, a, b in [("12", "6", "6"), ("9", "4", "5"), ("6", "2", "3")]:
         code, out, err = run(capsys, "decompose", "--n", n, "--a", a, "--b", b,
@@ -200,9 +204,20 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
-def test_recursion_limit_exits_three(capsys):
+def test_lr_with_1200_one_box_rows_answers(capsys):
     ones = "[" + ",".join(["1"] * 1200) + "]"
-    code, out, err = run(capsys, "lr", "--alpha", "[]", "--beta", ones, "--gamma", ones)
+    assert run(capsys, "lr", "--alpha", "[]", "--beta", ones, "--gamma", ones) == (0, "1\n", "")
+
+
+def test_recursion_limit_exits_three(capsys, monkeypatch):
+    # No kernel recurses; the handler stays as a safety net.
+    import dweyl.cli
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(dweyl.cli, "lr_coefficient", too_deep)
+    code, out, err = run(capsys, "lr", "--alpha", "[]", "--beta", "[1]", "--gamma", "[1]")
     assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1
@@ -249,3 +264,18 @@ def test_readme_and_help_show_the_grammar():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert rows(readme.split("Label grammar", 1)[1].split("```")[1]) == rows(GRAMMAR)
     assert rows(build_parser().format_help().split("Label grammar:", 1)[1]) == rows(GRAMMAR)
+
+
+def test_import_leaves_the_explicit_toolkit_out():
+    import dweyl
+    from dweyl import explicit
+
+    probe = "import sys, dweyl, dweyl.cli; print(dweyl.__file__, sorted({'fractions', 'dweyl.explicit'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(dweyl.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.split() == [dweyl.__file__, "[]"]
+
+    assert dweyl.classify_element is explicit.classify_element
+    assert dweyl.oracle_char_table is explicit.oracle_char_table
+    with pytest.raises(AttributeError):
+        dweyl.no_such_name

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from dweyl.lr import lr_coefficient, lr_expand
-from dweyl.oracle import lr_coefficient_by_characters
+from dweyl.explicit import lr_coefficient_by_characters
 from dweyl.partitions import enumerate_partitions
 from dweyl.symchar import sym_degree
 
@@ -90,3 +90,15 @@ def test_expand_is_read_only():
 def test_expand_many_rows_without_recursion():
     column = (1,) * 1500
     assert lr_expand(column, (1,)) == {(2,) + (1,) * 1499: 1, (1,) * 1501: 1}
+
+
+def test_coefficient_many_rows_without_recursion():
+    column = (1,) * 1500
+    assert lr_coefficient((), column, column) == 1
+    assert lr_coefficient((1,) * 700, (1,) * 800, column) == 1
+
+
+def test_lr_expand_checks_its_arguments_on_cache_hits():
+    assert dict(lr_expand((2,), (1,))) == {(3,): 1, (2, 1): 1}
+    with pytest.raises(ValueError, match=r"\[2\.0\] is not a partition"):
+        lr_expand((2.0,), (1,))

@@ -1,4 +1,6 @@
+import json
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -14,17 +16,14 @@ from dweyl.dchar import (
     d_irr_labels,
     group_order_d,
     make_irr_label,
+    parse_irr_label,
 )
-from dweyl.oracle import (
-    GroupTable,
+from dweyl.cli import main
+from dweyl.decomp import InducedQuery, decompose_induced
+from dweyl.explicit import (
     _block_parts,
-    _char_rows,
-    _class_sums,
-    _class_type,
     _cycle_walk,
-    _fused_counts,
     _in_block_subgroup,
-    build_group,
     centralizer_chain_values,
     classify_element,
     flip_at,
@@ -32,7 +31,6 @@ from dweyl.oracle import (
     induced_value_elementwise,
     induced_value_from_subgroup_classes,
     oracle_char_table,
-    oracle_induce,
     plain_element,
     signed_cycle_type,
     sp_identity,
@@ -40,6 +38,17 @@ from dweyl.oracle import (
     sp_mul,
     split_partition_pairs,
     sym_induced_product_value,
+)
+from dweyl.oracle import (
+    GroupTable,
+    _char_rows,
+    _class_sums,
+    _class_type,
+    _even_codes,
+    _fused_counts,
+    _point_codes,
+    build_group,
+    oracle_induce,
     verify_formula,
 )
 from dweyl.partitions import RangeError, enumerate_partitions
@@ -187,6 +196,49 @@ def scan_fused_counts(n, a, b):
     return {ty: dict(c) for ty, c in counts.items()}
 
 
+def all_mask_codes(point_codes):
+    """Reference span: the code of every sign mask m < 2^n, by doubling
+    over all the points."""
+    codes = [0]
+    for point_code in point_codes:
+        codes += [code ^ point_code for code in codes]
+    return codes
+
+
+def test_table_walks_match_the_full_span():
+    for n in range(1, 8):
+        t = build_group(n)
+        even = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
+        assert len(t.lengths) * len(even) == len(t.codes) == len(t.class_of)
+        for i, perm in enumerate(permutations(range(1, n + 1))):
+            lengths, point_codes = _point_codes(perm)
+            reference = all_mask_codes(point_codes)
+            assert t.lengths[i] == lengths
+            assert list(t.codes[i * len(even):(i + 1) * len(even)]) == [reference[m] for m in even]
+
+
+def test_block_codes_match_the_full_span_at_block_even_masks():
+    """_fused_counts walks each block on its own, the second block's
+    cycles numbered after the first's (either block may come first);
+    the XOR of the two blocks' even codes must be the code of the rank-n
+    walk at every block-even mask, in (first mask, second mask) order."""
+    for n in range(2, 8):
+        for a in range(1, n):
+            b = n - a
+            even_a = [m for m in range(1 << a) if bin(m).count("1") % 2 == 0]
+            even_b = [m for m in range(1 << b) if bin(m).count("1") % 2 == 0]
+            masks = [ma | mb << a for ma in even_a for mb in even_b]
+            for perm_a in permutations(range(1, a + 1)):
+                lengths_a, point_codes_a = _point_codes(perm_a)
+                codes_a = _even_codes(point_codes_a)
+                for perm_b in permutations(range(1, b + 1)):
+                    lengths_b, point_codes_b = _point_codes(perm_b, len(lengths_a))
+                    lengths, point_codes = _point_codes(perm_a + tuple(x + a for x in perm_b))
+                    assert lengths_a + lengths_b == lengths
+                    reference = all_mask_codes(point_codes)
+                    assert [x ^ y for x in codes_a for y in _even_codes(point_codes_b)] == [reference[m] for m in masks]
+
+
 def test_fused_counts_match_scan_over_the_group():
     for n in range(2, 7):
         for a in range(1, n):
@@ -217,6 +269,13 @@ def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
     assert sum(m * d_degree(X) for X, m in result.multiplicities.items()) == 16
     # and is the sum of the labels with one box added to ((7), ())
     assert result.multiplicities == {make_irr_label(lam, mu): 1 for lam, mu in [((8,), ()), ((7, 1), ()), ((7,), (1,))]}
+    built.clear()
+    report = verify_formula(8, 3, 5)
+    assert report.mismatches == ()
+    assert report.pairs_checked == len(d_irr_labels(3)) * len(d_irr_labels(5)) * len(d_irr_labels(8))
+    assert sorted(built) == [3, 5]
+    for k in built:
+        assert not {"elements", "index", "classes"} & set(vars(build_group(k)))
 
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
@@ -225,7 +284,7 @@ def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("d_irr_labels", "build_group", "_mask_codes"):
+    for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     for n, a, b in [(40, 1, 39), (9, 4, 5), (3, 1, 2), (0, 0, 0)]:
         with pytest.raises(RangeError, match="verify needs 4 <= n <= 8"):
@@ -240,12 +299,41 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("d_irr_labels", "build_group", "_mask_codes", "d_char_value"):
+    for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__, "d_char_value"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A = B = make_irr_label((2,), ())
     for n, a, b in [(12, 6, 6), (9, 4, 5), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
         with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 8"):
             oracle_induce(n, a, b, A, B)
+
+
+def test_verify_reports_each_label_a_wrong_formula_gets_wrong(monkeypatch, capsys):
+    import dweyl.oracle
+
+    A, B = parse_irr_label("([2],[])"), parse_irr_label("([2,1],[])")
+    bumped, dropped, added = map(parse_irr_label, ("([3,1,1],[])", "([4,1],[])", "([3],[2])"))
+    right = decompose_induced(InducedQuery(5, 2, 3, A, B)).multiplicities
+    assert right[bumped] == right[dropped] == 1 and added not in right
+    # the added label first, so that the report's order cannot come from the dict
+    wrong = {added: 4, **right, bumped: 2}
+    del wrong[dropped]
+
+    def corrupted(q):
+        result = decompose_induced(q)
+        return replace(result, multiplicities=wrong) if (q.A, q.B) == (A, B) else result
+
+    monkeypatch.setattr(dweyl.oracle, "decompose_induced", corrupted)
+    report = verify_formula(5, 2, 3)
+    assert report.mismatches == ((A, B, dropped, 0, 1), (A, B, bumped, 2, 1), (A, B, added, 4, 0))
+    assert report.pairs_checked == 4 * 5 * 18 == len(d_irr_labels(2)) * len(d_irr_labels(3)) * len(d_irr_labels(5))
+
+    assert main(["verify", "--n", "5", "--a", "2", "--b", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pairs_checked"] == 360
+    assert payload["mismatches"] == [
+        {"n": 5, "a": 2, "b": 3, "A": "([2],[])", "B": "([2,1],[])", "X": X, "formula": f, "oracle": o}
+        for X, f, o in [("([4,1],[])", 0, 1), ("([3,1,1],[])", 2, 1), ("([3],[2])", 4, 0)]
+    ]
 
 
 def test_class_types_constant_on_classes():
