@@ -17,7 +17,10 @@ k-box border strip on either component, with sign (-1)**height, and a
 *negative* cycle on the second component takes an extra factor -1.  As
 there, a class's first value walks back from the label and a second
 label asked at the class walks its whole column forward, with no
-recursion either way.
+recursion either way.  The forward walk keeps only one order of each
+pair of masks: [beta; alpha] is [alpha; beta] tensored with the linear
+character that is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5),
+so a column reads the other order through that sign.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, enumerate_bipartitions, format_bipartition, size
-from .symchar import _shape, backward, column, first_request, memo, sym_centralizer_order, sym_degree
+from .symchar import _shape, backward, first_request, memo, read_column, sym_centralizer_order, sym_degree
 
 
 class BClassType(NamedTuple):
@@ -66,7 +69,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
         (first, n), (second, m) = _shape(label[0]), _shape(label[1])
         if n + m != memo(c)[1]:
             raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-        value = first_request(c, label, lambda: backward(c, (first, second)), lambda: column(c))
+        value = first_request(c, label, lambda: backward(c, (first, second)), lambda: read_column(c))
     return value
 
 

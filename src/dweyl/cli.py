@@ -9,8 +9,10 @@ Exit codes:
   0  success
   1  verification mismatch, or a violated invariant (an ArithmeticError)
   2  usage or label syntax error, or a size outside the supported range
-  3  resource limit: a kernel ran out of recursion depth (a safety net:
-     no kernel recurses, so no input is known to reach it)
+  3  resource limit: a chartable table of more than 1,000,000 cells
+     (labels squared), refused before it is built; or a kernel out of
+     recursion depth (a safety net: no kernel recurses, so no input is
+     known to reach it)
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .dchar import (
     d_char_value,
     d_classes,
     d_irr_labels,
+    d_label_count,
     format_class,
     format_irr_label,
     irr_label_key,
@@ -36,13 +39,20 @@ from .oracle import MAX_RANK, check_verify_rank, oracle_induce, verify_formula
 from .partitions import (
     GRAMMAR,
     RangeError,
+    ResourceLimit,
+    bipartition_count,
     enumerate_bipartitions,
     enumerate_partitions,
     format_bipartition,
     format_partition,
     parse_partition,
+    partition_count,
 )
 from .symchar import sym_char_value
+
+CHARTABLE_CELLS = 10**6
+"""Most cells (labels squared) of a table chartable prints, as the exit
+codes above say: S_n up to n = 21, B_n up to n = 11, D_n up to n = 13."""
 
 _EPILOG = __doc__[__doc__.index("Exit codes:"):] + "\nLabel grammar:\n" + "".join("  " + line for line in GRAMMAR.splitlines(True))
 
@@ -71,6 +81,9 @@ def cmd_chartable(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise RangeError("need n >= 1")
+    count = {"A": partition_count, "B": bipartition_count, "D": d_label_count}[args.type](n)
+    if count**2 > CHARTABLE_CELLS:
+        raise ResourceLimit(f"the {args.type}_{n} table has {count:,} labels, {count**2:,} cells; the budget is {CHARTABLE_CELLS:,}")
     if args.type == "A":
         labels = classes = enumerate_partitions(n)
         value, label_text, class_text = sym_char_value, format_partition, format_partition
@@ -220,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return 1
+    except ResourceLimit as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 3
     except RecursionError:
         print("error: resource limit: the input is too large for the recursion depth of a kernel", file=sys.stderr)
         return 3

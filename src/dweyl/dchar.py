@@ -28,15 +28,20 @@ orthogonality tests:
 
 Values come from the abacus walk of ``dweyl.symchar``, with no
 recursion, under its first-request rule: a class's first value walks
-back from the label; a second label asked at the class reads the
-column of the full group at its cycle types, walked forward once and
-shared by the two classes of a split type, and the degenerate
-difference reads the symmetric group at pi the same way.
+back from the label; a second label asked at the class reads every
+label's value from the folded forward walk of the full group at its
+cycle types, walked once and shared by the two classes of a split
+type.  A class here has an even number of negative cycles, so the two
+orders of a pair have one value there and an unordered label is one
+lookup in the folded states, with no table of the full group in
+between; only the degenerate labels then go through ``_restrict``, and
+the degenerate difference reads the symmetric group at pi the same way.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 from math import factorial
 from typing import NamedTuple, Optional
 
@@ -45,17 +50,19 @@ from .partitions import (
     Bipartition,
     Partition,
     as_partition,
+    bipartition_count,
     enumerate_bipartitions,
     format_bipartition,
     format_class,
     format_irr_label,
     format_partition,
     length,
+    partition_count,
     read_label,
     size,
     union,
 )
-from .symchar import _shape, backward, check_class, column, first_request, memo, splittable, sym_char_value
+from .symchar import _labels, _shape, backward, check_class, column, first_request, memo, splittable, sym_char_value
 
 
 class DIrrLabel(NamedTuple):
@@ -144,6 +151,14 @@ def d_irr_labels(n: int) -> tuple[DIrrLabel, ...]:
     return tuple(out)
 
 
+def d_label_count(n: int) -> int:
+    """len(d_irr_labels(n)), counted without enumerating: an unordered
+    pair of distinct partitions per two bipartitions, and two labels per
+    equal pair (gamma; gamma) when n is even."""
+    equal = partition_count(n // 2) if n % 2 == 0 else 0
+    return (bipartition_count(n) + 3 * equal) // 2
+
+
 @cache
 def d_classes(n: int) -> tuple[DClassType, ...]:
     """All conjugacy class labels of the rank-n group, n >= 1."""
@@ -218,13 +233,29 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
         state, n = _label_state(chi)
         if n != memo(c)[1]:
             raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
-        value = first_request(
-            c,
-            chi,
-            lambda: _restrict(chi, c, backward(c[:2], state)),
-            lambda: {X: _restrict(X, c, col[X.label]) for col in [column(c[:2])] for X in d_irr_labels(n)},
-        )
+        value = first_request(c, chi, lambda: _restrict(chi, c, backward(c[:2], state)), lambda: _column(c, n))
     return value
+
+
+@cache
+def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], list, list]:
+    """The labels of rank n, the state of each in the folded walk (that
+    of its bipartition), and the degenerate labels."""
+    labels = d_irr_labels(n)
+    key = dict(zip(*_labels(n, True)[:2]))
+    return labels, [key[X.label] for X in labels], [X for X in labels if X.eps]
+
+
+def _column(c: DClassType, n: int) -> dict:
+    """Value at c of every label of rank n, read straight from the folded
+    walk of c's type: c has an even number of negative cycles, so a label
+    and its swap have one value there, one lookup per label; only the
+    degenerate labels go through _restrict."""
+    labels, keys, degenerate = _column_keys(n)
+    col = dict(zip(labels, map(column(c[:2]).get, keys, repeat(0))))
+    for X in degenerate:
+        col[X] = _restrict(X, c, col[X])
+    return col
 
 
 def d_degree(chi: DIrrLabel) -> int:

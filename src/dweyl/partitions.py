@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from operator import mul
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -22,6 +23,11 @@ PairSplit = tuple[int, int]
 class RangeError(ValueError):
     """A well-formed input outside the range a computation supports,
     such as a rank or a block size; not a label or syntax error."""
+
+
+class ResourceLimit(RuntimeError):
+    """An answer larger than a documented budget, refused before any of
+    it is computed."""
 
 
 def as_partition(p) -> Partition:
@@ -83,6 +89,33 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
             for second in enumerate_partitions(n - k):
                 out.append((first, second))
     return tuple(out)
+
+
+@cache
+def partition_counts(n: int) -> tuple[int, ...]:
+    """p(0), ..., p(n), the numbers of partitions, by Euler's pentagonal
+    recurrence: p(m) = sum over k >= 1 of (-1)**(k+1) (p(m - k(3k-1)/2)
+    + p(m - k(3k+1)/2)).  No partition is enumerated."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (pentagonal := k * (3 * k - 1) // 2) <= m:
+            term = p[m - pentagonal] + (p[m - pentagonal - k] if pentagonal + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+    return tuple(p)
+
+
+def partition_count(n: int) -> int:
+    """Number of partitions of n, by counting."""
+    return partition_counts(n)[-1]
+
+
+def bipartition_count(n: int) -> int:
+    """Number of bipartitions of n, the sum of p(k) p(n - k), by counting."""
+    p = partition_counts(n)
+    return sum(map(mul, p, reversed(p)))
 
 
 def enumerate_splits(n: int) -> list[PairSplit]:

@@ -9,7 +9,18 @@ recursion, as a loop over layers of {bead masks: coefficient}, one per
 cycle: backward from a label for one value, or forward from the empty
 shape for a class's whole column.  A class's first value is a backward
 walk; a different label asked there walks the column, which answers
-every later request.  The memos are ``functools`` caches.
+every later request, unless the rank has more than ``COLUMN_LABELS``
+labels (counted, not enumerated): then every label walks back.
+
+The forward walk of B_n and D_n is folded by the swap of the two
+components: (alpha, beta) and (beta, alpha) differ at a class only by
+the sign (-1)**(negative cycles), so the walk keeps one state per swap
+orbit, with the larger bead mask first, and about half the states of a
+walk keeping both orders.  A column is then one lookup per label, times
+that sign for a label whose masks come in the other order.  The folded
+states of a D type are kept (``column``), for the two classes of a split
+type; an S_n or B_n class keeps only its values.  The memos are
+``functools`` caches.
 """
 
 from __future__ import annotations
@@ -18,8 +29,18 @@ from collections import Counter
 from functools import cache
 from itertools import repeat
 from math import comb, factorial, prod
+from operator import mul
 
-from .partitions import Partition, as_partition, enumerate_bipartitions, enumerate_partitions, format_class, format_partition
+from .partitions import (
+    Partition,
+    as_partition,
+    bipartition_count,
+    enumerate_bipartitions,
+    enumerate_partitions,
+    format_class,
+    format_partition,
+    partition_count,
+)
 
 
 @cache
@@ -67,22 +88,21 @@ def _moves(mask: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _walk(states: dict, cycles, direction: int) -> dict:
+def _walk(states: dict, cycles) -> dict:
     """Advance {(first, second): coefficient} a layer per signed cycle
-    (k, twist): a k-strip is added (direction 1) or removed (direction
-    -1) on first, or on second times twist."""
+    (k, twist): a k-strip is removed from first, or from second times
+    twist."""
     for k, twist in cycles:
-        k *= direction
         out: dict = {}
         get = out.get
         for (first, second), coef in states.items():
             if not coef:  # cancelled
                 continue
-            for sub, sign in _moves(first, k):
+            for sub, sign in _moves(first, -k):
                 state = sub, second
                 out[state] = get(state, 0) + sign * coef
             if twist:
-                for sub, sign in _moves(second, k):
+                for sub, sign in _moves(second, -k):
                     state = first, sub
                     out[state] = get(state, 0) + twist * sign * coef
         states = out
@@ -125,27 +145,84 @@ def backward(cls, state: tuple[int, int]) -> int:
     ones = [twist for k, twist in cycles if k == 1]
     q = ones.count(-1)
     total = 0
-    for (first, second), coef in _walk({state: 1}, reversed(cycles[len(ones):]), -1).items():
+    for (first, second), coef in _walk({state: 1}, reversed(cycles[len(ones):])).items():
         (a, fa), (b, fb) = _degree(first), _degree(second)
         total += coef * fa * fb * sum((-1) ** j * comb(q, j) * comb(a + b - q, b - j) for j in range(b + 1))
     return total
 
 
 @cache
-def _labels(n: int, pairs: bool) -> tuple[tuple, list]:
-    """Partitions of n, or bipartitions with pairs, and their bead masks."""
+def _labels(n: int, pairs: bool) -> tuple[tuple, list, list]:
+    """Partitions of n, or bipartitions with pairs; each one's state in
+    _fold, its bead masks with the larger first; and -1 where that
+    swapped them, else 1."""
     labels = enumerate_bipartitions(n) if pairs else enumerate_partitions(n)
-    return labels, [(_shape(x[0])[0], _shape(x[1])[0]) if pairs else (_shape(x)[0], 0) for x in labels]
+    masks = [(_shape(x[0])[0], _shape(x[1])[0]) if pairs else (_shape(x)[0], 0) for x in labels]
+    return labels, [max(m, m[::-1]) for m in masks], [-1 if m[0] < m[1] else 1 for m in masks]
+
+
+def _fold(cls) -> dict:
+    """The walk at class type cls forward from the empty shape, its
+    cycles (k, twist) added smallest first: a k-strip on first, or on
+    second times twist, with one state per swap orbit, (first, second)
+    with first >= second.  A label's value at cls is its state's
+    coefficient, or that times (-1)**(negative cycles) if the state has
+    its masks swapped.
+
+    Swapping the components is tensoring with a linear character,
+    [beta; alpha] = delta [alpha; beta] (Geck-Pfeiffer 5.5), so a state's
+    swap holds its coefficient times turn, the product of the twists so
+    far.  Each kept state moves itself only (a state (h, h) its first
+    component only: its second's moves are the swaps of those).  Adding
+    boxes raises a mask, so a move of first keeps the order; a move of
+    second onto (x, y) with x < y lands on (y, x) times turn, and one
+    onto (x, x) counts for both orders, times 1 + turn.  A class of S_n
+    (twist 0) keeps second = 0 and never swaps."""
+    states, turn = {(0, 0): 1}, 1
+    for k, twist in _cycles(cls):
+        before, turn = turn, turn * twist
+        out: dict = {}
+        get = out.get
+        for (first, second), coef in states.items():
+            if not coef:  # cancelled
+                continue
+            for sub, sign in _moves(first, k):  # sub > first >= second
+                state = sub, second
+                out[state] = get(state, 0) + sign * coef
+            if twist and first != second:
+                for sub, sign in _moves(second, k):
+                    if sub < first:
+                        state, sign = (first, sub), twist * sign
+                    elif sub > first:
+                        state, sign = (sub, first), before * sign
+                    else:
+                        state, sign = (sub, sub), (1 + turn) * twist * sign
+                    out[state] = get(state, 0) + sign * coef
+        states = out
+    return states
 
 
 @cache
 def column(cls) -> dict:
-    """Value at class cls of every label of its rank, by label: the
-    cycles added to the empty shape, smallest first."""
+    """_fold(cls) of a D class type, kept: the two classes of a split
+    type share it.  An S_n or B_n class keeps only the values that
+    read_column makes of its walk, in its memo."""
+    return _fold(cls)
+
+
+def read_column(cls) -> dict:
+    """Value at class cls of every label of its rank, by label."""
     positive, negative = cls
-    states = _walk({(0, 0): 1}, _cycles(cls), 1)
-    labels, keys = _labels(sum(positive) + sum(negative or ()), negative is not None)
-    return dict(zip(labels, map(states.get, keys, repeat(0))))
+    labels, keys, swapped = _labels(sum(positive) + sum(negative or ()), negative is not None)
+    values = map(_fold(cls).get, keys, repeat(0))
+    if negative and len(negative) % 2:
+        values = map(mul, values, swapped)
+    return dict(zip(labels, values))
+
+
+COLUMN_LABELS = 10_000
+"""Most labels (partitions, or bipartitions for B_n and D_n) of a rank
+whose columns are walked: B_n and D_n up to n = 17, S_n up to n = 32."""
 
 
 @cache
@@ -157,9 +234,11 @@ def memo(cls) -> list:
 
 def first_request(cls, label, single, whole) -> int:
     """A checked label's value missing from memo(cls): single() for the
-    class's first label, else from its column whole(), which memo keeps."""
+    class's first label, else from its column whole(), which memo keeps,
+    unless the rank has more than COLUMN_LABELS labels, counted without
+    enumerating them; then single() answers every label."""
     box = memo(cls)
-    if box[0]:
+    if box[0] and (bipartition_count if cls[1] is not None else partition_count)(box[1]) <= COLUMN_LABELS:
         box[0] = whole()
         return box[0][label]
     box[0][label] = value = single()
@@ -189,7 +268,7 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
         mask, n = _shape(lam)
         if n != memo(cls)[1]:
             raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
-        value = first_request(cls, lam, lambda: backward(cls, (mask, 0)), lambda: column(cls))
+        value = first_request(cls, lam, lambda: backward(cls, (mask, 0)), lambda: read_column(cls))
     return value
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,12 +98,43 @@ def test_chartable_types(capsys):
     [
         ("D", "6", "77254fddbb0458ba3a00dcaafecadc028c0b5b8bb6ed1e8c21c2fc60fd50e7cb"),
         ("B", "4", "523003fe0f6be6f3cb4f57bd574ada9e80dc17c7d5c1b5229e88f9ab7fff9f7d"),
+        ("B", "7", "b75d05ec365028d0d3d268234a6580200f9c6b119d9a2a6f6492a591da9ef721"),
+        ("D", "8", "664466fcc9c6ac789c82fc5d43612f1d2e2fa766adf8e08d32e1cf28f7a2f21e"),
+        ("D", "9", "73df63d4b338e708edda278c1aa6fcd6fffbcce9c514bbb97634117ee0202b37"),
     ],
 )
 def test_chartable_json_is_pinned(capsys, kind, n, digest):
     code, out, _ = run(capsys, "chartable", "--type", kind, "--n", n)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_chartable_over_budget_exits_three_before_enumerating(capsys, monkeypatch):
+    import dweyl.cli
+
+    def refuse(n):
+        raise AssertionError(f"enumerated rank {n}")
+
+    for name in ("d_irr_labels", "d_classes", "enumerate_bipartitions", "b_classes", "enumerate_partitions"):
+        monkeypatch.setattr(dweyl.cli, name, refuse)
+    for kind, n in (("D", "30"), ("D", "14"), ("B", "12"), ("A", "22")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "chartable", "--type", kind, "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "kind, n, count",
+    [("D", "10", 251)] + [pytest.param(*largest, marks=pytest.mark.slow) for largest in (("D", "13", 885), ("B", "11", 752), ("A", "21", 792))],
+)
+def test_chartable_under_budget_answers(capsys, kind, n, count):
+    code, out, _ = run(capsys, "chartable", "--type", kind, "--n", n)
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == count and len(next(iter(rows.values()))) == count
 
 
 def test_chartable_table_format(capsys):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dweyl.dchar import DClassType, DIrrLabel, d_classes, d_irr_labels, format_class, format_irr_label, parse_class, parse_irr_label
+from dweyl.dchar import DClassType, DIrrLabel, d_classes, d_irr_labels, d_label_count, format_class, format_irr_label, parse_class, parse_irr_label
 from dweyl.partitions import (
     as_partition,
+    bipartition_count,
     enumerate_bipartitions,
     enumerate_partitions,
     enumerate_splits,
@@ -15,6 +16,8 @@ from dweyl.partitions import (
     length,
     parse_bipartition,
     parse_partition,
+    partition_count,
+    partition_counts,
     remove_box,
     removable_rows,
     size,
@@ -249,3 +252,11 @@ def test_parse_format_identity_up_to_rank_eight():
                 assert parse_irr_label(format_irr_label(chi)) == chi
             for c in d_classes(n):
                 assert parse_class(format_class(c)) == c
+
+
+def test_counts_without_enumerating():
+    assert partition_counts(15) == tuple(len(enumerate_partitions(m)) for m in range(16))
+    assert [bipartition_count(n) for n in range(13)] == [len(enumerate_bipartitions(n)) for n in range(13)]
+    assert partition_count(100) == 190569292
+    assert [d_label_count(n) for n in range(1, 13)] == [len(d_irr_labels(n)) for n in range(1, 13)]
+    assert [d_label_count(n) for n in range(1, 11)] == [len(d_classes(n)) for n in range(1, 11)]

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dweyl import dchar
 from dweyl.bchar import BClassType, b_char_value, b_classes
 from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_classes, d_irr_labels, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions
-from dweyl.symchar import column, memo, sym_char_value
+from dweyl.symchar import COLUMN_LABELS, _cycles, _moves, _shape, column, memo, read_column, sym_char_value
 
 VIEWS = {
     "S": (sym_char_value, enumerate_partitions, enumerate_partitions),
@@ -25,16 +26,17 @@ VIEWS = {
 }
 
 
-def both_directions(view, label, other, cls):
+def both_directions(view, label, other, cls, count):
     """label's value at cls asked first (a backward walk), and asked after
-    a different label (read from the column)."""
+    a different label (read from the column: memo then holds the values
+    of all count labels of the rank)."""
     memo.cache_clear()
     single = view(label, cls)
     memo.cache_clear()
     column.cache_clear()
     view(other, cls)
     whole = view(label, cls)
-    assert column.cache_info().currsize >= 1
+    assert len(memo((cls, None) if view is sym_char_value else cls)[0]) == count
     return single, whole
 
 
@@ -46,7 +48,7 @@ def test_single_value_walk_equals_column(kind, n, data):
     assume(len(labels) > 1)
     label, other = data.draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
     cls = data.draw(st.sampled_from(classes_of(n)))
-    single, whole = both_directions(view, label, other, cls)
+    single, whole = both_directions(view, label, other, cls, len(labels))
     assert single == whole
 
 
@@ -150,3 +152,91 @@ def test_bad_classes_leave_no_memo_entry():
         with pytest.raises(ValueError):
             view(label, cls)
         assert memo.cache_info().currsize == 1
+
+
+# The folded column walk against the walk that keeps both orders of every
+# state, its reference.
+
+
+def unfolded_walk(cls) -> dict:
+    """{(first, second) bead masks: coefficient} of the forward walk from
+    the empty shape at class cls, both orders kept."""
+    states = {(0, 0): 1}
+    for k, twist in _cycles(cls):
+        out: dict = {}
+        for (first, second), coef in states.items():
+            for sub, sign in _moves(first, k):
+                out[sub, second] = out.get((sub, second), 0) + sign * coef
+            if twist:
+                for sub, sign in _moves(second, k):
+                    out[first, sub] = out.get((first, sub), 0) + twist * sign * coef
+        states = out
+    return states
+
+
+def masks(label) -> tuple[int, int]:
+    return _shape(label[0])[0], _shape(label[1])[0]
+
+
+@pytest.mark.parametrize("n", list(range(1, 9)) + [pytest.param(10, marks=pytest.mark.slow)])
+def test_folded_b_and_s_columns_equal_unfolded_walk(n):
+    for c in b_classes(n):
+        states = unfolded_walk(c)
+        assert read_column(c) == {label: states.get(masks(label), 0) for label in enumerate_bipartitions(n)}
+    for mu in enumerate_partitions(n + 4):
+        states = unfolded_walk((mu, None))
+        assert read_column((mu, None)) == {lam: states.get((_shape(lam)[0], 0), 0) for lam in enumerate_partitions(n + 4)}
+
+
+@pytest.mark.parametrize("n", list(range(1, 11)) + [pytest.param(12, marks=pytest.mark.slow)])
+def test_folded_d_columns_equal_unfolded_walk(n):
+    for c in d_classes(n):
+        states = unfolded_walk(c[:2])
+        expected = {X: dchar._restrict(X, c, states.get(masks(X.label), 0)) for X in d_irr_labels(n)}
+        assert dchar._column(c, n) == expected
+
+
+def test_folded_walk_keeps_about_half_the_states():
+    folded = sum(len(column(c[:2])) for c in d_classes(9))
+    assert folded <= 0.55 * sum(len(unfolded_walk(c[:2])) for c in d_classes(9))
+
+
+def partitions_of(data, n):
+    return data.draw(st.sampled_from(enumerate_partitions(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+def test_swapped_label_is_delta_tensor(n, data):
+    """[beta; alpha] = delta [alpha; beta], delta being -1 on each negative
+    cycle: the identity the fold rests on, here through backward walks."""
+    k, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n - 1))
+    alpha, beta = partitions_of(data, k), partitions_of(data, n - k)
+    c = BClassType(partitions_of(data, j), partitions_of(data, n - j))
+    memo.cache_clear()
+    swapped = b_char_value((beta, alpha), c)
+    memo.cache_clear()
+    assert swapped == (-1) ** len(c.negative) * b_char_value((alpha, beta), c)
+    assert len(memo(c)[0]) == 1  # each value was its fresh class's first: a backward walk
+
+
+def test_past_column_labels_every_label_walks_back(monkeypatch):
+    memo.cache_clear()
+    column.cache_clear()
+    split = DClassType((2,) * 100, (), 1)
+    plus, minus = make_irr_label((100,), (100,), 1), make_irr_label((100,), (100,), -1)
+    with monkeypatch.context() as patch:
+        patch.setattr(dchar, "_column", lambda c, n: pytest.fail(f"walked a rank-{n} column"))
+        for chi in (plus, minus):
+            start = time.perf_counter()
+            d_char_value(chi, split)
+            assert time.perf_counter() - start < 2.0
+    assert column.cache_info().currsize == 0
+    ambient = b_char_value(((100,), (100,)), BClassType((2,) * 100, ()))
+    assert d_char_value(plus, split) + d_char_value(minus, split) == ambient
+    # A D_10 table's second label still walks the column.
+    assert len(enumerate_bipartitions(10)) <= COLUMN_LABELS
+    identity = DClassType((1,) * 10, (), None)
+    d_char_value(d_irr_labels(10)[0], identity)
+    d_char_value(d_irr_labels(10)[1], identity)
+    assert column.cache_info().currsize == 1
