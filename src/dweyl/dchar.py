@@ -30,12 +30,12 @@ Values come from the abacus walk of ``dweyl.symchar``, with no
 recursion, under its first-request rule: a class's first value walks
 back from the label; a second label asked at the class reads every
 label's value from the folded forward walk of the full group at its
-cycle types, walked once and shared by the two classes of a split
-type.  A class here has an even number of negative cycles, so the two
-orders of a pair have one value there and an unordered label is one
-lookup in the folded states, with no table of the full group in
-between; only the degenerate labels then go through ``_restrict``, and
-the degenerate difference reads the symmetric group at pi the same way.
+cycle types, walked once for both classes of a split type.  A class
+here has an even number of negative cycles, so the two orders of a pair
+have one value there and an unordered label is one lookup in the folded
+states, with no table of the full group in between; only the degenerate
+labels then go through ``_restrict``, and the degenerate difference
+reads the symmetric group at pi the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .partitions import (
     size,
     union,
 )
-from .symchar import _labels, _shape, backward, check_class, column, first_request, memo, splittable, sym_char_value
+from .symchar import _fold, _labels, _shape, backward, check_class, first_request, memo, splittable, sym_char_value
 
 
 class DIrrLabel(NamedTuple):
@@ -213,7 +213,7 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
 
 def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
     """chi's value at c from the value there of [chi.label] of the full
-    group, whose column the two classes of a split type share."""
+    group."""
     if chi.eps == 0:
         return ambient
     total = ambient + chi.eps * delta_value(chi.label[0], c)
@@ -250,9 +250,13 @@ def _column(c: DClassType, n: int) -> dict:
     """Value at c of every label of rank n, read straight from the folded
     walk of c's type: c has an even number of negative cycles, so a label
     and its swap have one value there, one lookup per label; only the
-    degenerate labels go through _restrict."""
+    degenerate labels go through _restrict.  The other class of a split
+    type differs only there, and its memo gets its whole column too."""
     labels, keys, degenerate = _column_keys(n)
-    col = dict(zip(labels, map(column(c[:2]).get, keys, repeat(0))))
+    col = dict(zip(labels, map(_fold(c[:2]).get, keys, repeat(0))))
+    if c.split:
+        twin = c._replace(split=-c.split)
+        memo(twin)[0] = col | {X: _restrict(X, twin, col[X]) for X in degenerate}
     for X in degenerate:
         col[X] = _restrict(X, c, col[X])
     return col

@@ -17,10 +17,9 @@ components: (alpha, beta) and (beta, alpha) differ at a class only by
 the sign (-1)**(negative cycles), so the walk keeps one state per swap
 orbit, with the larger bead mask first, and about half the states of a
 walk keeping both orders.  A column is then one lookup per label, times
-that sign for a label whose masks come in the other order.  The folded
-states of a D type are kept (``column``), for the two classes of a split
-type; an S_n or B_n class keeps only its values.  The memos are
-``functools`` caches.
+that sign for a label whose masks come in the other order.  A class
+keeps only the values read from its walk, not the walk's states.  The
+memos are ``functools`` caches.
 """
 
 from __future__ import annotations
@@ -200,14 +199,6 @@ def _fold(cls) -> dict:
                     out[state] = get(state, 0) + sign * coef
         states = out
     return states
-
-
-@cache
-def column(cls) -> dict:
-    """_fold(cls) of a D class type, kept: the two classes of a split
-    type share it.  An S_n or B_n class keeps only the values that
-    read_column makes of its walk, in its memo."""
-    return _fold(cls)
 
 
 def read_column(cls) -> dict:

@@ -8,16 +8,17 @@ reject the same bad labels.
 
 import re
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dweyl import dchar
+from dweyl import dchar, symchar
 from dweyl.bchar import BClassType, b_char_value, b_classes
 from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_classes, d_irr_labels, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions
-from dweyl.symchar import COLUMN_LABELS, _cycles, _moves, _shape, column, memo, read_column, sym_char_value
+from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, memo, read_column, sym_char_value
 
 VIEWS = {
     "S": (sym_char_value, enumerate_partitions, enumerate_partitions),
@@ -26,16 +27,37 @@ VIEWS = {
 }
 
 
+@contextmanager
+def counted_walks():
+    """The class types of the forward column walks made in the block:
+    calls of _fold, which symchar makes for S_n and B_n columns and dchar
+    for D_n columns."""
+    walks = []
+
+    def counted(cls):
+        walks.append(cls)
+        return _fold(cls)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (symchar, dchar):
+            patch.setattr(module, "_fold", counted)
+        yield walks
+
+
 def both_directions(view, label, other, cls, count):
     """label's value at cls asked first (a backward walk), and asked after
-    a different label (read from the column: memo then holds the values
-    of all count labels of the rank)."""
+    a different label (read from the one walk of cls's column, next to
+    which a split D class may walk S_{n/2} columns for its degenerate
+    labels: memo then holds the values of all count labels of the rank)."""
+    key = (cls, None) if view is sym_char_value else cls[:2]
     memo.cache_clear()
-    single = view(label, cls)
-    memo.cache_clear()
-    column.cache_clear()
-    view(other, cls)
-    whole = view(label, cls)
+    with counted_walks() as walks:
+        single = view(label, cls)
+        memo.cache_clear()
+        view(other, cls)
+        assert not walks
+        whole = view(label, cls)
+    assert walks.count(key) == 1
     assert len(memo((cls, None) if view is sym_char_value else cls)[0]) == count
     return single, whole
 
@@ -54,32 +76,32 @@ def test_single_value_walk_equals_column(kind, n, data):
 
 def test_rank_one_values_walk_no_column():
     memo.cache_clear()
-    column.cache_clear()
-    assert sym_char_value((1,), (1,)) == 1
-    assert b_char_value(((), (1,)), BClassType((), (1,))) == -1
-    assert column.cache_info().currsize == 0
+    with counted_walks() as walks:
+        assert sym_char_value((1,), (1,)) == 1
+        assert b_char_value(((), (1,)), BClassType((), (1,))) == -1
+    assert not walks
 
 
 def test_one_row_walks_no_column():
     memo.cache_clear()
-    column.cache_clear()
     labels, classes = d_irr_labels(10), d_classes(10)
     assert len(classes) == 251
-    row = [d_char_value(labels[40], c) for c in classes]
-    assert column.cache_info().currsize == 0
-    assert row[classes.index(DClassType((1,) * 10, (), None))] > 0
     identity = DClassType((1,) * 10, (), None)
-    d_char_value(labels[41], identity)
-    assert column.cache_info().currsize == 1
+    with counted_walks() as walks:
+        row = [d_char_value(labels[40], c) for c in classes]
+        assert not walks
+        assert row[classes.index(identity)] > 0
+        d_char_value(labels[41], identity)
+    assert walks == [identity[:2]]
     assert d_char_value(labels[40], identity) == row[classes.index(identity)]
 
 
 def test_degenerate_row_walks_no_column():
     memo.cache_clear()
-    column.cache_clear()
     chi = make_irr_label((3, 1), (3, 1), -1)
-    row = [d_char_value(chi, c) for c in d_classes(8)]
-    assert column.cache_info().currsize == 0
+    with counted_walks() as walks:
+        row = [d_char_value(chi, c) for c in d_classes(8)]
+    assert not walks
     memo.cache_clear()
     assert row == [d_char_value(chi, c) for c in d_classes(8)]
 
@@ -196,8 +218,23 @@ def test_folded_d_columns_equal_unfolded_walk(n):
         assert dchar._column(c, n) == expected
 
 
+def test_d_table_walks_each_type_once():
+    """A split class's column walk fills the memo of the other class of
+    its type, with that class's own values."""
+    classes, labels = d_classes(8), d_irr_labels(8)
+    memo.cache_clear()
+    with counted_walks() as walks:
+        table = [[d_char_value(X, c) for X in labels] for c in classes]
+    types = [w for w in walks if w[1] is not None]  # not the S_4 walks of delta_value
+    assert len(types) == len(set(types)) < len(classes)
+    assert set(types) == {c[:2] for c in classes}
+    for c, values in zip(classes, table):
+        memo.cache_clear()
+        assert [d_char_value(X, c) for X in labels] == values
+
+
 def test_folded_walk_keeps_about_half_the_states():
-    folded = sum(len(column(c[:2])) for c in d_classes(9))
+    folded = sum(len(_fold(c[:2])) for c in d_classes(9))
     assert folded <= 0.55 * sum(len(unfolded_walk(c[:2])) for c in d_classes(9))
 
 
@@ -222,21 +259,21 @@ def test_swapped_label_is_delta_tensor(n, data):
 
 def test_past_column_labels_every_label_walks_back(monkeypatch):
     memo.cache_clear()
-    column.cache_clear()
     split = DClassType((2,) * 100, (), 1)
     plus, minus = make_irr_label((100,), (100,), 1), make_irr_label((100,), (100,), -1)
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, counted_walks() as walks:
         patch.setattr(dchar, "_column", lambda c, n: pytest.fail(f"walked a rank-{n} column"))
         for chi in (plus, minus):
             start = time.perf_counter()
             d_char_value(chi, split)
             assert time.perf_counter() - start < 2.0
-    assert column.cache_info().currsize == 0
+    assert not walks
     ambient = b_char_value(((100,), (100,)), BClassType((2,) * 100, ()))
     assert d_char_value(plus, split) + d_char_value(minus, split) == ambient
     # A D_10 table's second label still walks the column.
     assert len(enumerate_bipartitions(10)) <= COLUMN_LABELS
     identity = DClassType((1,) * 10, (), None)
-    d_char_value(d_irr_labels(10)[0], identity)
-    d_char_value(d_irr_labels(10)[1], identity)
-    assert column.cache_info().currsize == 1
+    with counted_walks() as walks:
+        d_char_value(d_irr_labels(10)[0], identity)
+        d_char_value(d_irr_labels(10)[1], identity)
+    assert walks == [identity[:2]]
