@@ -10,7 +10,8 @@ Exit codes:
   1  verification mismatch, or a violated invariant (an ArithmeticError)
   2  usage or label syntax error, or a size outside the supported range
   3  resource limit: a chartable table of more than 1,000,000 cells
-     (labels squared), refused before it is built; or a kernel out of
+     (labels squared), or a decompose query needing more than 1,000,000
+     pairs of shapes, refused before it is built; or a kernel out of
      recursion depth (a safety net: no kernel recurses, so no input is
      known to reach it)
 """
@@ -30,7 +31,6 @@ from .dchar import (
     d_label_count,
     format_class,
     format_irr_label,
-    irr_label_key,
     parse_irr_label,
 )
 from .decomp import InducedQuery, branch_set, decompose_induced
@@ -110,10 +110,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         result = oracle_induce(args.n, args.a, args.b, A, B)
     else:
         result = decompose_induced(q)
-    ordered = {
-        format_irr_label(X): result.multiplicities[X]
-        for X in sorted(result.multiplicities, key=irr_label_key)
-    }
+    ordered = {format_irr_label(X): m for X, m in result.multiplicities.items()}
     payload = {
         "n": args.n,
         "a": args.a,

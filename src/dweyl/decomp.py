@@ -16,10 +16,12 @@ decompose_induced builds the whole expansion output-sensitively: every
 X with a nonzero coefficient is a pair of shapes from the (at most four)
 LR products lr_expand(alpha_s, beta_t) of those orderings, so the work
 follows the size of the answer, not the number of labels of the rank-n
-group.  induced_multiplicity answers a single X through lr_coefficient,
-the other LR rule; the tests check the two against each other for every
-query with n <= 8, and the verification engine checks
-decompose_induced against explicit induction.
+group.  Each product lists its shapes in descending order, so the pairs
+come out in d_irr_labels order as they are formed, and none is formed
+past the DECOMPOSE_PAIRS budget.  induced_multiplicity answers a single
+X through lr_coefficient, the other LR rule; the tests check the two
+against each other for every query with n <= 8, and the verification
+engine checks decompose_induced against explicit induction.
 
 Rank-1 blocks are allowed: the trivial group's single character is
 labelled (((1),()), 0) and the formula then reduces to the classical
@@ -29,11 +31,19 @@ one-box branching rule, exposed directly as branch_restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
-from .dchar import DIrrLabel, check_label, format_irr_label, irr_label_key
+from .dchar import DIrrLabel, check_label, format_irr_label
 from .lr import _lr_expand, lr_coefficient
-from .partitions import Bipartition, Partition, RangeError, remove_box, removable_rows, size
+from .partitions import Bipartition, Partition, RangeError, ResourceLimit, remove_box, removable_rows, size
+
+DECOMPOSE_PAIRS = 10**6
+"""Most pairs of shapes decompose_induced forms for one query: the sum
+of |left| * |right| over the LR products it multiplies, which bounds the
+size of the answer.  A pair costs up to about 300 bytes at the peak, so
+a query at the budget stays near 320 MB; the rank-60 staircase query
+(2,053,489 pairs, 1,028,732 constituents) is refused."""
 
 
 class InducedQuery(NamedTuple):
@@ -119,38 +129,51 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
     """Full expansion of the induced character, zero multiplicities omitted.
 
     Built from the LR products of a_coefficient's orderings (see the
-    module docstring); labels come in d_irr_labels order.
+    module docstring); labels come in d_irr_labels order.  Raises
+    ResourceLimit, before any pair is formed, past DECOMPOSE_PAIRS.
     """
     validate_query(q)
     (a1, a2), (b1, b2) = q.A.label, q.B.label
     orderings_a = [(a1, a2)] if a1 == a2 else [(a1, a2), (a2, a1)]
     orderings_b = [(b1, b2)] if b1 == b2 else [(b1, b2), (b2, b1)]
-    totals: dict[Bipartition, int] = {}
+    blocks = []
     for x1, x2 in orderings_a:
         for y1, y2 in orderings_b:
-            s1, s2 = size(x1) + size(y1), size(x2) + size(y2)
-            if s1 < s2:
-                continue  # every pair here is stored the other way round
-            right = _lr_expand(x2, y2).items()
-            for g1, c1 in _lr_expand(x1, y1).items():
-                for g2, c2 in right:
-                    # canonical order: larger size first, then larger tuple
-                    if s1 > s2 or g1 >= g2:
-                        totals[(g1, g2)] = totals.get((g1, g2), 0) + c1 * c2
+            s1 = size(x1) + size(y1)
+            if 2 * s1 >= q.n:  # below half, every pair is stored the other way round
+                blocks.append((s1, _lr_expand(x1, y1), _lr_expand(x2, y2)))
+    pairs = sum(len(left) * len(right) for _, left, right in blocks)
+    if pairs > DECOMPOSE_PAIRS:
+        raise ResourceLimit(f"{format_irr_label(q.A)} x {format_irr_label(q.B)} (n={q.n}) needs {pairs:,} pairs of shapes; the budget is {DECOMPOSE_PAIRS:,}")
+    blocks.sort(key=itemgetter(0), reverse=True)
+    # Descending (|first|, first, second) is d_irr_labels order; each block
+    # yields its keys so, and only blocks that share |first| need a sort.
+    totals: dict[tuple[int, Partition, Partition], int] = {}
+    for s1, left, right in blocks:
+        half = 2 * s1 == q.n  # only then can second exceed first
+        right = right.items()
+        for g1, c1 in left.items():
+            for g2, c2 in right:
+                if not half or g1 >= g2:
+                    key = (s1, g1, g2)
+                    totals[key] = totals.get(key, 0) + c1 * c2
+    items = totals.items()
+    if len({s1 for s1, _, _ in blocks}) < len(blocks):
+        items = sorted(items, reverse=True)
+    e = q.A.eps * q.B.eps
+    diagonal = _lr_expand(a1, b1) if e else {}
     mults: dict[DIrrLabel, int] = {}
-    for (g1, g2), total in totals.items():
+    for (_, g1, g2), total in items:
         if g1 != g2:
             mults[DIrrLabel((g1, g2), 0)] = total
             continue
         for eps in (1, -1):
-            e = q.A.eps * q.B.eps * eps
-            doubled = (total + e * _lr_expand(a1, b1).get(g1, 0)) if e else total
+            doubled = total + e * eps * diagonal.get(g1, 0)
             if doubled % 2:
                 raise _odd_total(q, DIrrLabel((g1, g2), eps))
             if doubled:
                 mults[DIrrLabel((g1, g2), eps)] = doubled // 2
-    ordered = {X: mults[X] for X in sorted(mults, key=irr_label_key)}
-    return DecompositionResult(q.n, q.a, q.b, q.A, q.B, ordered, method="formula")
+    return DecompositionResult(q.n, q.a, q.b, q.A, q.B, mults, method="formula")
 
 
 def remark_identity_check(alpha1: Partition, beta1: Partition, gamma1: Partition) -> bool:

@@ -105,59 +105,64 @@ def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:
     return total
 
 
-def _horizontal_strips(shape: Partition, last: tuple[int, ...] | None, m: int):
+def _horizontal_strips(shape: Partition, last: tuple[int, ...] | None, m: int, final: bool):
     """Ways to add a horizontal strip of m copies of the next letter.
 
     ``last`` holds how many copies of the previous letter each row of
     ``shape`` has (None before the first letter).  The ballot condition
     reads: the new letters in rows <= r number at most the previous
-    letters in rows < r.  Yields (new shape, new letters per row).
-    Depth-first over the rows that can take a box, with an explicit
-    stack, so a shape with many rows costs no recursion.
+    letters in rows < r.  Yields (new shape, new letters per row), or
+    the new shape alone when ``final``: no later letter reads the row
+    counts of the last one.  Depth-first over the rows that can take a
+    box, with an explicit stack, so a shape with many rows costs no
+    recursion.
     """
     rows = len(shape)
-    # Rows with room, each with its most boxes and the ballot bound on
-    # the running total there: row 0 is unbounded, row r > 0 may grow up
-    # to the old length of row r - 1 (row `rows` is a new row).
-    cands: list[tuple[int, int, int]] = []
-    above = 0
-    for r in range(rows + 1):
-        cap = m if r == 0 else shape[r - 1] - (shape[r] if r < rows else 0)
-        bound = m if last is None else above
-        if cap and bound:
-            cands.append((r, min(cap, bound, m), bound))
+    # Rows with room (where), each with its most boxes (caps) and the
+    # ballot bound on the running total there (bounds): row 0 is
+    # unbounded, row r > 0 may grow up to the old length of row r - 1
+    # (row `rows` is a new row).
+    where, caps, bounds = [], [], []
+    above = m if last is None else 0
+    prev = m
+    for r, length in enumerate(shape + (0,)):
+        cap = m if r == 0 else prev - length
+        prev = length
+        if cap and above:
+            bound = above if above < m else m
+            where.append(r)
+            caps.append(cap if cap < bound else bound)
+            bounds.append(bound)
         if last is not None and r < rows:
             above += last[r]
-    room = [0] * (len(cands) + 1)  # boxes the candidates from j on can take
-    for j in range(len(cands) - 1, -1, -1):
-        room[j] = room[j + 1] + cands[j][1]
-    if room[0] < m:
-        return  # no strip of m boxes fits; also keeps the empty path below from yielding
-    xs = [0] * len(cands)
+    end = len(caps) - 1
+    room = [0] * (end + 2)  # boxes the candidates from j on can take
+    for j in range(end, -1, -1):
+        room[j] = room[j + 1] + caps[j]
+    if room[0] < m or bounds[-1] < m:
+        return  # no strip of m boxes fits
+    base = list(shape) + [0]
+    new, placed = base[:], [0] * (rows + 1)
     # (candidate index, boxes it takes, boxes placed before it); a node's
-    # subtree is popped before its siblings, so xs holds its path.
+    # subtree is popped before its siblings, so new and placed hold its
+    # path.  The last candidate takes what is left, so it is never pushed.
     stack = [(-1, 0, 0)]
     while stack:
         j, x, used = stack.pop()
         if j >= 0:
-            xs[j] = x
+            r = where[j]
+            new[r], placed[r] = base[r] + x, x
             used += x
         j += 1
-        if j < len(cands):
-            _, cap, bound = cands[j]
-            left = m - used
-            for x in range(max(0, left - room[j + 1]), min(cap, bound - used, left) + 1):
+        left = m - used
+        if j < end:
+            for x in range(max(0, left - room[j + 1]), min(caps[j], bounds[j] - used, left) + 1):
                 stack.append((j, x, used))
-            continue
-        new = list(shape) + [0]
-        placed = [0] * (rows + 1)
-        for (r, _, _), x in zip(cands, xs):
-            new[r] += x
-            placed[r] = x
-        if not new[-1]:
-            new.pop()
-            placed.pop()
-        yield tuple(new), tuple(placed)
+        elif left <= caps[end]:
+            r = where[end]
+            new[r], placed[r] = base[r] + left, left
+            k = rows + 1 if new[rows] else rows
+            yield tuple(new[:k]) if final else (tuple(new[:k]), tuple(placed[:k]))
 
 
 def lr_expand(alpha: Partition, beta: Partition) -> Mapping[Partition, int]:
@@ -176,16 +181,16 @@ def _lr_expand(alpha: Partition, beta: Partition) -> Mapping[Partition, int]:
     if len(beta) > len(alpha):
         # c is symmetric in alpha and beta; fewer strips is faster.
         alpha, beta = beta, alpha
-    states: dict[tuple[Partition, tuple[int, ...] | None], int] = {(alpha, None): 1}
+    if not beta:
+        return MappingProxyType({alpha: 1})
+    # Keyed by (shape, last letter's row counts) until the last letter,
+    # then by shape alone.
+    states: dict = {(alpha, None): 1}
+    final = len(beta) - 1
     for k, m in enumerate(beta):
-        final = k == len(beta) - 1
-        grown: dict[tuple[Partition, tuple[int, ...] | None], int] = {}
+        grown: dict = {}
         for (shape, last), count in states.items():
-            for new, placed in _horizontal_strips(shape, last, m):
-                key = (new, None if final else placed)
+            for key in _horizontal_strips(shape, last, m, k == final):
                 grown[key] = grown.get(key, 0) + count
         states = grown
-    out: dict[Partition, int] = {}
-    for (shape, _), count in states.items():
-        out[shape] = out.get(shape, 0) + count
-    return MappingProxyType({gamma: out[gamma] for gamma in sorted(out, reverse=True)})
+    return MappingProxyType({gamma: states[gamma] for gamma in sorted(states, reverse=True)})

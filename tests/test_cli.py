@@ -71,6 +71,22 @@ def test_decompose_methods_agree(capsys):
     assert b["metadata"]["method"] == "oracle"
 
 
+def test_decompose_over_budget_exits_three_fast(capsys):
+    from dweyl.lr import _lr_expand
+
+    _lr_expand.cache_clear()  # time the product expansion too
+    staircase = "([6,5,4,3,2,1],[6,5,4,3,2,1])+"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--n", "84", "--a", "42", "--b", "42", "--A", staircase, "--B", staircase)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: resource limit: {staircase} x {staircase} (n=84) needs 118,222,129 pairs of shapes; "
+        "the budget is 1,000,000\n"
+    )
+
+
 def test_chartable_types(capsys):
     code, out, _ = run(capsys, "chartable", "--type", "A", "--n", "3")
     assert code == 0

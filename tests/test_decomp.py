@@ -12,7 +12,9 @@ from dweyl.dchar import (
     fuse_class,
     group_order_d,
     make_irr_label,
+    parse_irr_label,
 )
+from dweyl import decomp
 from dweyl.decomp import (
     InducedQuery,
     a_coefficient,
@@ -22,7 +24,7 @@ from dweyl.decomp import (
     induced_multiplicity,
     remark_identity_check,
 )
-from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, size
+from dweyl.partitions import ResourceLimit, enumerate_bipartitions, enumerate_partitions, size
 
 TRIV1 = DIrrLabel(((1,), ()), 0)
 
@@ -273,3 +275,26 @@ def test_support_generation_matches_label_scan_sampled():
             a = rng.randint(1, n - 1)
             q = InducedQuery(n, a, n - a, rng.choice(d_irr_labels(a)), rng.choice(d_irr_labels(n - a)))
             assert list(decompose_induced(q).multiplicities.items()) == list(scan_decompose(q).items()), q
+
+
+def test_decompose_budget_counts_pairs_of_the_kept_products(monkeypatch):
+    # kept orderings, first sizes 4, 3, 3: [2]*[1,1] x [1]*[1], [2]*[1] x [1]*[1,1],
+    # [1]*[1,1] x [2]*[1]; each product has two shapes, so 3 * 2 * 2 pairs
+    q = InducedQuery(6, 3, 3, make_irr_label((2,), (1,)), make_irr_label((1, 1), (1,)))
+    monkeypatch.setattr(decomp, "DECOMPOSE_PAIRS", 12)
+    assert list(decompose_induced(q).multiplicities.items()) == list(scan_decompose(q).items())
+    monkeypatch.setattr(decomp, "DECOMPOSE_PAIRS", 11)
+    with pytest.raises(ResourceLimit, match=r"needs 12 pairs of shapes; the budget is 11"):
+        decompose_induced(q)
+
+
+@pytest.mark.parametrize(
+    "n, half, pairs",
+    [(84, "[6,5,4,3,2,1]", "118,222,129"), (60, "[5,4,3,2,1]", "2,053,489")],
+)
+def test_staircase_over_budget_is_refused(n, half, pairs):
+    # one kept product, of 10,873 and of 1,433 shapes; rank 60 would give
+    # 1,028,732 constituents
+    X = parse_irr_label(f"({half},{half})+")
+    with pytest.raises(ResourceLimit, match=f"needs {pairs} pairs of shapes"):
+        decompose_induced(InducedQuery(n, n // 2, n // 2, X, X))

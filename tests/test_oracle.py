@@ -452,6 +452,17 @@ def test_oracle_induce_trivial():
     assert total == group_order_d(4) // (group_order_d(2) * group_order_d(2))
 
 
+def test_oracle_induce_comes_in_label_order():
+    # cmd_decompose prints either method's multiplicities as they come
+    for n in range(4, 7):
+        position = {X: i for i, X in enumerate(d_irr_labels(n))}
+        for a in range(1, n):
+            for A in d_irr_labels(a):
+                for B in d_irr_labels(n - a):
+                    keys = [position[X] for X in oracle_induce(n, a, n - a, A, B).multiplicities]
+                    assert keys == sorted(keys), (n, a, A, B)
+
+
 def test_oracle_matches_formula_rank_four():
     for a in (1, 2, 3):
         report = verify_formula(4, a, 4 - a)
