@@ -35,7 +35,8 @@ here has an even number of negative cycles, so the two orders of a pair
 have one value there and an unordered label is one lookup in the folded
 states, with no table of the full group in between; only the degenerate
 labels then go through ``_restrict``, and the degenerate difference
-reads the symmetric group at pi the same way.
+reads the symmetric group at pi the same way.  ``d_char_column`` reads
+a class's column whole, with no backward walk first.
 """
 
 from __future__ import annotations
@@ -244,6 +245,16 @@ def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], list, list]:
     labels = d_irr_labels(n)
     key = dict(zip(*_labels(n, True)[:2]))
     return labels, [key[X.label] for X in labels], [X for X in labels if X.eps]
+
+
+def d_char_column(c: DClassType) -> list[int]:
+    """Value at c of every label of its rank, in d_irr_labels order: the
+    column that d_char_value reads from a class's second label on, kept
+    in the same memo."""
+    box = memo(c)
+    if len(box[0]) < d_label_count(box[1]):
+        box[0] = _column(c, box[1])
+    return list(map(box[0].__getitem__, d_irr_labels(box[1])))
 
 
 def _column(c: DClassType, n: int) -> dict:

@@ -40,17 +40,21 @@ sign mask, which are linear over GF(2):
 So one walk per unsigned permutation gives each point a code (a bit per
 cycle, plus the flip bit), the code of a sign mask is the XOR of the
 codes of its points, and each element's class type is one lookup in
-the code table of its cycle lengths.  The codes are spanned by doubling
-over the masks that are read only: the even masks of a group table, and
-the masks even on both blocks for the block subgroup.  Building a group
+the code table of its cycle lengths.  The cycles are numbered longest
+first, so the lengths of a permutation come out sorted and a block has
+one code table per cycle type.  The codes are spanned by doubling over
+the masks that are read only: the even masks of a group table, and the
+masks even on both blocks for the block subgroup.  Building a group
 table is work in proportion to n!, and its element lists, element ->
 index map and class member lists are built only when asked for.
 
-Induction builds no table of the rank-n group: the block subgroup is
-enumerated as pairs of block elements, each classified by its own signed
-cycle type.  verify_formula and oracle_induce are capped at n = 8 (at
-most 322560 subgroup elements), group tables at n = 7; the formula side
-of the package has no such bound.
+Induction builds no table of the rank-n group, nor of the larger block:
+the block subgroup is enumerated as pairs of block elements, each
+classified by its own signed cycle type; the larger block is walked
+once per permutation, the smaller one (rank <= n/2) read from its
+table.  verify_formula and oracle_induce are capped at n = 10 with no
+block above rank 8 (40320 * 128 walked elements), group tables at
+n = 7; the formula side of the package has no such bound.
 """
 
 from __future__ import annotations
@@ -62,11 +66,13 @@ from collections import Counter, defaultdict
 from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
-from .dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, format_irr_label, group_order_d, irr_label_key
+from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_irr_labels, format_irr_label, group_order_d, irr_label_key
 from .decomp import DecompositionResult, InducedQuery, decompose_induced
 from .partitions import Partition, RangeError
 
-MAX_RANK = 8  # verify_formula and oracle_induce; group tables stop one below
+MAX_RANK = 10  # verify_formula and oracle_induce
+MAX_BLOCK = 8  # the larger block of an oracle split, walked per permutation
+MAX_TABLE = 7  # build_group
 
 SignedPerm = tuple[int, ...]
 
@@ -82,51 +88,48 @@ def _class_type(positive: Partition, negative: Partition, flips: int) -> DClassT
     return DClassType(positive, negative, -1 if flips else 1)
 
 
-def _even_masks(n: int) -> list[int]:
-    """Sign masks of rank n with an even number of set bits, ascending."""
-    return [m for m in range(1 << n) if not bin(m).count("1") % 2]
-
-
 def _signed_perms(n: int, even: bool):
     """Signed permutations of rank n, by permutation and then by sign
     mask; with even, only those with an even number of sign changes."""
     signs = [
         tuple(-1 if mask >> i & 1 else 1 for i in range(n))
-        for mask in (_even_masks(n) if even else range(1 << n))
+        for mask in range(1 << n)
+        if not (even and mask.bit_count() % 2)
     ]
     for perm in itertools.permutations(range(1, n + 1)):
         for sign in signs:
             yield tuple(map(operator.mul, perm, sign))
 
 
-def _point_codes(perm: tuple[int, ...], first_cycle: int = 0) -> tuple[tuple[int, ...], list[int]]:
-    """Cycle lengths of an unsigned permutation, and the code of each of
+def _point_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """Cycle lengths of an unsigned permutation and the code of each of
     its points (see the module docstring).
 
     Cycles are walked from their smallest point, in explicit._cycle_walk's
-    order, and numbered from first_cycle (after the cycles of another
-    block).  Bit 0 of a code holds the parity of the conjugator's sign
-    changes, and bit j+1 is set when cycle j is negative.  Both are
-    parities of the sign mask m, so the code of m is the XOR of the
-    codes of its points: a point of cycle j has bit j+1, and bit 0 when
-    it is in the flip mask.
+    order, and numbered longest first, ties in walk order.  Bit 0 of a
+    code holds the parity of the conjugator's sign changes, and bit j+1
+    is set when cycle j is negative: a point of cycle j has bit j+1, and
+    bit 0 when it is in the flip mask.
     """
-    lengths: list[int] = []
+    cycles: list[list[int]] = []
     point_codes = [0] * len(perm)
     for start in range(len(perm)):
         if point_codes[start]:
             continue
-        bit = 2 << first_cycle + len(lengths)
         points = []
         i = start
         while not point_codes[i]:
-            point_codes[i] = bit
+            point_codes[i] = 1  # seen
             points.append(i)
             i = perm[i] - 1
+        cycles.append(points)
+    cycles.sort(key=len, reverse=True)
+    for j, points in enumerate(cycles):
+        for i in points:
+            point_codes[i] = 2 << j
         for i in points[-2::-2]:  # the points i_l with L-1-l odd
             point_codes[i] |= 1
-        lengths.append(len(points))
-    return tuple(lengths), point_codes
+    return tuple(map(len, cycles)), point_codes
 
 
 def _even_codes(point_codes: list[int]) -> list[int]:
@@ -144,9 +147,9 @@ def _even_codes(point_codes: list[int]) -> list[int]:
 
 @cache
 def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
-    """Class label of each code of _point_codes, for the cycle lengths in
-    walk order; None for a code with an odd number of negative cycles,
-    which belongs to no even-signed element."""
+    """Class label of each code of _point_codes, for cycle lengths in the
+    order of its bits; None for a code with an odd number of negative
+    cycles, which belongs to no even-signed element."""
     out: list[DClassType | None] = [None] * (2 << len(lengths))
     longest_first = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     for negs in range(1 << len(lengths)):
@@ -173,7 +176,7 @@ class GroupTable:
     element order.
 
     The walks are kept for the block subgroup: lengths holds the cycle
-    lengths of each permutation in walk order, and codes (unsigned
+    lengths of each permutation, longest first, and codes (unsigned
     shorts) the code of every element, in element order.
 
     elements, index (element -> position) and classes (the member
@@ -238,58 +241,54 @@ class GroupTable:
 
 @cache
 def build_group(n: int) -> GroupTable:
-    if not 1 <= n < MAX_RANK:
-        raise RangeError(f"explicit group tables are capped at n = {MAX_RANK - 1}")
+    if not 1 <= n <= MAX_TABLE:
+        raise RangeError(f"explicit group tables are capped at n = {MAX_TABLE}")
     return GroupTable(n)
 
 
 # ---------------------------------------------------------------------------
 # The block subgroup and explicit induction
 
+def _joined(x: int, y: int, cycles: int) -> int:
+    """Element code from block codes, y's cycles numbered after x's."""
+    return x ^ y & 1 ^ y >> 1 << cycles + 1
+
+
 @cache
 def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassType, DClassType], int]]:
     """Per class type of the rank-n group meeting the block subgroup: how
     many subgroup elements of each block-type pair it contains.
 
-    The subgroup is enumerated as pairs of block elements, and each
-    embedded element is classified by its own signed cycle type,
-    _code_types(lengths) at its code, with no table of the rank-n group;
-    each block element by its block's table.  The larger block's cycles
-    are numbered first, so its walks are its table's.  The smaller block
-    is walked once per cycle count of the larger, its cycles numbered
-    after those, and the code of an element is the XOR of its two
-    blocks' codes, each spanned over that block's even masks only.  When
+    The subgroup is enumerated as pairs of block elements, each one
+    classified by its own signed cycle type: the larger block is walked
+    once per permutation, the smaller one read from its table, and each
+    block's codes are tallied by its cycle lengths.  A pair of codes x, y
+    is decoded once: the element's type is _code_types at _joined(x, y,
+    cycles of the larger block), each block's at its own code.  When
     block b is the larger, this is the code of the element with its
     blocks exchanged: a conjugate by a sign-free permutation, so of the
     same class.
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    big, small = build_group(max(a, b)), build_group(min(a, b))
-    half_big, half_small = 1 << big.n - 1, 1 << small.n - 1
-    # per cycle count of the larger block: the smaller block's cycle
-    # lengths, codes and class ids, per permutation
-    walks_small: dict[int, list[tuple[tuple[int, ...], list[int], list[int]]]] = {}
-    # per cycle lengths, larger block first: (code, (block class ids)) -> count
-    tallies: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
-    for i, lengths_big in enumerate(big.lengths):
-        part = slice(i * half_big, (i + 1) * half_big)
-        codes_big, row_big = big.codes[part], big.class_of[part]
-        cycles = len(lengths_big)
-        if cycles not in walks_small:
-            walks = walks_small[cycles] = []
-            for j, perm in enumerate(itertools.permutations(range(1, small.n + 1))):
-                lengths, point_codes = _point_codes(perm, cycles)
-                walks.append((lengths, _even_codes(point_codes), small.class_of[j * half_small:(j + 1) * half_small]))
-        for lengths_small, codes_small, row_small in walks_small[cycles]:
-            codes = [x ^ y for x in codes_big for y in codes_small]
-            tallies[lengths_big + lengths_small].update(zip(codes, itertools.product(row_big, row_small)))
+    small = build_group(min(a, b))
+    half = 1 << small.n - 1
+    # per cycle lengths of a block: code -> how many of its elements
+    tallies_small, tallies_big = defaultdict(Counter), defaultdict(Counter)
+    for j, lengths in enumerate(small.lengths):
+        tallies_small[lengths].update(small.codes[j * half:(j + 1) * half])
+    for perm in itertools.permutations(range(1, max(a, b) + 1)):
+        lengths, point_codes = _point_codes(perm)
+        tallies_big[lengths].update(_even_codes(point_codes))
     counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
-    for lengths, tally in tallies.items():
-        types = _code_types(lengths)
-        for (code, (i, j)), cnt in tally.items():
-            pair = big.class_types[i], small.class_types[j]
-            counts[types[code]][pair if a >= b else pair[::-1]] += cnt
+    for lengths_big, xs in tallies_big.items():
+        types_big = _code_types(lengths_big)
+        for lengths_small, ys in tallies_small.items():
+            types, types_small = _code_types(lengths_big + lengths_small), _code_types(lengths_small)
+            for x, nx in xs.items():
+                for y, ny in ys.items():
+                    pair = types_big[x], types_small[y]
+                    counts[types[_joined(x, y, len(lengths_big))]][pair if a >= b else pair[::-1]] += nx * ny
     return {ty: dict(pairs) for ty, pairs in counts.items()}
 
 
@@ -300,20 +299,24 @@ def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
     """Per class type meeting the subgroup, in _fused_counts order: the
     sum of (fa x fb) over the subgroup elements of that type.  fa and fb
     are called once per block class."""
-    va = {ty: fa(ty) for ty in build_group(a).class_types}
-    vb = {ty: fb(ty) for ty in build_group(b).class_types}
-    return [
-        sum(cnt * va[pa] * vb[pb] for (pa, pb), cnt in counts.items())
-        for counts in _fused_counts(n, a, b).values()
-    ]
+    types_a, types_b = _block_types(n, a, b)
+    va, vb = dict(zip(types_a, map(fa, types_a))), dict(zip(types_b, map(fb, types_b)))
+    return [sum(cnt * va[pa] * vb[pb] for (pa, pb), cnt in counts.items()) for counts in _fused_counts(n, a, b).values()]
 
 
 @cache
-def _char_rows(n: int, a: int, b: int) -> tuple[tuple[DIrrLabel, list[int]], ...]:
+def _block_types(n: int, a: int, b: int) -> tuple[tuple[DClassType, ...], tuple[DClassType, ...]]:
+    """The class types of block a and of block b in _fused_counts."""
+    pairs = [pair for counts in _fused_counts(n, a, b).values() for pair in counts]
+    return tuple(dict.fromkeys(pa for pa, _ in pairs)), tuple(dict.fromkeys(pb for _, pb in pairs))
+
+
+@cache
+def _char_rows(n: int, a: int, b: int) -> tuple[tuple[DIrrLabel, tuple[int, ...]], ...]:
     """Per label of the rank-n group, its character values at the class
-    types meeting the block subgroup, in _fused_counts order."""
-    types = list(_fused_counts(n, a, b))
-    return tuple((X, [d_char_value(X, ty) for ty in types]) for X in d_irr_labels(n))
+    types meeting the block subgroup, in _fused_counts order: the whole
+    columns at those types, transposed."""
+    return tuple(zip(d_irr_labels(n), zip(*map(d_char_column, _fused_counts(n, a, b)))))
 
 
 def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> DecompositionResult:
@@ -324,8 +327,8 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     (1/|H|) * sum over classes c of s_c * X(c), where s_c sums A x B
     over the subgroup elements in c; one exact integer division.
     """
-    if a < 1 or b < 1 or a + b != n or n > MAX_RANK:
-        raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK}, got a={a}, b={b}, n={n}")
+    if a < 1 or b < 1 or a + b != n or n > MAX_RANK or max(a, b) > MAX_BLOCK:
+        raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK} and no block above rank {MAX_BLOCK}, got a={a}, b={b}, n={n}")
     h_order = group_order_d(a) * group_order_d(b)
     sums = _class_sums(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
     mults: dict[DIrrLabel, int] = {}
@@ -353,10 +356,7 @@ class VerificationReport(NamedTuple):
 def check_verify_rank(n: int) -> None:
     """Reject a rank that verification cannot run at, before any work."""
     if not 4 <= n <= MAX_RANK:
-        raise RangeError(
-            f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 "
-            f"and the explicit oracle is capped at n = {MAX_RANK}"
-        )
+        raise RangeError(f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 and the explicit oracle is capped at n = {MAX_RANK}")
 
 
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
@@ -367,8 +367,8 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     a side omits X, in d_irr_labels order.
     """
     check_verify_rank(n)
-    if a < 1 or b < 1 or a + b != n:
-        raise RangeError(f"need a, b >= 1 with a + b = n, got a={a}, b={b}, n={n}")
+    if a < 1 or b < 1 or a + b != n or max(a, b) > MAX_BLOCK:
+        raise RangeError(f"need a, b >= 1 with a + b = n and no block above rank {MAX_BLOCK}, got a={a}, b={b}, n={n}")
     mismatches = []
     for A in d_irr_labels(a):
         for B in d_irr_labels(b):

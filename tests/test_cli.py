@@ -186,17 +186,22 @@ def test_verify_large_rank_fails_fast(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--n", "40", "--a", "1", "--b", "39")
     assert code == 2
     assert out == ""
-    assert "capped at n = 8" in err
+    assert "capped at n = 10" in err
     assert "grammar" not in err
 
 
 def test_verify_rank_out_of_range_exits_two(capsys):
-    for n in ("0", "1", "3", "9"):
+    for n in ("0", "1", "3", "11"):
         code, out, err = run(capsys, "verify", "--n", n)
         assert code == 2, n
         assert out == ""
-        assert "verify needs 4 <= n <= 8" in err
+        assert "verify needs 4 <= n <= 10" in err
         assert "grammar" not in err
+    # n = 10 is in range, but its rank-9 block is not
+    code, out, err = run(capsys, "verify", "--n", "10", "--a", "1", "--b", "9")
+    assert code == 2
+    assert out == ""
+    assert "no block above rank 8" in err
 
 
 def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
@@ -224,12 +229,12 @@ def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
 
     for name in ("build_group", dweyl.oracle._point_codes.__name__, dweyl.oracle._even_codes.__name__, "d_irr_labels"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
-    for n, a, b in [("12", "6", "6"), ("9", "4", "5"), ("6", "2", "3")]:
+    for n, a, b in [("12", "6", "6"), ("11", "5", "6"), ("6", "2", "3"), ("10", "1", "9"), ("10", "9", "1")]:
         code, out, err = run(capsys, "decompose", "--n", n, "--a", a, "--b", b,
                              "--A", "([1],[1])+", "--B", "([1],[1])-", "--method", "oracle")
         assert code == 2, (n, a, b)
         assert out == ""
-        assert "the oracle needs a, b >= 1 with a + b = n <= 8" in err
+        assert "the oracle needs a, b >= 1 with a + b = n <= 10 and no block above rank 8" in err
         assert "grammar" not in err
 
 

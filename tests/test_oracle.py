@@ -44,8 +44,10 @@ from dweyl.oracle import (
     _char_rows,
     _class_sums,
     _class_type,
+    _code_types,
     _even_codes,
     _fused_counts,
+    _joined,
     _point_codes,
     build_group,
     oracle_induce,
@@ -218,25 +220,35 @@ def test_table_walks_match_the_full_span():
 
 
 def test_block_codes_match_the_full_span_at_block_even_masks():
-    """_fused_counts walks each block on its own, the second block's
-    cycles numbered after the first's (either block may come first);
-    the XOR of the two blocks' even codes must be the code of the rank-n
-    walk at every block-even mask, in (first mask, second mask) order."""
+    """_fused_counts walks each block on its own, cycles longest first,
+    and joins the larger block's code x with the smaller block's code y,
+    whose cycles it numbers after the larger block's (either block may be
+    the larger).  At every pair of block-even masks the joined code must
+    classify the element as the rank-n walk of its whole permutation
+    does, over the same cycle lengths."""
     for n in range(2, 8):
         for a in range(1, n):
             b = n - a
             even_a = [m for m in range(1 << a) if bin(m).count("1") % 2 == 0]
             even_b = [m for m in range(1 << b) if bin(m).count("1") % 2 == 0]
-            masks = [ma | mb << a for ma in even_a for mb in even_b]
             for perm_a in permutations(range(1, a + 1)):
                 lengths_a, point_codes_a = _point_codes(perm_a)
                 codes_a = _even_codes(point_codes_a)
                 for perm_b in permutations(range(1, b + 1)):
-                    lengths_b, point_codes_b = _point_codes(perm_b, len(lengths_a))
+                    lengths_b, point_codes_b = _point_codes(perm_b)
+                    codes_b = _even_codes(point_codes_b)
                     lengths, point_codes = _point_codes(perm_a + tuple(x + a for x in perm_b))
-                    assert lengths_a + lengths_b == lengths
+                    assert list(lengths) == sorted(lengths_a + lengths_b, reverse=True)
                     reference = all_mask_codes(point_codes)
-                    assert [x ^ y for x in codes_a for y in _even_codes(point_codes_b)] == [reference[m] for m in masks]
+                    whole = [_code_types(lengths)[reference[ma | mb << a]] for ma in even_a for mb in even_b]
+                    if a >= b:
+                        lengths_big, lengths_small = lengths_a, lengths_b
+                        joined = [_joined(x, y, len(lengths_a)) for x in codes_a for y in codes_b]
+                    else:
+                        lengths_big, lengths_small = lengths_b, lengths_a
+                        joined = [_joined(y, x, len(lengths_b)) for x in codes_a for y in codes_b]
+                    types = _code_types(lengths_big + lengths_small)
+                    assert [types[code] for code in joined] == whole, (perm_a, perm_b)
 
 
 def test_fused_counts_match_scan_over_the_group():
@@ -245,7 +257,8 @@ def test_fused_counts_match_scan_over_the_group():
             assert _fused_counts(n, a, n - a) == scan_fused_counts(n, a, n - a), (n, a)
 
 
-def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
+def record_tables(monkeypatch):
+    """The ranks of the group tables built from here on, caches cleared."""
     built = []
     init = GroupTable.__init__
 
@@ -256,15 +269,20 @@ def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
     monkeypatch.setattr(GroupTable, "__init__", record)
     for cached in (build_group, _fused_counts, _char_rows):
         cached.cache_clear()
+    return built
+
+
+def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
+    # only the smaller block gets a table; the larger one is walked
+    built = record_tables(monkeypatch)
     report = verify_formula(6, 2, 4)
     assert report.mismatches == ()
-    assert sorted(built) == [2, 4]
-    for k in built:
-        assert not {"elements", "index", "classes"} & set(vars(build_group(k)))
+    assert built == [2]
+    assert not {"elements", "index", "classes"} & set(vars(build_group(2)))
     built.clear()
     trivial = make_irr_label((1,), ())
     result = oracle_induce(8, 1, 7, trivial, make_irr_label((7,), ()))
-    assert built == [1, 7]
+    assert built == [1]
     # Ind from W(D_7) of the trivial character has degree [W(D_8) : W(D_7)]
     assert sum(m * d_degree(X) for X, m in result.multiplicities.items()) == 16
     # and is the sum of the labels with one box added to ((7), ())
@@ -273,9 +291,14 @@ def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
     report = verify_formula(8, 3, 5)
     assert report.mismatches == ()
     assert report.pairs_checked == len(d_irr_labels(3)) * len(d_irr_labels(5)) * len(d_irr_labels(8))
-    assert sorted(built) == [3, 5]
-    for k in built:
-        assert not {"elements", "index", "classes"} & set(vars(build_group(k)))
+    assert built == [3]
+    assert not {"elements", "index", "classes"} & set(vars(build_group(3)))
+    # past the table cap: no table above rank n // 2
+    for n, a, A, B in [(9, 5, "([3],[2])", "([2,1],[1])"), (10, 5, "([2],[2,1])", "([4],[1])")]:
+        built.clear()
+        result = oracle_induce(n, a, n - a, parse_irr_label(A), parse_irr_label(B))
+        assert built == [n // 2], n
+        assert result.multiplicities == decompose_induced(InducedQuery(n, a, n - a, parse_irr_label(A), parse_irr_label(B))).multiplicities
 
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
@@ -286,11 +309,12 @@ def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
 
     for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
-    for n, a, b in [(40, 1, 39), (9, 4, 5), (3, 1, 2), (0, 0, 0)]:
-        with pytest.raises(RangeError, match="verify needs 4 <= n <= 8"):
+    for n, a, b in [(40, 1, 39), (11, 5, 6), (3, 1, 2), (0, 0, 0)]:
+        with pytest.raises(RangeError, match="verify needs 4 <= n <= 10"):
             verify_formula(n, a, b)
-    with pytest.raises(RangeError, match="a \\+ b = n"):
-        verify_formula(5, 2, 2)
+    for n, a, b in [(5, 2, 2), (10, 1, 9), (10, 9, 1)]:
+        with pytest.raises(RangeError, match="a \\+ b = n and no block above rank 8"):
+            verify_formula(n, a, b)
 
 
 def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
@@ -299,11 +323,11 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__, "d_char_value"):
+    for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__, "d_char_value", "d_char_column"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A = B = make_irr_label((2,), ())
-    for n, a, b in [(12, 6, 6), (9, 4, 5), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
-        with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 8"):
+    for n, a, b in [(12, 6, 6), (11, 5, 6), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0), (10, 1, 9), (10, 9, 1)]:
+        with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 10 and no block above rank 8"):
             oracle_induce(n, a, b, A, B)
 
 
@@ -476,6 +500,24 @@ def test_oracle_matches_formula_rank_seven():
         report = verify_formula(7, a, 7 - a)
         assert report.mismatches == ()
         assert report.pairs_checked == len(d_irr_labels(a)) * len(d_irr_labels(7 - a)) * labels
+
+
+PAIRS_PAST_THE_TABLES = {
+    (9, 1): 15000, (9, 2): 33000, (9, 3): 27750, (9, 4): 35100,
+    (10, 2): 100400, (10, 3): 69025, (10, 4): 120731, (10, 5): 81324,
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, a", [(9, a) for a in range(1, 9)] + [(10, a) for a in range(2, 9)])
+def test_oracle_matches_formula_past_the_table_cap(monkeypatch, n, a):
+    # rank-8 blocks are walked, never tabled: no table above rank n // 2
+    built = record_tables(monkeypatch)
+    report = verify_formula(n, a, n - a)
+    assert report.mismatches == ()
+    assert report.pairs_checked == PAIRS_PAST_THE_TABLES[n, min(a, n - a)]
+    assert report.pairs_checked == len(d_irr_labels(a)) * len(d_irr_labels(n - a)) * len(d_irr_labels(n))
+    assert built == [min(a, n - a)]
 
 
 def test_split_partition_pairs():

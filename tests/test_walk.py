@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dweyl import dchar, symchar
 from dweyl.bchar import BClassType, b_char_value, b_classes
-from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_classes, d_irr_labels, make_irr_label
+from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions
 from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, memo, read_column, sym_char_value
 
@@ -231,6 +231,30 @@ def test_d_table_walks_each_type_once():
     for c, values in zip(classes, table):
         memo.cache_clear()
         assert [d_char_value(X, c) for X in labels] == values
+
+
+def test_d_column_reads_the_memo_of_the_per_value_view():
+    """d_char_column walks a fresh class's column with no backward walk
+    first, each type once, and leaves the memo that d_char_value then
+    reads; a column d_char_value already walked is read, not walked."""
+
+    def refuse(*args):
+        raise AssertionError(f"backward walk {args}")
+
+    for n in (6, 8):
+        classes, labels = d_classes(n), d_irr_labels(n)
+        memo.cache_clear()
+        table = [[d_char_value(X, c) for X in labels] for c in classes]
+        memo.cache_clear()
+        with counted_walks() as walks, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dchar, "backward", refuse)
+            assert [d_char_column(c) for c in classes] == table
+            assert [[d_char_value(X, c) for X in labels] for c in classes] == table
+        types = [w for w in walks if w[1] is not None]  # not the S_n/2 walks of delta_value
+        assert sorted(types) == sorted({c[:2] for c in classes})
+        with counted_walks() as walks:
+            assert [d_char_column(c) for c in classes] == table
+        assert walks == []
 
 
 def test_folded_walk_keeps_about_half_the_states():
