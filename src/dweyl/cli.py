@@ -35,7 +35,7 @@ from .dchar import (
 )
 from .decomp import InducedQuery, branch_set, decompose_induced
 from .lr import lr_coefficient, lr_expand
-from .oracle import check_verify_rank, oracle_induce, verify_formula
+from .oracle import MAX_BLOCK, check_verify_rank, oracle_induce, verify_formula
 from .partitions import (
     GRAMMAR,
     RangeError,
@@ -56,7 +56,8 @@ codes above say: S_n up to n = 21, B_n up to n = 11, D_n up to n = 13."""
 
 VERIFY_ALL_RANK = 8
 """verify --all checks every split of 4 <= n <= VERIFY_ALL_RANK, under a
-second in all; single ranks go up to the oracle's cap."""
+second in all; single ranks go up to the oracle's cap, with the splits
+that have no block above its MAX_BLOCK."""
 
 _EPILOG = __doc__[__doc__.index("Exit codes:"):] + "\nLabel grammar:\n" + "".join("  " + line for line in GRAMMAR.splitlines(True))
 
@@ -148,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.a is not None and args.b is not None:
             combos = [(args.n, args.a, args.b)]
         else:
-            combos = [(args.n, a, args.n - a) for a in range(1, args.n)]
+            combos = [(args.n, a, args.n - a) for a in range(1, args.n) if max(a, args.n - a) <= MAX_BLOCK]
     else:
         raise ValueError("verify needs --all or --n (optionally with --a and --b)")
     pairs = 0

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from typing import Callable
 
 from .dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, group_order_d
-from .oracle import BlockFn, GroupTable, SignedPerm, _class_sums, _fused_counts, _signed_perms, build_group
+from .oracle import GroupTable, SignedPerm, _fused_counts, _signed_perms, build_group
 from .partitions import Partition, enumerate_partitions, size
 from .symchar import sym_centralizer_order, sym_char_value
 
@@ -138,6 +140,25 @@ def _block_parts(w: SignedPerm, a: int) -> tuple[SignedPerm, SignedPerm]:
 def _embed_blocks(wa: SignedPerm, wb: SignedPerm) -> SignedPerm:
     a = len(wa)
     return wa + tuple(x + a if x > 0 else x - a for x in wb)
+
+
+BlockFn = Callable[[DClassType], int]
+
+
+@cache
+def _block_types(n: int, a: int, b: int) -> tuple[tuple[DClassType, ...], tuple[DClassType, ...]]:
+    """The class types of block a and of block b in oracle._fused_counts."""
+    pairs = [pair for counts in _fused_counts(n, a, b).values() for pair in counts]
+    return tuple(dict.fromkeys(pa for pa, _ in pairs)), tuple(dict.fromkeys(pb for _, pb in pairs))
+
+
+def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
+    """Per class type meeting the subgroup, in oracle._fused_counts order:
+    the sum of (fa x fb) over the subgroup elements of that type.  fa
+    and fb are called once per block class."""
+    types_a, types_b = _block_types(n, a, b)
+    va, vb = dict(zip(types_a, map(fa, types_a))), dict(zip(types_b, map(fb, types_b)))
+    return [sum(cnt * va[pa] * vb[pb] for (pa, pb), cnt in counts.items()) for counts in _fused_counts(n, a, b).values()]
 
 
 def induce_class_function(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[Fraction]:

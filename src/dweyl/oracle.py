@@ -51,22 +51,38 @@ index map and class member lists are built only when asked for.
 Induction builds no table of the rank-n group, nor of the larger block:
 the block subgroup is enumerated as pairs of block elements, each
 classified by its own signed cycle type; the larger block is walked
-once per permutation, the smaller one (rank <= n/2) read from its
-table.  verify_formula and oracle_induce are capped at n = 10 with no
-block above rank 8 (40320 * 128 walked elements), group tables at
-n = 7; the formula side of the package has no such bound.
+once per permutation and its codes tallied once per rank, a tally that
+the mirror splits (a, b) and (b, a) share, and the smaller one (rank <=
+n/2) is read from its table.  verify_formula and oracle_induce are
+capped at n = 10 with no block above rank 8 (40320 * 128 walked
+elements), group tables at n = 7; the formula side of the package has
+no such bound.
+
+The inner products with every label of the rank-n group come at once,
+by Kronecker substitution: the column of a class type, in d_irr_labels
+order, is packed into one integer with a signed 64-bit slot per label,
+and per pair of block types (pa, pb) these are summed, weighted by how
+many subgroup elements of each type the pair holds.  For a label A the
+sums over pa weighted by A(pa) are formed once per pb, and for each B
+the multiply-adds weighted by B(pb) give one integer whose slots are the
+|Irr D_n| numerators; one decode reads them, and each is divided
+exactly by |H|.  A numerator is a sum over H of character values, each
+bounded by its degree, so |H| * max deg A * max deg B * max deg X bounds
+it; a split whose bound reaches 2^63 is refused before anything is
+packed.  Under the caps above the bound stays below 2^47, at (10, 2, 8).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from array import array
 from collections import Counter, defaultdict
 from functools import cache, cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_irr_labels, format_irr_label, group_order_d, irr_label_key
+from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d, irr_label_key
 from .decomp import DecompositionResult, InducedQuery, decompose_induced
 from .partitions import Partition, RangeError
 
@@ -255,33 +271,42 @@ def _joined(x: int, y: int, cycles: int) -> int:
 
 
 @cache
+def _block_tally(k: int) -> dict[tuple[int, ...], Counter]:
+    """Per cycle lengths of the rank-k group: code -> how many of its
+    elements, from one walk per permutation.  A block too large for a
+    table is tallied here, once per rank, for both splits (a, b) and
+    (b, a)."""
+    tally: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
+    for perm in itertools.permutations(range(1, k + 1)):
+        lengths, point_codes = _point_codes(perm)
+        tally[lengths].update(_even_codes(point_codes))
+    return dict(tally)
+
+
+@cache
 def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassType, DClassType], int]]:
     """Per class type of the rank-n group meeting the block subgroup: how
     many subgroup elements of each block-type pair it contains.
 
     The subgroup is enumerated as pairs of block elements, each one
-    classified by its own signed cycle type: the larger block is walked
-    once per permutation, the smaller one read from its table, and each
-    block's codes are tallied by its cycle lengths.  A pair of codes x, y
-    is decoded once: the element's type is _code_types at _joined(x, y,
-    cycles of the larger block), each block's at its own code.  When
-    block b is the larger, this is the code of the element with its
-    blocks exchanged: a conjugate by a sign-free permutation, so of the
-    same class.
+    classified by its own signed cycle type: the larger block's codes are
+    tallied by _block_tally, the smaller one's read from its table, each
+    by its cycle lengths.  A pair of codes x, y is decoded once: the
+    element's type is _code_types at _joined(x, y, cycles of the larger
+    block), each block's at its own code.  When block b is the larger,
+    this is the code of the element with its blocks exchanged: a
+    conjugate by a sign-free permutation, so of the same class.
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
     small = build_group(min(a, b))
     half = 1 << small.n - 1
-    # per cycle lengths of a block: code -> how many of its elements
-    tallies_small, tallies_big = defaultdict(Counter), defaultdict(Counter)
+    # per cycle lengths of the smaller block: code -> how many of its elements
+    tallies_small = defaultdict(Counter)
     for j, lengths in enumerate(small.lengths):
         tallies_small[lengths].update(small.codes[j * half:(j + 1) * half])
-    for perm in itertools.permutations(range(1, max(a, b) + 1)):
-        lengths, point_codes = _point_codes(perm)
-        tallies_big[lengths].update(_even_codes(point_codes))
     counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
-    for lengths_big, xs in tallies_big.items():
+    for lengths_big, xs in _block_tally(max(a, b)).items():
         types_big = _code_types(lengths_big)
         for lengths_small, ys in tallies_small.items():
             types, types_small = _code_types(lengths_big + lengths_small), _code_types(lengths_small)
@@ -292,31 +317,89 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
     return {ty: dict(pairs) for ty, pairs in counts.items()}
 
 
-BlockFn = Callable[[DClassType], int]
+# ---------------------------------------------------------------------------
+# Inner products for every label at once
+
+SLOT_BITS = 64  # one signed slot per label of the rank-n group, array typecode "q"
 
 
-def _class_sums(n: int, a: int, b: int, fa: BlockFn, fb: BlockFn) -> list[int]:
-    """Per class type meeting the subgroup, in _fused_counts order: the
-    sum of (fa x fb) over the subgroup elements of that type.  fa and fb
-    are called once per block class."""
-    types_a, types_b = _block_types(n, a, b)
-    va, vb = dict(zip(types_a, map(fa, types_a))), dict(zip(types_b, map(fb, types_b)))
-    return [sum(cnt * va[pa] * vb[pb] for (pa, pb), cnt in counts.items()) for counts in _fused_counts(n, a, b).values()]
+def _pack(values: list[int]) -> int:
+    """sum of values[i] * 2**(SLOT_BITS * i), for |values[i]| < 2**63: the
+    slots as two's complement words, less the borrow of each negative
+    one from the slot above."""
+    words = int.from_bytes(array("q", values).tobytes(), sys.byteorder)
+    borrows = int.from_bytes(array("q", map((0).__gt__, values)).tobytes(), sys.byteorder)
+    return words - (borrows << SLOT_BITS)
+
+
+def _unpack(packed: int, count: int) -> list[int]:
+    """The count slots of _pack, each |value| < 2**63: each word read
+    signed, plus the borrow its slot lent to a negative slot below."""
+    words = array("q", packed.to_bytes(count * SLOT_BITS // 8, sys.byteorder, signed=True))
+    return list(map(operator.add, words, itertools.chain((False,), map((0).__gt__, words))))
+
+
+def _slot_bound(n: int, a: int, b: int) -> int:
+    """A bound on |sum over the subgroup of A x B times X| for all labels
+    A, B, X of the split, as character values are bounded by degrees:
+    |H| * max deg A * max deg B * max deg X."""
+    bound = group_order_d(a) * group_order_d(b)
+    for rank in (a, b, n):
+        bound *= max(map(d_degree, d_irr_labels(rank)))
+    return bound
+
+
+class _Packed(NamedTuple):
+    labels: tuple[DIrrLabel, ...]  # the slots
+    types_a: tuple[DClassType, ...]
+    types_b: tuple[DClassType, ...]
+    by_b: tuple[tuple[int, ...], ...]  # [pb][pa]: packed sums over the subgroup elements of type (pa, pb)
+    h_order: int
 
 
 @cache
-def _block_types(n: int, a: int, b: int) -> tuple[tuple[DClassType, ...], tuple[DClassType, ...]]:
-    """The class types of block a and of block b in _fused_counts."""
-    pairs = [pair for counts in _fused_counts(n, a, b).values() for pair in counts]
-    return tuple(dict.fromkeys(pa for pa, _ in pairs)), tuple(dict.fromkeys(pb for _, pb in pairs))
+def _packed(n: int, a: int, b: int) -> _Packed:
+    """Per pair of block types (pa, pb): sum over the subgroup elements
+    of that pair of the column of the element's class, packed, so that
+    the inner products of every label come from big-integer
+    multiply-adds."""
+    bound = _slot_bound(n, a, b)
+    if bound >= 1 << SLOT_BITS - 1:
+        raise RangeError(f"the oracle's inner products at n={n}, a={a}, b={b} may reach {bound}, past {SLOT_BITS}-bit slots")
+    sums: defaultdict[tuple[DClassType, DClassType], int] = defaultdict(int)
+    for ty, counts in _fused_counts(n, a, b).items():
+        column = _pack(d_char_column(ty))
+        for pair, count in counts.items():
+            sums[pair] += count * column
+    types_a, types_b = tuple(dict.fromkeys(pa for pa, _ in sums)), tuple(dict.fromkeys(pb for _, pb in sums))
+    by_b = tuple(tuple(sums.get((pa, pb), 0) for pa in types_a) for pb in types_b)
+    return _Packed(d_irr_labels(n), types_a, types_b, by_b, group_order_d(a) * group_order_d(b))
 
 
-@cache
-def _char_rows(n: int, a: int, b: int) -> tuple[tuple[DIrrLabel, tuple[int, ...]], ...]:
-    """Per label of the rank-n group, its character values at the class
-    types meeting the block subgroup, in _fused_counts order: the whole
-    columns at those types, transposed."""
-    return tuple(zip(d_irr_labels(n), zip(*map(d_char_column, _fused_counts(n, a, b)))))
+def _partials(split: _Packed, A: DIrrLabel) -> list[int]:
+    """Per block-b type pb: sum over block-a types pa of A(pa) times the
+    packed sums at (pa, pb)."""
+    row = [d_char_value(A, pa) for pa in split.types_a]
+    return [sum(map(operator.mul, row, column)) for column in split.by_b]
+
+
+def _induce(split: _Packed, A: DIrrLabel, B: DIrrLabel, partials: list[int]) -> dict[DIrrLabel, int]:
+    """Multiplicities of the labels in A x B induced, in label order, from
+    A's partials: one multiply-add per block-b type, one decode, and an
+    exact division per label."""
+    row = [d_char_value(B, pb) for pb in split.types_b]
+    nums = _unpack(sum(map(operator.mul, row, partials)), len(split.labels))
+    mults: dict[DIrrLabel, int] = {}
+    for X, num in zip(split.labels, nums):
+        if num:
+            total, rest = divmod(num, split.h_order)
+            if rest or total < 0:
+                raise ArithmeticError(
+                    f"non-character inner product {num}/{split.h_order} for "
+                    f"{format_irr_label(A)} x {format_irr_label(B)} vs {format_irr_label(X)}"
+                )
+            mults[X] = total
+    return mults
 
 
 def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> DecompositionResult:
@@ -324,25 +407,13 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
 
     The inner product of the induced character with X over the rank-n
     group, |class| * |centralizer| = |group| cancelled, is
-    (1/|H|) * sum over classes c of s_c * X(c), where s_c sums A x B
-    over the subgroup elements in c; one exact integer division.
+    (1/|H|) * sum over the subgroup elements h of A x B (h) * X(h); one
+    exact integer division per label.
     """
     if a < 1 or b < 1 or a + b != n or n > MAX_RANK or max(a, b) > MAX_BLOCK:
         raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK} and no block above rank {MAX_BLOCK}, got a={a}, b={b}, n={n}")
-    h_order = group_order_d(a) * group_order_d(b)
-    sums = _class_sums(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
-    mults: dict[DIrrLabel, int] = {}
-    for X, row in _char_rows(n, a, b):
-        num = sum(map(operator.mul, sums, row))
-        total, rest = divmod(num, h_order)
-        if rest or total < 0:
-            raise ArithmeticError(
-                f"non-character inner product {num}/{h_order} for "
-                f"{format_irr_label(A)} x {format_irr_label(B)} vs {format_irr_label(X)}"
-            )
-        if total:
-            mults[X] = total
-    return DecompositionResult(n, a, b, A, B, mults, method="oracle")
+    split = _packed(n, a, b)
+    return DecompositionResult(n, a, b, A, B, _induce(split, A, B, _partials(split, A)), method="oracle")
 
 
 class VerificationReport(NamedTuple):
@@ -360,7 +431,8 @@ def check_verify_rank(n: int) -> None:
 
 
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
-    """Compare decompose_induced with oracle_induce for every (A, B).
+    """Compare decompose_induced with oracle_induce for every (A, B),
+    sharing each A's partial sums across every B.
 
     pairs_checked counts every (A, B, X); a mismatch is (A, B, X,
     formula, oracle) for each X whose two multiplicities differ, 0 where
@@ -370,9 +442,11 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     if a < 1 or b < 1 or a + b != n or max(a, b) > MAX_BLOCK:
         raise RangeError(f"need a, b >= 1 with a + b = n and no block above rank {MAX_BLOCK}, got a={a}, b={b}, n={n}")
     mismatches = []
+    split = _packed(n, a, b)
     for A in d_irr_labels(a):
+        partials = _partials(split, A)
         for B in d_irr_labels(b):
-            explicit = oracle_induce(n, a, b, A, B).multiplicities
+            explicit = _induce(split, A, B, partials)
             formula = decompose_induced(InducedQuery(n, a, b, A, B)).multiplicities
             if formula != explicit:
                 for X in sorted(formula.keys() | explicit.keys(), key=irr_label_key):

@@ -221,6 +221,22 @@ def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
     assert json.loads(out) == {"pairs_checked": len(seen), "mismatches": []}
 
 
+def test_verify_rank_ten_checks_the_splits_the_oracle_can(monkeypatch):
+    # (1, 9) and (9, 1) have a rank-9 block; the other splits are checked
+    import dweyl.cli
+    from dweyl.oracle import VerificationReport
+
+    seen = []
+
+    def record(n, a, b):
+        seen.append((n, a, b))
+        return VerificationReport(n, a, b, 1, ())
+
+    monkeypatch.setattr(dweyl.cli, "verify_formula", record)
+    assert main(["verify", "--n", "10"]) == 0
+    assert seen == [(10, a, 10 - a) for a in range(2, 9)]
+
+
 def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
     import dweyl.oracle
 

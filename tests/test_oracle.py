@@ -3,13 +3,17 @@ from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dweyl.dchar import (
     DClassType,
     DIrrLabel,
     d_centralizer_order,
+    d_char_column,
     d_char_value,
     d_classes,
     d_degree,
@@ -22,6 +26,7 @@ from dweyl.cli import main
 from dweyl.decomp import InducedQuery, decompose_induced
 from dweyl.explicit import (
     _block_parts,
+    _class_sums,
     _cycle_walk,
     _in_block_subgroup,
     centralizer_chain_values,
@@ -40,15 +45,20 @@ from dweyl.explicit import (
     sym_induced_product_value,
 )
 from dweyl.oracle import (
+    MAX_BLOCK,
+    MAX_RANK,
     GroupTable,
-    _char_rows,
-    _class_sums,
+    _block_tally,
     _class_type,
     _code_types,
     _even_codes,
     _fused_counts,
     _joined,
+    _pack,
+    _packed,
     _point_codes,
+    _slot_bound,
+    _unpack,
     build_group,
     oracle_induce,
     verify_formula,
@@ -267,7 +277,7 @@ def record_tables(monkeypatch):
         init(self, n)
 
     monkeypatch.setattr(GroupTable, "__init__", record)
-    for cached in (build_group, _fused_counts, _char_rows):
+    for cached in (build_group, _block_tally, _fused_counts, _packed):
         cached.cache_clear()
     return built
 
@@ -299,6 +309,24 @@ def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
         result = oracle_induce(n, a, n - a, parse_irr_label(A), parse_irr_label(B))
         assert built == [n // 2], n
         assert result.multiplicities == decompose_induced(InducedQuery(n, a, n - a, parse_irr_label(A), parse_irr_label(B))).multiplicities
+
+
+def test_mirror_splits_share_the_larger_block_walk(monkeypatch):
+    # (9, 1, 8) and (9, 8, 1) read one tally of the rank-8 block
+    import dweyl.oracle
+
+    record_tables(monkeypatch)
+    walked = Counter()
+
+    def count(perm):
+        walked[len(perm)] += 1
+        return _point_codes(perm)
+
+    monkeypatch.setattr(dweyl.oracle, _point_codes.__name__, count)
+    assert verify_formula(9, 1, 8).mismatches == ()
+    assert verify_formula(9, 8, 1).mismatches == ()
+    # the rank-1 table walks its one permutation
+    assert walked == {8: factorial(8), 1: 1}
 
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
@@ -518,6 +546,92 @@ def test_oracle_matches_formula_past_the_table_cap(monkeypatch, n, a):
     assert report.pairs_checked == PAIRS_PAST_THE_TABLES[n, min(a, n - a)]
     assert report.pairs_checked == len(d_irr_labels(a)) * len(d_irr_labels(n - a)) * len(d_irr_labels(n))
     assert built == [min(a, n - a)]
+
+
+SLOT_MAX = (1 << 63) - 1
+slot_values = st.one_of(
+    st.integers(-SLOT_MAX, SLOT_MAX),
+    st.sampled_from([0, 1, -1, SLOT_MAX, -SLOT_MAX, SLOT_MAX - 1, 1 - SLOT_MAX, 1 << 31, -(1 << 31) - 1, 1 << 62, -(1 << 62)]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(slot_values, min_size=1, max_size=40))
+def test_slot_decoder_round_trip(values):
+    assert _unpack(_pack(values), len(values)) == values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30).flatmap(lambda k: st.tuples(*[st.lists(st.integers(-(1 << 60), 1 << 60), min_size=k, max_size=k)] * 2)), st.integers(-3, 3))
+def test_packed_sums_decode_slot_by_slot(pair, k):
+    # Kronecker substitution: multiply-adds of packed columns act on each slot
+    xs, ys = pair
+    assert _unpack(k * _pack(xs) - _pack(ys), len(xs)) == [k * x - y for x, y in zip(xs, ys)]
+
+
+def test_slot_bound_fits_every_split_the_caps_allow():
+    bounds = {(n, a, n - a): _slot_bound(n, a, n - a) for n in range(2, MAX_RANK + 1) for a in range(1, n) if max(a, n - a) <= MAX_BLOCK}
+    worst = max(bounds, key=bounds.get)
+    assert worst in {(10, 2, 8), (10, 8, 2)}
+    assert bounds[worst] < 1 << 47
+    n, a, b = 5, 2, 3
+    assert bounds[n, a, b] == group_order_d(a) * group_order_d(b) * max(map(d_degree, d_irr_labels(a))) * max(map(d_degree, d_irr_labels(b))) * max(map(d_degree, d_irr_labels(n)))
+
+
+def test_over_bound_split_is_refused_before_packing(monkeypatch):
+    import dweyl.oracle
+
+    record_tables(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError(f"packed {args}")
+
+    monkeypatch.setattr(dweyl.oracle, "d_degree", lambda X: 1 << 21)  # bound = |H| * 2**63
+    for name in ("_fused_counts", "d_char_column", "d_char_value"):
+        monkeypatch.setattr(dweyl.oracle, name, refuse)
+    A, B = make_irr_label((2,), ()), make_irr_label((3,), ())
+    with pytest.raises(RangeError, match="may reach 885443715538058477568, past 64-bit slots"):
+        oracle_induce(5, 2, 3, A, B)
+    with pytest.raises(RangeError, match="past 64-bit slots"):
+        verify_formula(5, 2, 3)
+
+
+def dot_product_induce(n, a, b, A, B):
+    """Reference oracle_induce: class sums at the fused types, then one
+    dot product with each label's values there."""
+    sums = _class_sums(n, a, b, lambda ca: d_char_value(A, ca), lambda cb: d_char_value(B, cb))
+    h_order = group_order_d(a) * group_order_d(b)
+    out = {}
+    for X, row in zip(d_irr_labels(n), zip(*map(d_char_column, _fused_counts(n, a, b)))):
+        total, rest = divmod(sum(s * x for s, x in zip(sums, row)), h_order)
+        assert rest == 0 and total >= 0
+        if total:
+            out[X] = total
+    return out
+
+
+def test_packed_inner_products_equal_per_label_dot_products():
+    for n in range(2, 8):
+        for a in range(1, n):
+            for A in d_irr_labels(a):
+                for B in d_irr_labels(n - a):
+                    assert oracle_induce(n, a, n - a, A, B).multiplicities == dot_product_induce(n, a, n - a, A, B), (n, a, A, B)
+
+
+def test_negative_inner_product_is_refused(monkeypatch):
+    # A x B is -|H| at the identity, 0 elsewhere: -|H| deg X in every
+    # slot, negative totals with no remainder
+    import dweyl.oracle
+
+    A, B = make_irr_label((2,), ()), make_irr_label((1, 1), ())
+
+    def minus_regular(chi, c):
+        return 0 if c.negative or set(c.positive) != {1} else -4 if chi == A else 4
+
+    record_tables(monkeypatch)
+    monkeypatch.setattr(dweyl.oracle, "d_char_value", minus_regular)
+    with pytest.raises(ArithmeticError, match=r"non-character inner product -16/16 for \(\[2\],\[\]\) x \(\[1,1\],\[\]\) vs \(\[4\],\[\]\)$"):
+        oracle_induce(4, 2, 2, A, B)
 
 
 def test_split_partition_pairs():
