@@ -35,7 +35,7 @@ from .dchar import (
 )
 from .decomp import InducedQuery, branch_set, decompose_induced
 from .lr import lr_coefficient, lr_expand
-from .oracle import MAX_BLOCK, check_verify_rank, oracle_induce, verify_formula
+from .oracle import check_verify_rank, oracle_induce, verify_formula
 from .partitions import (
     GRAMMAR,
     RangeError,
@@ -56,8 +56,8 @@ codes above say: S_n up to n = 21, B_n up to n = 11, D_n up to n = 13."""
 
 VERIFY_ALL_RANK = 8
 """verify --all checks every split of 4 <= n <= VERIFY_ALL_RANK, under a
-second in all; single ranks go up to the oracle's cap, with the splits
-that have no block above its MAX_BLOCK."""
+second in all; verify --n checks any rank up to the oracle's cap,
+oracle.MAX_RANK, every split of it or the one that --a or --b fixes."""
 
 _EPILOG = __doc__[__doc__.index("Exit codes:"):] + "\nLabel grammar:\n" + "".join("  " + line for line in GRAMMAR.splitlines(True))
 
@@ -143,13 +143,18 @@ def cmd_branch(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
+        if (args.n, args.a, args.b) != (None, None, None):
+            raise ValueError(f"verify --all checks every split of 4 <= n <= {VERIFY_ALL_RANK} and takes no --n, --a or --b")
         combos = [(n, a, n - a) for n in range(4, VERIFY_ALL_RANK + 1) for a in range(1, n)]
     elif args.n is not None:
         check_verify_rank(args.n)
-        if args.a is not None and args.b is not None:
-            combos = [(args.n, args.a, args.b)]
+        if args.a is None and args.b is None:
+            combos = [(args.n, a, args.n - a) for a in range(1, args.n)]
         else:
-            combos = [(args.n, a, args.n - a) for a in range(1, args.n) if max(a, args.n - a) <= MAX_BLOCK]
+            # a lone --a or --b fixes the split; the other block fills n
+            a = args.n - args.b if args.a is None else args.a
+            b = args.n - a if args.b is None else args.b
+            combos = [(args.n, a, b)]
     else:
         raise ValueError("verify needs --all or --n (optionally with --a and --b)")
     pairs = 0

@@ -43,20 +43,29 @@ codes of its points, and each element's class type is one lookup in
 the code table of its cycle lengths.  The cycles are numbered longest
 first, so the lengths of a permutation come out sorted and a block has
 one code table per cycle type.  The codes are spanned by doubling over
-the masks that are read only: the even masks of a group table, and the
-masks even on both blocks for the block subgroup.  Building a group
-table is work in proportion to n!, and its element lists, element ->
-index map and class member lists are built only when asked for.
+the even masks only, the ones that are read.  Building a group table
+is work in proportion to n!, and its element lists, element -> index
+map and class member lists are built only when asked for.
 
-Induction builds no table of the rank-n group, nor of the larger block:
-the block subgroup is enumerated as pairs of block elements, each
-classified by its own signed cycle type; the larger block is walked
-once per permutation and its codes tallied once per rank, a tally that
-the mirror splits (a, b) and (b, a) share, and the smaller one (rank <=
-n/2) is read from its table.  verify_formula and oracle_induce are
-capped at n = 10 with no block above rank 8 (40320 * 128 walked
-elements), group tables at n = 7; the formula side of the package has
-no such bound.
+Induction builds no group table at all.  The block subgroup is
+enumerated as pairs of block elements, each classified by its own
+signed cycle type, and each block's codes are tallied once per rank, a
+tally that every split reading a block of that rank shares.  The tally
+of one permutation depends only on its cycle type lambda: the j-th
+longest cycle, of length L, gives L points the code bit j+1, and
+floor(L/2) of them the flip bit as well, whatever the permutation, and
+the even masks are the even-sized sets of points, so a bijection of the
+points that keeps their codes carries the even masks onto each other
+with their codes.  (In group terms: relabelling the points is
+conjugation by a sign-free permutation, which keeps every signed cycle
+type and so every class of W(B_n) and W(D_n); Geck and Pfeiffer,
+Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2000.)
+So a rank-k tally walks one permutation per cycle type, p(k) walks of
+2^(k-1) codes instead of k!, and weights its counts by the k!/z_lambda
+permutations of that type.  verify_formula and oracle_induce are capped
+at n = 11, the largest rank at which every split fits the 64-bit slots
+below; group tables are capped at n = 7.  The formula side of the
+package has no such bound.
 
 The inner products with every label of the rank-n group come at once,
 by Kronecker substitution: the column of a class type, in d_irr_labels
@@ -69,7 +78,8 @@ the multiply-adds weighted by B(pb) give one integer whose slots are the
 exactly by |H|.  A numerator is a sum over H of character values, each
 bounded by its degree, so |H| * max deg A * max deg B * max deg X bounds
 it; a split whose bound reaches 2^63 is refused before anything is
-packed.  Under the caps above the bound stays below 2^47, at (10, 2, 8).
+packed.  Under the caps above the bound stays below 2^60, at (11, 1, 10);
+at n = 12 the splits with a block of rank 1 or 2 pass 2^63.
 """
 
 from __future__ import annotations
@@ -80,14 +90,15 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from functools import cache, cached_property
+from math import factorial
 from typing import NamedTuple
 
 from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d, irr_label_key
 from .decomp import DecompositionResult, InducedQuery, decompose_induced
-from .partitions import Partition, RangeError
+from .partitions import Partition, RangeError, enumerate_partitions
+from .symchar import sym_centralizer_order
 
-MAX_RANK = 10  # verify_formula and oracle_induce
-MAX_BLOCK = 8  # the larger block of an oracle split, walked per permutation
+MAX_RANK = 11  # verify_formula and oracle_induce
 MAX_TABLE = 7  # build_group
 
 SignedPerm = tuple[int, ...]
@@ -191,10 +202,6 @@ class GroupTable:
     the + tag.  Class ids follow the first appearance of a class in
     element order.
 
-    The walks are kept for the block subgroup: lengths holds the cycle
-    lengths of each permutation, longest first, and codes (unsigned
-    shorts) the code of every element, in element order.
-
     elements, index (element -> position) and classes (the member
     positions of each class, in element order) are built on first use
     and then kept.
@@ -207,8 +214,6 @@ class GroupTable:
         provisional: dict[DClassType, int] = {}
         code_ids: dict[tuple[int, ...], list[int | None]] = {}
         class_of: list[int] = []
-        self.lengths: list[tuple[int, ...]] = []
-        self.codes = array("H")
         for perm in itertools.permutations(range(1, n + 1)):
             lengths, point_codes = _point_codes(perm)
             ids = code_ids.get(lengths)
@@ -217,10 +222,7 @@ class GroupTable:
                     None if ty is None else provisional.setdefault(ty, len(provisional))
                     for ty in _code_types(lengths)
                 ]
-            codes = _even_codes(point_codes)
-            class_of.extend(map(ids.__getitem__, codes))
-            self.lengths.append(lengths)
-            self.codes.extend(codes)
+            class_of.extend(map(ids.__getitem__, _even_codes(point_codes)))
         first = list(dict.fromkeys(class_of))
         renumber = [0] * len(provisional)
         for cid, pid in enumerate(first):
@@ -270,17 +272,29 @@ def _joined(x: int, y: int, cycles: int) -> int:
     return x ^ y & 1 ^ y >> 1 << cycles + 1
 
 
+def _cycle_perm(lam: Partition) -> tuple[int, ...]:
+    """A permutation of cycle type lam: its cycles on consecutive points,
+    each mapping a point to the next and its last point to its first."""
+    perm: list[int] = []
+    for part in lam:
+        start = len(perm) + 1
+        perm.extend(range(start + 1, start + part))
+        perm.append(start)
+    return tuple(perm)
+
+
 @cache
 def _block_tally(k: int) -> dict[tuple[int, ...], Counter]:
     """Per cycle lengths of the rank-k group: code -> how many of its
-    elements, from one walk per permutation.  A block too large for a
-    table is tallied here, once per rank, for both splits (a, b) and
-    (b, a)."""
-    tally: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
-    for perm in itertools.permutations(range(1, k + 1)):
-        lengths, point_codes = _point_codes(perm)
-        tally[lengths].update(_even_codes(point_codes))
-    return dict(tally)
+    elements.  One permutation per cycle type is walked and its code
+    counts weighted by the k!/z_lambda permutations of that type, which
+    all have the same tally (see the module docstring)."""
+    tally: dict[tuple[int, ...], Counter] = {}
+    for lam in enumerate_partitions(k):
+        lengths, point_codes = _point_codes(_cycle_perm(lam))
+        weight = factorial(k) // sym_centralizer_order(lam)
+        tally[lengths] = Counter({code: weight * count for code, count in Counter(_even_codes(point_codes)).items()})
+    return tally
 
 
 @cache
@@ -289,26 +303,21 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
     many subgroup elements of each block-type pair it contains.
 
     The subgroup is enumerated as pairs of block elements, each one
-    classified by its own signed cycle type: the larger block's codes are
-    tallied by _block_tally, the smaller one's read from its table, each
-    by its cycle lengths.  A pair of codes x, y is decoded once: the
-    element's type is _code_types at _joined(x, y, cycles of the larger
-    block), each block's at its own code.  When block b is the larger,
-    this is the code of the element with its blocks exchanged: a
-    conjugate by a sign-free permutation, so of the same class.
+    classified by its own signed cycle type: both blocks' codes are
+    tallied by _block_tally, by cycle lengths.  A pair of codes x, y is
+    decoded once: the element's type is _code_types at _joined(x, y,
+    cycles of the larger block), each block's at its own code.  When
+    block b is the larger, this is the code of the element with its
+    blocks exchanged: a conjugate by a sign-free permutation, so of the
+    same class.
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    small = build_group(min(a, b))
-    half = 1 << small.n - 1
-    # per cycle lengths of the smaller block: code -> how many of its elements
-    tallies_small = defaultdict(Counter)
-    for j, lengths in enumerate(small.lengths):
-        tallies_small[lengths].update(small.codes[j * half:(j + 1) * half])
+    tally_small = _block_tally(min(a, b))
     counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
     for lengths_big, xs in _block_tally(max(a, b)).items():
         types_big = _code_types(lengths_big)
-        for lengths_small, ys in tallies_small.items():
+        for lengths_small, ys in tally_small.items():
             types, types_small = _code_types(lengths_big + lengths_small), _code_types(lengths_small)
             for x, nx in xs.items():
                 for y, ny in ys.items():
@@ -410,8 +419,8 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     (1/|H|) * sum over the subgroup elements h of A x B (h) * X(h); one
     exact integer division per label.
     """
-    if a < 1 or b < 1 or a + b != n or n > MAX_RANK or max(a, b) > MAX_BLOCK:
-        raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK} and no block above rank {MAX_BLOCK}, got a={a}, b={b}, n={n}")
+    if a < 1 or b < 1 or a + b != n or n > MAX_RANK:
+        raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK}, got a={a}, b={b}, n={n}")
     split = _packed(n, a, b)
     return DecompositionResult(n, a, b, A, B, _induce(split, A, B, _partials(split, A)), method="oracle")
 
@@ -439,8 +448,8 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     a side omits X, in d_irr_labels order.
     """
     check_verify_rank(n)
-    if a < 1 or b < 1 or a + b != n or max(a, b) > MAX_BLOCK:
-        raise RangeError(f"need a, b >= 1 with a + b = n and no block above rank {MAX_BLOCK}, got a={a}, b={b}, n={n}")
+    if a < 1 or b < 1 or a + b != n:
+        raise RangeError(f"need a, b >= 1 with a + b = n, got a={a}, b={b}, n={n}")
     mismatches = []
     split = _packed(n, a, b)
     for A in d_irr_labels(a):

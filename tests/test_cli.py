@@ -186,25 +186,21 @@ def test_verify_large_rank_fails_fast(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--n", "40", "--a", "1", "--b", "39")
     assert code == 2
     assert out == ""
-    assert "capped at n = 10" in err
+    assert "capped at n = 11" in err
     assert "grammar" not in err
 
 
 def test_verify_rank_out_of_range_exits_two(capsys):
-    for n in ("0", "1", "3", "11"):
+    for n in ("0", "1", "3", "12"):
         code, out, err = run(capsys, "verify", "--n", n)
         assert code == 2, n
         assert out == ""
-        assert "verify needs 4 <= n <= 10" in err
+        assert "verify needs 4 <= n <= 11" in err
         assert "grammar" not in err
-    # n = 10 is in range, but its rank-9 block is not
-    code, out, err = run(capsys, "verify", "--n", "10", "--a", "1", "--b", "9")
-    assert code == 2
-    assert out == ""
-    assert "no block above rank 8" in err
 
 
-def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
+def record_verify_splits(monkeypatch):
+    """The splits cmd_verify hands to verify_formula from here on."""
     import dweyl.cli
     from dweyl.oracle import VerificationReport
 
@@ -215,6 +211,11 @@ def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
         return VerificationReport(n, a, b, 1, ())
 
     monkeypatch.setattr(dweyl.cli, "verify_formula", record)
+    return seen
+
+
+def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
+    seen = record_verify_splits(monkeypatch)
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 0
     assert seen == [(n, a, n - a) for n in range(4, 9) for a in range(1, n)]
@@ -222,19 +223,43 @@ def test_verify_all_covers_ranks_four_to_eight(capsys, monkeypatch):
 
 
 def test_verify_rank_ten_checks_the_splits_the_oracle_can(monkeypatch):
-    # (1, 9) and (9, 1) have a rank-9 block; the other splits are checked
-    import dweyl.cli
-    from dweyl.oracle import VerificationReport
-
-    seen = []
-
-    def record(n, a, b):
-        seen.append((n, a, b))
-        return VerificationReport(n, a, b, 1, ())
-
-    monkeypatch.setattr(dweyl.cli, "verify_formula", record)
+    # every split, the rank-9 blocks of (1, 9) and (9, 1) included
+    seen = record_verify_splits(monkeypatch)
     assert main(["verify", "--n", "10"]) == 0
-    assert seen == [(10, a, 10 - a) for a in range(2, 9)]
+    assert seen == [(10, a, 10 - a) for a in range(1, 10)]
+
+
+def test_verify_lone_block_fixes_the_split(capsys, monkeypatch):
+    seen = record_verify_splits(monkeypatch)
+    for flags, split in [(("--a", "2"), (6, 2, 4)), (("--b", "2"), (6, 4, 2)), (("--a", "2", "--b", "4"), (6, 2, 4))]:
+        seen.clear()
+        code, out, _ = run(capsys, "verify", "--n", "6", *flags)
+        assert code == 0, flags
+        assert seen == [split], flags
+        assert json.loads(out) == {"pairs_checked": 1, "mismatches": []}
+
+
+def test_verify_lone_block_checks_one_split(capsys):
+    # 4 * 13 labels of D_2 x D_4 and 37 of D_6: one split, not the 6,105
+    # pairs of all five
+    code, out, _ = run(capsys, "verify", "--n", "6", "--a", "2")
+    assert code == 0
+    assert json.loads(out) == {"pairs_checked": 4 * 13 * 37, "mismatches": []}
+    for flags in (("--a", "6"), ("--b", "0"), ("--a", "2", "--b", "3")):
+        code, out, err = run(capsys, "verify", "--n", "6", *flags)
+        assert code == 2, flags
+        assert out == ""
+        assert "a + b = n" in err
+
+
+def test_verify_all_refuses_a_rank_or_split(capsys, monkeypatch):
+    seen = record_verify_splits(monkeypatch)
+    for flags in (("--n", "5"), ("--a", "2"), ("--b", "3"), ("--n", "5", "--a", "2", "--b", "3")):
+        code, out, err = run(capsys, "verify", "--all", *flags)
+        assert code == 2, flags
+        assert out == ""
+        assert "verify --all checks every split of 4 <= n <= 8 and takes no --n, --a or --b" in err
+    assert seen == []
 
 
 def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
@@ -245,12 +270,12 @@ def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
 
     for name in ("build_group", dweyl.oracle._point_codes.__name__, dweyl.oracle._even_codes.__name__, "d_irr_labels"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
-    for n, a, b in [("12", "6", "6"), ("11", "5", "6"), ("6", "2", "3"), ("10", "1", "9"), ("10", "9", "1")]:
+    for n, a, b in [("12", "6", "6"), ("12", "1", "11"), ("12", "11", "1"), ("6", "2", "3")]:
         code, out, err = run(capsys, "decompose", "--n", n, "--a", a, "--b", b,
                              "--A", "([1],[1])+", "--B", "([1],[1])-", "--method", "oracle")
         assert code == 2, (n, a, b)
         assert out == ""
-        assert "the oracle needs a, b >= 1 with a + b = n <= 10 and no block above rank 8" in err
+        assert "the oracle needs a, b >= 1 with a + b = n <= 11, got" in err
         assert "grammar" not in err
 
 

@@ -45,7 +45,6 @@ from dweyl.explicit import (
     sym_induced_product_value,
 )
 from dweyl.oracle import (
-    MAX_BLOCK,
     MAX_RANK,
     GroupTable,
     _block_tally,
@@ -63,7 +62,7 @@ from dweyl.oracle import (
     oracle_induce,
     verify_formula,
 )
-from dweyl.partitions import RangeError, enumerate_partitions
+from dweyl.partitions import RangeError, enumerate_partitions, partition_count
 from dweyl.symchar import sym_centralizer_order
 
 
@@ -221,12 +220,46 @@ def test_table_walks_match_the_full_span():
     for n in range(1, 8):
         t = build_group(n)
         even = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
-        assert len(t.lengths) * len(even) == len(t.codes) == len(t.class_of)
+        assert factorial(n) * len(even) == len(t.class_of)
         for i, perm in enumerate(permutations(range(1, n + 1))):
             lengths, point_codes = _point_codes(perm)
             reference = all_mask_codes(point_codes)
-            assert t.lengths[i] == lengths
-            assert list(t.codes[i * len(even):(i + 1) * len(even)]) == [reference[m] for m in even]
+            types = [t.class_types[cid] for cid in t.class_of[i * len(even):(i + 1) * len(even)]]
+            assert types == [_code_types(lengths)[reference[m]] for m in even]
+
+
+def reference_block_tally(k):
+    """Reference _block_tally: the codes of every one of the k!
+    permutations, by cycle lengths."""
+    tally = defaultdict(Counter)
+    for perm in permutations(range(1, k + 1)):
+        lengths, point_codes = _point_codes(perm)
+        tally[lengths].update(_even_codes(point_codes))
+    return tally
+
+
+def test_block_tally_walks_one_permutation_per_cycle_type(monkeypatch):
+    # every permutation of one cycle type has the same code tally, so one
+    # walk per type, weighted by the k!/z_lambda permutations of the type,
+    # gives the tally of all k! walks
+    import dweyl.oracle
+
+    walked = Counter()
+
+    def count(perm):
+        walked[len(perm)] += 1
+        return _point_codes(perm)
+
+    monkeypatch.setattr(dweyl.oracle, _point_codes.__name__, count)
+    _block_tally.cache_clear()
+    for k in range(1, 8):
+        tally = _block_tally(k)
+        assert tally == reference_block_tally(k), k
+        assert walked[k] == partition_count(k)
+        weights = {lengths: sum(codes.values()) >> k - 1 for lengths, codes in tally.items()}
+        assert weights == {lam: factorial(k) // sym_centralizer_order(lam) for lam in enumerate_partitions(k)}
+        assert sum(weights.values()) == factorial(k)
+    _block_tally.cache_clear()
 
 
 def test_block_codes_match_the_full_span_at_block_even_masks():
@@ -283,36 +316,29 @@ def record_tables(monkeypatch):
 
 
 def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
-    # only the smaller block gets a table; the larger one is walked
+    # both blocks are tallied by cycle type; no GroupTable is built
     built = record_tables(monkeypatch)
     report = verify_formula(6, 2, 4)
     assert report.mismatches == ()
-    assert built == [2]
-    assert not {"elements", "index", "classes"} & set(vars(build_group(2)))
-    built.clear()
     trivial = make_irr_label((1,), ())
     result = oracle_induce(8, 1, 7, trivial, make_irr_label((7,), ()))
-    assert built == [1]
     # Ind from W(D_7) of the trivial character has degree [W(D_8) : W(D_7)]
     assert sum(m * d_degree(X) for X, m in result.multiplicities.items()) == 16
     # and is the sum of the labels with one box added to ((7), ())
     assert result.multiplicities == {make_irr_label(lam, mu): 1 for lam, mu in [((8,), ()), ((7, 1), ()), ((7,), (1,))]}
-    built.clear()
     report = verify_formula(8, 3, 5)
     assert report.mismatches == ()
     assert report.pairs_checked == len(d_irr_labels(3)) * len(d_irr_labels(5)) * len(d_irr_labels(8))
-    assert built == [3]
-    assert not {"elements", "index", "classes"} & set(vars(build_group(3)))
-    # past the table cap: no table above rank n // 2
-    for n, a, A, B in [(9, 5, "([3],[2])", "([2,1],[1])"), (10, 5, "([2],[2,1])", "([4],[1])")]:
-        built.clear()
+    # past the table cap
+    for n, a, A, B in [(9, 5, "([3],[2])", "([2,1],[1])"), (10, 5, "([2],[2,1])", "([4],[1])"), (11, 1, "([1],[])", "([5,2],[3])")]:
         result = oracle_induce(n, a, n - a, parse_irr_label(A), parse_irr_label(B))
-        assert built == [n // 2], n
         assert result.multiplicities == decompose_induced(InducedQuery(n, a, n - a, parse_irr_label(A), parse_irr_label(B))).multiplicities
+    assert built == []
 
 
 def test_mirror_splits_share_the_larger_block_walk(monkeypatch):
-    # (9, 1, 8) and (9, 8, 1) read one tally of the rank-8 block
+    # (9, 1, 8) and (9, 8, 1) read one tally of the rank-8 block, walked
+    # once per cycle type
     import dweyl.oracle
 
     record_tables(monkeypatch)
@@ -325,8 +351,7 @@ def test_mirror_splits_share_the_larger_block_walk(monkeypatch):
     monkeypatch.setattr(dweyl.oracle, _point_codes.__name__, count)
     assert verify_formula(9, 1, 8).mismatches == ()
     assert verify_formula(9, 8, 1).mismatches == ()
-    # the rank-1 table walks its one permutation
-    assert walked == {8: factorial(8), 1: 1}
+    assert walked == {8: partition_count(8), 1: partition_count(1)}
 
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
@@ -337,11 +362,11 @@ def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
 
     for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
-    for n, a, b in [(40, 1, 39), (11, 5, 6), (3, 1, 2), (0, 0, 0)]:
-        with pytest.raises(RangeError, match="verify needs 4 <= n <= 10"):
+    for n, a, b in [(40, 1, 39), (12, 5, 7), (12, 1, 11), (3, 1, 2), (0, 0, 0)]:
+        with pytest.raises(RangeError, match="verify needs 4 <= n <= 11"):
             verify_formula(n, a, b)
-    for n, a, b in [(5, 2, 2), (10, 1, 9), (10, 9, 1)]:
-        with pytest.raises(RangeError, match="a \\+ b = n and no block above rank 8"):
+    for n, a, b in [(5, 2, 2), (10, 0, 10), (11, 11, 0)]:
+        with pytest.raises(RangeError, match="need a, b >= 1 with a \\+ b = n, got"):
             verify_formula(n, a, b)
 
 
@@ -354,8 +379,8 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
     for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__, "d_char_value", "d_char_column"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A = B = make_irr_label((2,), ())
-    for n, a, b in [(12, 6, 6), (11, 5, 6), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0), (10, 1, 9), (10, 9, 1)]:
-        with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 10 and no block above rank 8"):
+    for n, a, b in [(12, 6, 6), (12, 1, 11), (12, 11, 1), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
+        with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 11, got"):
             oracle_induce(n, a, b, A, B)
 
 
@@ -532,20 +557,21 @@ def test_oracle_matches_formula_rank_seven():
 
 PAIRS_PAST_THE_TABLES = {
     (9, 1): 15000, (9, 2): 33000, (9, 3): 27750, (9, 4): 35100,
-    (10, 2): 100400, (10, 3): 69025, (10, 4): 120731, (10, 5): 81324,
+    (10, 1): 37650, (10, 2): 100400, (10, 3): 69025, (10, 4): 120731, (10, 5): 81324,
+    (11, 1): 94376, (11, 2): 225600, (11, 3): 188000, (11, 4): 268840, (11, 5): 250416,
 }
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n, a", [(9, a) for a in range(1, 9)] + [(10, a) for a in range(2, 9)])
+@pytest.mark.parametrize("n, a", [(n, a) for n in (9, 10, 11) for a in range(1, n)])
 def test_oracle_matches_formula_past_the_table_cap(monkeypatch, n, a):
-    # rank-8 blocks are walked, never tabled: no table above rank n // 2
+    # every split up to the oracle's cap, with no group table
     built = record_tables(monkeypatch)
     report = verify_formula(n, a, n - a)
     assert report.mismatches == ()
     assert report.pairs_checked == PAIRS_PAST_THE_TABLES[n, min(a, n - a)]
     assert report.pairs_checked == len(d_irr_labels(a)) * len(d_irr_labels(n - a)) * len(d_irr_labels(n))
-    assert built == [min(a, n - a)]
+    assert built == []
 
 
 SLOT_MAX = (1 << 63) - 1
@@ -570,10 +596,13 @@ def test_packed_sums_decode_slot_by_slot(pair, k):
 
 
 def test_slot_bound_fits_every_split_the_caps_allow():
-    bounds = {(n, a, n - a): _slot_bound(n, a, n - a) for n in range(2, MAX_RANK + 1) for a in range(1, n) if max(a, n - a) <= MAX_BLOCK}
+    bounds = {(n, a, n - a): _slot_bound(n, a, n - a) for n in range(2, MAX_RANK + 1) for a in range(1, n)}
     worst = max(bounds, key=bounds.get)
-    assert worst in {(10, 2, 8), (10, 8, 2)}
-    assert bounds[worst] < 1 << 47
+    assert worst in {(11, 1, 10), (11, 10, 1)}
+    assert bounds[worst] < 1 << 60
+    # the cap is the last rank at which every split fits
+    n = MAX_RANK + 1
+    assert {a for a in range(1, n) if _slot_bound(n, a, n - a) >= 1 << 63} == {1, 2, n - 2, n - 1}
     n, a, b = 5, 2, 3
     assert bounds[n, a, b] == group_order_d(a) * group_order_d(b) * max(map(d_degree, d_irr_labels(a))) * max(map(d_degree, d_irr_labels(b))) * max(map(d_degree, d_irr_labels(n)))
 
