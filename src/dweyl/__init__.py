@@ -37,7 +37,7 @@ from .decomp import (
     remark_identity_check,
 )
 from .lr import lr_coefficient, lr_expand
-from .oracle import GroupTable, build_group, oracle_induce, verify_formula
+from .oracle import GroupTable, build_group, oracle_induce
 from .partitions import (
     Bipartition,
     Partition,
@@ -55,6 +55,7 @@ from .partitions import (
     union,
 )
 from .symchar import sym_centralizer_order, sym_char_value, sym_degree
+from .verify import verify_formula
 
 __version__ = "0.1.0"
 

@@ -35,7 +35,7 @@ from .dchar import (
 )
 from .decomp import InducedQuery, branch_set, decompose_induced
 from .lr import lr_coefficient, lr_expand
-from .oracle import check_verify_rank, oracle_induce, verify_formula
+from .oracle import oracle_induce
 from .partitions import (
     GRAMMAR,
     RangeError,
@@ -49,6 +49,7 @@ from .partitions import (
     partition_count,
 )
 from .symchar import sym_char_value
+from .verify import check_verify_rank, verify_formula
 
 CHARTABLE_CELLS = 10**6
 """Most cells (labels squared) of a table chartable prints, as the exit

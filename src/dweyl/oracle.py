@@ -1,11 +1,11 @@
 """Brute-force verification engine on explicit signed permutations.
 
-The closed formula of decomp is checked here against an independent
+The closed formula of decomp is checked against this independent
 computation: conjugacy classes come from each element's signed cycle
 type, and induced characters from explicit summation over the elements
-of the block subgroup.  verify_formula compares decompose_induced with
-oracle_induce for every pair of block characters; oracle_induce itself
-uses nothing from the formula.  The explicit-element toolkit that only
+of the block subgroup.  Nothing here uses the formula;
+dweyl.verify.verify_formula compares the two for every pair of block
+characters.  The explicit-element toolkit that only
 the tests use (element arithmetic, classification of single elements,
 elementwise induction) is in dweyl.explicit.
 
@@ -62,10 +62,10 @@ type and so every class of W(B_n) and W(D_n); Geck and Pfeiffer,
 Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2000.)
 So a rank-k tally walks one permutation per cycle type, p(k) walks of
 2^(k-1) codes instead of k!, and weights its counts by the k!/z_lambda
-permutations of that type.  verify_formula and oracle_induce are capped
-at n = 11, the largest rank at which every split fits the 64-bit slots
-below; group tables are capped at n = 7.  The formula side of the
-package has no such bound.
+permutations of that type.  oracle_induce, and so verify_formula, is
+capped at n = 11, the largest rank at which every split fits the
+64-bit slots below; group tables are capped at n = 7.  The formula side
+of the package has no such bound.
 
 The inner products with every label of the rank-n group come at once,
 by Kronecker substitution: the column of a class type, in d_irr_labels
@@ -93,8 +93,8 @@ from functools import cache, cached_property
 from math import factorial
 from typing import NamedTuple
 
-from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d, irr_label_key
-from .decomp import DecompositionResult, InducedQuery, decompose_induced
+from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d
+from .decomp import DecompositionResult
 from .partitions import Partition, RangeError, enumerate_partitions
 from .symchar import sym_centralizer_order
 
@@ -424,43 +424,3 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     split = _packed(n, a, b)
     return DecompositionResult(n, a, b, A, B, _induce(split, A, B, _partials(split, A)), method="oracle")
 
-
-class VerificationReport(NamedTuple):
-    n: int
-    a: int
-    b: int
-    pairs_checked: int
-    mismatches: tuple
-
-
-def check_verify_rank(n: int) -> None:
-    """Reject a rank that verification cannot run at, before any work."""
-    if not 4 <= n <= MAX_RANK:
-        raise RangeError(f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 and the explicit oracle is capped at n = {MAX_RANK}")
-
-
-def verify_formula(n: int, a: int, b: int) -> VerificationReport:
-    """Compare decompose_induced with oracle_induce for every (A, B),
-    sharing each A's partial sums across every B.
-
-    pairs_checked counts every (A, B, X); a mismatch is (A, B, X,
-    formula, oracle) for each X whose two multiplicities differ, 0 where
-    a side omits X, in d_irr_labels order.
-    """
-    check_verify_rank(n)
-    if a < 1 or b < 1 or a + b != n:
-        raise RangeError(f"need a, b >= 1 with a + b = n, got a={a}, b={b}, n={n}")
-    mismatches = []
-    split = _packed(n, a, b)
-    for A in d_irr_labels(a):
-        partials = _partials(split, A)
-        for B in d_irr_labels(b):
-            explicit = _induce(split, A, B, partials)
-            formula = decompose_induced(InducedQuery(n, a, b, A, B)).multiplicities
-            if formula != explicit:
-                for X in sorted(formula.keys() | explicit.keys(), key=irr_label_key):
-                    pair = formula.get(X, 0), explicit.get(X, 0)
-                    if pair[0] != pair[1]:
-                        mismatches.append((A, B, X, *pair))
-    pairs = len(d_irr_labels(a)) * len(d_irr_labels(b)) * len(d_irr_labels(n))
-    return VerificationReport(n, a, b, pairs, tuple(mismatches))

@@ -39,9 +39,10 @@ from dweyl.explicit import (
     sp_mul,
     sym_induced_product_value,
 )
-from dweyl.oracle import build_group, oracle_induce, verify_formula
+from dweyl.oracle import build_group, oracle_induce
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, union
 from dweyl.symchar import sym_centralizer_order, sym_char_value
+from dweyl.verify import verify_formula
 
 TRIV1 = DIrrLabel(((1,), ()), 0)
 

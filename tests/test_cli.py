@@ -178,11 +178,13 @@ def test_verify_whole_rank(capsys):
 
 def test_verify_large_rank_fails_fast(capsys, monkeypatch):
     import dweyl.oracle
+    import dweyl.verify
 
     def refuse(n):
         raise AssertionError(f"enumerated the labels of rank {n}")
 
-    monkeypatch.setattr(dweyl.oracle, "d_irr_labels", refuse)
+    for module in (dweyl.oracle, dweyl.verify):
+        monkeypatch.setattr(module, "d_irr_labels", refuse)
     code, out, err = run(capsys, "verify", "--n", "40", "--a", "1", "--b", "39")
     assert code == 2
     assert out == ""
@@ -202,7 +204,7 @@ def test_verify_rank_out_of_range_exits_two(capsys):
 def record_verify_splits(monkeypatch):
     """The splits cmd_verify hands to verify_formula from here on."""
     import dweyl.cli
-    from dweyl.oracle import VerificationReport
+    from dweyl.verify import VerificationReport
 
     seen = []
 

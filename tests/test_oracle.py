@@ -60,10 +60,10 @@ from dweyl.oracle import (
     _unpack,
     build_group,
     oracle_induce,
-    verify_formula,
 )
 from dweyl.partitions import RangeError, enumerate_partitions, partition_count
 from dweyl.symchar import sym_centralizer_order
+from dweyl.verify import verify_formula
 
 
 def test_signed_permutation_arithmetic():
@@ -224,6 +224,7 @@ def test_table_walks_match_the_full_span():
         for i, perm in enumerate(permutations(range(1, n + 1))):
             lengths, point_codes = _point_codes(perm)
             reference = all_mask_codes(point_codes)
+            assert _even_codes(point_codes) == [reference[m] for m in even]
             types = [t.class_types[cid] for cid in t.class_of[i * len(even):(i + 1) * len(even)]]
             assert types == [_code_types(lengths)[reference[m]] for m in even]
 
@@ -356,12 +357,15 @@ def test_mirror_splits_share_the_larger_block_walk(monkeypatch):
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
     import dweyl.oracle
+    import dweyl.verify
 
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
     for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
+    for name in ("d_irr_labels", _packed.__name__):
+        monkeypatch.setattr(dweyl.verify, name, refuse)
     for n, a, b in [(40, 1, 39), (12, 5, 7), (12, 1, 11), (3, 1, 2), (0, 0, 0)]:
         with pytest.raises(RangeError, match="verify needs 4 <= n <= 11"):
             verify_formula(n, a, b)
@@ -385,7 +389,7 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
 
 
 def test_verify_reports_each_label_a_wrong_formula_gets_wrong(monkeypatch, capsys):
-    import dweyl.oracle
+    import dweyl.verify
 
     A, B = parse_irr_label("([2],[])"), parse_irr_label("([2,1],[])")
     bumped, dropped, added = map(parse_irr_label, ("([3,1,1],[])", "([4,1],[])", "([3],[2])"))
@@ -399,7 +403,7 @@ def test_verify_reports_each_label_a_wrong_formula_gets_wrong(monkeypatch, capsy
         result = decompose_induced(q)
         return replace(result, multiplicities=wrong) if (q.A, q.B) == (A, B) else result
 
-    monkeypatch.setattr(dweyl.oracle, "decompose_induced", corrupted)
+    monkeypatch.setattr(dweyl.verify, "decompose_induced", corrupted)
     report = verify_formula(5, 2, 3)
     assert report.mismatches == ((A, B, dropped, 0, 1), (A, B, bumped, 2, 1), (A, B, added, 4, 0))
     assert report.pairs_checked == 4 * 5 * 18 == len(d_irr_labels(2)) * len(d_irr_labels(3)) * len(d_irr_labels(5))
