@@ -2,8 +2,9 @@
 
 verify_formula compares decomp.decompose_induced with the inner products
 of dweyl.oracle for every pair of block characters of one split.  This
-module is where the two meet: the oracle imports nothing from the
-formula, and the formula nothing from the oracle.
+module is where the two meet: the oracle takes only the result type
+from decomp and none of the formula, and decomp nothing from the
+oracle.
 """
 
 from __future__ import annotations
