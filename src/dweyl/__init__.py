@@ -37,7 +37,7 @@ from .decomp import (
     remark_identity_check,
 )
 from .lr import lr_coefficient, lr_expand
-from .oracle import GroupTable, build_group, oracle_induce
+from .oracle import oracle_induce
 from .partitions import (
     Bipartition,
     Partition,
@@ -59,7 +59,7 @@ from .verify import verify_formula
 
 __version__ = "0.1.0"
 
-_EXPLICIT = ("classify_element", "oracle_char_table")
+_EXPLICIT = ("GroupTable", "build_group", "classify_element", "oracle_char_table")
 
 
 def __getattr__(name: str):

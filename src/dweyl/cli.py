@@ -145,7 +145,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         if (args.n, args.a, args.b) != (None, None, None):
-            raise ValueError(f"verify --all checks every split of 4 <= n <= {VERIFY_ALL_RANK} and takes no --n, --a or --b")
+            raise RangeError(f"verify --all checks every split of 4 <= n <= {VERIFY_ALL_RANK} and takes no --n, --a or --b")
         combos = [(n, a, n - a) for n in range(4, VERIFY_ALL_RANK + 1) for a in range(1, n)]
     elif args.n is not None:
         check_verify_rank(args.n)
@@ -157,7 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             b = args.n - a if args.b is None else args.b
             combos = [(args.n, a, b)]
     else:
-        raise ValueError("verify needs --all or --n (optionally with --a and --b)")
+        raise RangeError("verify needs --all or --n (optionally with --a and --b)")
     pairs = 0
     mismatches = []
     for n, a, b in combos:

@@ -1,30 +1,35 @@
 """Explicit-element toolkit for the tests of the verification engine.
 
-Signed permutation arithmetic, the class of a single element, the block
-subgroup as a set of rank-n elements, induction by literal summation
-over elements and over subgroup classes, and independent formulas for
-single steps (centralizer orders, induced S_n characters, LR
-coefficients from characters).  None of it is on the path of the CLI or
-of verify_formula; it checks that path from outside, and like
-dweyl.oracle it uses nothing from the formula.
+Signed permutation arithmetic, group tables up to rank 7 that classify
+every element by its own cycle walk (not by dweyl.oracle's sign-mask
+codes, which the tests hold against them), the class of a single
+element, the block subgroup as a set of rank-n elements, induction by
+literal summation over elements and over subgroup classes, and
+independent formulas for single steps (centralizer orders, induced S_n
+characters, LR coefficients from characters).  None of it is on the
+path of the CLI or of verify_formula; it checks that path from outside,
+and like dweyl.oracle it uses nothing from the formula.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 from typing import Callable
 
 from .dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, group_order_d
-from .oracle import GroupTable, SignedPerm, _fused_counts, _signed_perms, build_group
-from .partitions import Partition, enumerate_partitions, size
+from .oracle import _class_type, _fused_counts
+from .partitions import Partition, RangeError, enumerate_partitions, size
 from .symchar import sym_centralizer_order, sym_char_value
+
+SignedPerm = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Signed permutation arithmetic
+# Signed permutations and group tables
 
 def sp_identity(n: int) -> SignedPerm:
     return tuple(range(1, n + 1))
@@ -81,8 +86,7 @@ def _cycle_walk(w: SignedPerm) -> tuple[Partition, Partition, int]:
 
 def signed_cycle_type(w: SignedPerm) -> tuple[Partition, Partition]:
     """Cycle types of the positive and negative cycles of w."""
-    positive, negative, _ = _cycle_walk(w)
-    return positive, negative
+    return _cycle_walk(w)[:2]
 
 
 def plain_element(lam: Partition, n: int) -> SignedPerm:
@@ -104,6 +108,64 @@ def flip_at(n: int, point: int) -> SignedPerm:
     w = list(range(1, n + 1))
     w[point - 1] = -point
     return tuple(w)
+
+
+def _signed_perms(n: int, even: bool):
+    """Signed permutations of rank n, by permutation and then by
+    ascending sign mask; with even, only those with an even number of
+    sign changes."""
+    signs = [
+        tuple(-1 if mask >> i & 1 else 1 for i in range(n))
+        for mask in range(1 << n)
+        if not (even and mask.bit_count() % 2)
+    ]
+    for perm in itertools.permutations(range(1, n + 1)):
+        for sign in signs:
+            yield tuple(map(operator.mul, perm, sign))
+
+
+class GroupTable:
+    """Even-signed permutation group of rank n, with its conjugacy classes.
+
+    Each element, in _signed_perms order, is classified by
+    _class_type(*_cycle_walk(w)), class ids in order of first
+    appearance.  elements and index (element -> position) are listed on
+    first use and then kept.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.type_to_class: dict[DClassType, int] = {}
+        self.class_of = [
+            self.type_to_class.setdefault(_class_type(*_cycle_walk(w)), len(self.type_to_class))
+            for w in _signed_perms(n, even=True)
+        ]
+        self.class_types = list(self.type_to_class)
+        self.classes: list[list[int]] = [[] for _ in self.class_types]
+        for i, cid in enumerate(self.class_of):
+            self.classes[cid].append(i)
+        self.centralizer_orders = [len(self.class_of) // len(members) for members in self.classes]
+
+    @cached_property
+    def elements(self) -> list[SignedPerm]:
+        return list(_signed_perms(self.n, even=True))
+
+    @cached_property
+    def index(self) -> dict[SignedPerm, int]:
+        return {w: i for i, w in enumerate(self.elements)}
+
+    def class_size(self, cid: int) -> int:
+        return len(self.classes[cid])
+
+    def class_id_of(self, w: SignedPerm) -> int:
+        return self.class_of[self.index[w]]
+
+
+@cache
+def build_group(n: int) -> GroupTable:
+    if not 1 <= n <= 7:
+        raise RangeError("explicit group tables are capped at n = 7")
+    return GroupTable(n)
 
 
 def classify_element(w: SignedPerm, table: GroupTable) -> DClassType:
@@ -213,12 +275,8 @@ def induced_value_from_subgroup_classes(n: int, a: int, b: int, fa: BlockFn, fb:
 
 def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
     """Character values attached to the explicit classes of the rank-n group."""
-    t = build_group(n)
-    return {
-        (chi, cid): d_char_value(chi, ty)
-        for chi in d_irr_labels(n)
-        for cid, ty in enumerate(t.class_types)
-    }
+    types = build_group(n).class_types
+    return {(chi, cid): d_char_value(chi, ty) for chi in d_irr_labels(n) for cid, ty in enumerate(types)}
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +297,10 @@ def centralizer_chain_values(n: int, pi: Partition) -> dict[str, int]:
     w = plain_element(tuple(2 * x for x in pi), n)
     in_d = t.centralizer_orders[t.class_id_of(w)]
     in_b = sum(1 for x in _signed_perms(n, even=False) if sp_mul(x, w) == sp_mul(w, x))
-    plain = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    in_plain = sum(1 for x in plain if sp_mul(x, w) == sp_mul(w, x))
+    in_plain = sum(1 for x in itertools.permutations(range(1, n + 1)) if sp_mul(x, w) == sp_mul(w, x))
     m = n // 2
     wp = plain_element(pi, m)
-    small = [tuple(p) for p in itertools.permutations(range(1, m + 1))]
-    in_small = sum(1 for x in small if sp_mul(x, wp) == sp_mul(wp, x))
+    in_small = sum(1 for x in itertools.permutations(range(1, m + 1)) if sp_mul(x, wp) == sp_mul(wp, x))
     return {
         "even_signed": in_d,
         "ambient": in_b,

@@ -5,16 +5,15 @@ computation: conjugacy classes come from each element's signed cycle
 type, and induced characters from explicit summation over the elements
 of the block subgroup.  Nothing here uses the formula;
 dweyl.verify.verify_formula compares the two for every pair of block
-characters.  The explicit-element toolkit that only
-the tests use (element arithmetic, classification of single elements,
-elementwise induction) is in dweyl.explicit.
+characters.  The explicit-element toolkit that only the tests use
+(reference group tables that classify every element by its own cycle
+walk, element arithmetic, elementwise induction) is in dweyl.explicit.
 
 A signed permutation of {1..n} is a tuple w of length n whose entry
 w[i] = +j or -j says that point i+1 maps to point j with that sign.
 An element lies in the even-signed (type D) group exactly when the
-number of negative entries is even.  Elements are ordered by their
-unsigned permutation (lexicographically) and then by their sign mask
-m, in which bit i-1 is set when w(i) is negative.
+number of negative entries is even.  Its sign mask m has bit i-1 set
+when w(i) is negative.
 
 A signed cycle type with a negative cycle or an odd positive cycle is a
 single class of the even-signed group.  Any other type (all cycles
@@ -43,20 +42,17 @@ codes of its points, and each element's class type is one lookup in
 the code table of its cycle lengths.  The cycles are numbered longest
 first, so the lengths of a permutation come out sorted and a block has
 one code table per cycle type.  The codes are spanned by doubling over
-the even masks only, the ones that are read.  Building a group table
-is work in proportion to n!, and its element lists, element -> index
-map and class member lists are built only when asked for.
+the even masks only, the ones that are read.
 
-Induction builds no group table at all.  The block subgroup is
-enumerated as pairs of block elements, each classified by its own
-signed cycle type, and each block's codes are tallied once per rank, a
-tally that every split reading a block of that rank shares.  The tally
-of one permutation depends only on its cycle type lambda: the j-th
-longest cycle, of length L, gives L points the code bit j+1, and
-floor(L/2) of them the flip bit as well, whatever the permutation, and
-the even masks are the even-sized sets of points, so a bijection of the
-points that keeps their codes carries the even masks onto each other
-with their codes.  (In group terms: relabelling the points is
+The block subgroup is enumerated as pairs of block elements, each
+classified by its own signed cycle type, and each block's codes are
+tallied once per rank, a tally that every split reading a block of that
+rank shares.  The tally of one permutation depends only on its cycle
+type lambda: the j-th longest cycle, of length L, gives L points the
+code bit j+1, and floor(L/2) of them the flip bit as well, whatever the
+permutation, and the even masks are the even-sized sets of points, so a
+bijection of the points that keeps their codes carries the even masks
+onto each other with their codes.  (In group terms: relabelling the points is
 conjugation by a sign-free permutation, which keeps every signed cycle
 type and so every class of W(B_n) and W(D_n); Geck and Pfeiffer,
 Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2000.)
@@ -64,8 +60,8 @@ So a rank-k tally walks one permutation per cycle type, p(k) walks of
 2^(k-1) codes instead of k!, and weights its counts by the k!/z_lambda
 permutations of that type.  oracle_induce, and so verify_formula, is
 capped at n = 11, the largest rank at which every split fits the
-64-bit slots below; group tables are capped at n = 7.  The formula side
-of the package has no such bound.
+64-bit slots below.  The formula side of the package has no such
+bound.
 
 The inner products with every label of the rank-n group come at once,
 by Kronecker substitution: the column of a class type, in d_irr_labels
@@ -78,7 +74,7 @@ the multiply-adds weighted by B(pb) give one integer whose slots are the
 exactly by |H|.  A numerator is a sum over H of character values, each
 bounded by its degree, so |H| * max deg A * max deg B * max deg X bounds
 it; a split whose bound reaches 2^63 is refused before anything is
-packed.  Under the caps above the bound stays below 2^60, at (11, 1, 10);
+packed.  Under the cap above the bound stays below 2^60, at (11, 1, 10);
 at n = 12 the splits with a block of rank 1 or 2 pass 2^63.
 """
 
@@ -89,7 +85,7 @@ import operator
 import sys
 from array import array
 from collections import Counter, defaultdict
-from functools import cache, cached_property
+from functools import cache
 from math import factorial
 from typing import NamedTuple
 
@@ -99,9 +95,6 @@ from .partitions import Partition, RangeError, enumerate_partitions
 from .symchar import sym_centralizer_order
 
 MAX_RANK = 11  # verify_formula and oracle_induce
-MAX_TABLE = 7  # build_group
-
-SignedPerm = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +106,6 @@ def _class_type(positive: Partition, negative: Partition, flips: int) -> DClassT
     if negative or any(part % 2 for part in positive):
         return DClassType(positive, negative, None)
     return DClassType(positive, negative, -1 if flips else 1)
-
-
-def _signed_perms(n: int, even: bool):
-    """Signed permutations of rank n, by permutation and then by sign
-    mask; with even, only those with an even number of sign changes."""
-    signs = [
-        tuple(-1 if mask >> i & 1 else 1 for i in range(n))
-        for mask in range(1 << n)
-        if not (even and mask.bit_count() % 2)
-    ]
-    for perm in itertools.permutations(range(1, n + 1)):
-        for sign in signs:
-            yield tuple(map(operator.mul, perm, sign))
 
 
 def _point_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
@@ -189,82 +169,6 @@ def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Group tables
-
-class GroupTable:
-    """Even-signed permutation group of rank n, with its conjugacy classes.
-
-    Built from one walk per unsigned permutation, by the parity argument
-    of the module docstring: class_of holds the class id of every
-    element in element order, class_types the label of each class,
-    class_sizes and centralizer_orders its sizes.  For a splittable
-    cycle type the class containing the sign-free representative gets
-    the + tag.  Class ids follow the first appearance of a class in
-    element order.
-
-    elements, index (element -> position) and classes (the member
-    positions of each class, in element order) are built on first use
-    and then kept.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        # ids in order of first meeting a type, renumbered below into
-        # order of first appearance in element order
-        provisional: dict[DClassType, int] = {}
-        code_ids: dict[tuple[int, ...], list[int | None]] = {}
-        class_of: list[int] = []
-        for perm in itertools.permutations(range(1, n + 1)):
-            lengths, point_codes = _point_codes(perm)
-            ids = code_ids.get(lengths)
-            if ids is None:
-                ids = code_ids[lengths] = [
-                    None if ty is None else provisional.setdefault(ty, len(provisional))
-                    for ty in _code_types(lengths)
-                ]
-            class_of.extend(map(ids.__getitem__, _even_codes(point_codes)))
-        first = list(dict.fromkeys(class_of))
-        renumber = [0] * len(provisional)
-        for cid, pid in enumerate(first):
-            renumber[pid] = cid
-        types = list(provisional)
-        self.class_of = list(map(renumber.__getitem__, class_of))
-        self.class_types = [types[pid] for pid in first]
-        self.type_to_class = {ty: cid for cid, ty in enumerate(self.class_types)}
-        sizes = Counter(self.class_of)
-        self.class_sizes = [sizes[cid] for cid in range(len(first))]
-        self.centralizer_orders = [len(class_of) // s for s in self.class_sizes]
-
-    @cached_property
-    def elements(self) -> list[SignedPerm]:
-        return list(_signed_perms(self.n, even=True))
-
-    @cached_property
-    def index(self) -> dict[SignedPerm, int]:
-        return {w: i for i, w in enumerate(self.elements)}
-
-    @cached_property
-    def classes(self) -> list[list[int]]:
-        members: list[list[int]] = [[] for _ in self.class_types]
-        for i, cid in enumerate(self.class_of):
-            members[cid].append(i)
-        return members
-
-    def class_size(self, cid: int) -> int:
-        return self.class_sizes[cid]
-
-    def class_id_of(self, w: SignedPerm) -> int:
-        return self.class_of[self.index[w]]
-
-
-@cache
-def build_group(n: int) -> GroupTable:
-    if not 1 <= n <= MAX_TABLE:
-        raise RangeError(f"explicit group tables are capped at n = {MAX_TABLE}")
-    return GroupTable(n)
-
-
-# ---------------------------------------------------------------------------
 # The block subgroup and explicit induction
 
 def _joined(x: int, y: int, cycles: int) -> int:
@@ -304,25 +208,22 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
 
     The subgroup is enumerated as pairs of block elements, each one
     classified by its own signed cycle type: both blocks' codes are
-    tallied by _block_tally, by cycle lengths.  A pair of codes x, y is
-    decoded once: the element's type is _code_types at _joined(x, y,
-    cycles of the larger block), each block's at its own code.  When
-    block b is the larger, this is the code of the element with its
-    blocks exchanged: a conjugate by a sign-free permutation, so of the
-    same class.
+    tallied by _block_tally, by cycle lengths, one tally per rank that
+    mirror splits share.  A pair of codes x, y is decoded once: the
+    element's type is _code_types at _joined(x, y, cycles of block a),
+    each block's at its own code.
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    tally_small = _block_tally(min(a, b))
+    tally_b = _block_tally(b)
     counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
-    for lengths_big, xs in _block_tally(max(a, b)).items():
-        types_big = _code_types(lengths_big)
-        for lengths_small, ys in tally_small.items():
-            types, types_small = _code_types(lengths_big + lengths_small), _code_types(lengths_small)
+    for lengths_a, xs in _block_tally(a).items():
+        types_a = _code_types(lengths_a)
+        for lengths_b, ys in tally_b.items():
+            types, types_b = _code_types(lengths_a + lengths_b), _code_types(lengths_b)
             for x, nx in xs.items():
                 for y, ny in ys.items():
-                    pair = types_big[x], types_small[y]
-                    counts[types[_joined(x, y, len(lengths_big))]][pair if a >= b else pair[::-1]] += nx * ny
+                    counts[types[_joined(x, y, len(lengths_a))]][types_a[x], types_b[y]] += nx * ny
     return {ty: dict(pairs) for ty, pairs in counts.items()}
 
 

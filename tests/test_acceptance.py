@@ -30,6 +30,7 @@ from dweyl.decomp import InducedQuery, a_coefficient, branch_restriction, induce
 from dweyl.dchar import DIrrLabel
 from dweyl.lr import lr_coefficient
 from dweyl.explicit import (
+    build_group,
     centralizer_chain_values,
     classify_element,
     flip_at,
@@ -39,7 +40,7 @@ from dweyl.explicit import (
     sp_mul,
     sym_induced_product_value,
 )
-from dweyl.oracle import build_group, oracle_induce
+from dweyl.oracle import oracle_induce
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, union
 from dweyl.symchar import sym_centralizer_order, sym_char_value
 from dweyl.verify import verify_formula

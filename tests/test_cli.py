@@ -261,6 +261,17 @@ def test_verify_all_refuses_a_rank_or_split(capsys, monkeypatch):
         assert code == 2, flags
         assert out == ""
         assert "verify --all checks every split of 4 <= n <= 8 and takes no --n, --a or --b" in err
+        assert "grammar" not in err
+    assert seen == []
+
+
+def test_verify_without_a_rank_exits_two(capsys, monkeypatch):
+    seen = record_verify_splits(monkeypatch)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert out == ""
+    assert "verify needs --all or --n (optionally with --a and --b)" in err
+    assert "grammar" not in err
     assert seen == []
 
 
@@ -270,7 +281,8 @@ def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("build_group", dweyl.oracle._point_codes.__name__, dweyl.oracle._even_codes.__name__, "d_irr_labels"):
+    assert not hasattr(dweyl.oracle, "build_group")
+    for name in (dweyl.oracle._point_codes.__name__, dweyl.oracle._even_codes.__name__, "d_irr_labels"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     for n, a, b in [("12", "6", "6"), ("12", "1", "11"), ("12", "11", "1"), ("6", "2", "3")]:
         code, out, err = run(capsys, "decompose", "--n", n, "--a", a, "--b", b,
@@ -366,11 +378,19 @@ def test_import_leaves_the_explicit_toolkit_out():
     import dweyl
     from dweyl import explicit
 
-    probe = "import sys, dweyl, dweyl.cli; print(dweyl.__file__, sorted({'fractions', 'dweyl.explicit'} & set(sys.modules)))"
+    # neither the oracle's verify nor its decompose loads the toolkit
+    probe = "; ".join([
+        "import sys, dweyl, dweyl.cli",
+        "assert dweyl.cli.main(['verify', '--n', '6', '--a', '2', '--b', '4']) == 0",
+        "assert dweyl.cli.main(['decompose', '--n', '6', '--a', '2', '--b', '4', '--A', '([1],[1])+', '--B', '([2,1],[1])', '--method', 'oracle']) == 0",
+        "print(dweyl.__file__, sorted({'fractions', 'dweyl.explicit'} & set(sys.modules)))",
+    ])
     env = {**os.environ, "PYTHONPATH": str(Path(dweyl.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.split() == [dweyl.__file__, "[]"]
+    assert out.splitlines()[-1].split() == [dweyl.__file__, "[]"]
 
+    assert dweyl.GroupTable is explicit.GroupTable
+    assert dweyl.build_group is explicit.build_group
     assert dweyl.classify_element is explicit.classify_element
     assert dweyl.oracle_char_table is explicit.oracle_char_table
     with pytest.raises(AttributeError):

@@ -27,8 +27,8 @@ from dweyl.decomp import InducedQuery, decompose_induced
 from dweyl.explicit import (
     _block_parts,
     _class_sums,
-    _cycle_walk,
     _in_block_subgroup,
+    build_group,
     centralizer_chain_values,
     classify_element,
     flip_at,
@@ -46,9 +46,7 @@ from dweyl.explicit import (
 )
 from dweyl.oracle import (
     MAX_RANK,
-    GroupTable,
     _block_tally,
-    _class_type,
     _code_types,
     _even_codes,
     _fused_counts,
@@ -58,7 +56,6 @@ from dweyl.oracle import (
     _point_codes,
     _slot_bound,
     _unpack,
-    build_group,
     oracle_induce,
 )
 from dweyl.partitions import RangeError, enumerate_partitions, partition_count
@@ -153,44 +150,6 @@ def test_cycle_type_classes_match_orbit_search():
                 assert t.class_types[class_of[orbits[0][0]]] == DClassType(positive, negative, None)
 
 
-def walk_table(n):
-    """Reference group table: the even-signed elements listed by
-    permutation and then by sign mask, one _cycle_walk per element, class
-    ids in order of first appearance, member lists in element order."""
-    elements = [
-        tuple(-x if mask >> i & 1 else x for i, x in enumerate(perm))
-        for perm in permutations(range(1, n + 1))
-        for mask in range(1 << n)
-        if bin(mask).count("1") % 2 == 0
-    ]
-    type_to_class = {}
-    class_types, classes, class_of = [], [], []
-    for i, w in enumerate(elements):
-        ty = _class_type(*_cycle_walk(w))
-        cid = type_to_class.setdefault(ty, len(class_types))
-        if cid == len(class_types):
-            class_types.append(ty)
-            classes.append([])
-        classes[cid].append(i)
-        class_of.append(cid)
-    centralizers = [len(elements) // len(members) for members in classes]
-    return elements, class_of, class_types, classes, centralizers
-
-
-def test_per_permutation_classes_match_per_element_walk():
-    for n in range(1, 7):
-        t = build_group(n)
-        elements, class_of, class_types, classes, centralizers = walk_table(n)
-        assert t.class_of == class_of
-        assert t.class_types == class_types
-        assert t.type_to_class == {ty: cid for cid, ty in enumerate(class_types)}
-        assert t.centralizer_orders == centralizers
-        assert [t.class_size(cid) for cid in range(len(classes))] == [len(m) for m in classes]
-        assert t.classes == classes
-        assert t.elements == elements
-        assert list(t.index.items()) == [(w, i) for i, w in enumerate(elements)]
-
-
 def scan_fused_counts(n, a, b):
     """Reference _fused_counts: scan every element of the rank-n group
     for the block subgroup and classify its two blocks; keyed by the
@@ -265,11 +224,11 @@ def test_block_tally_walks_one_permutation_per_cycle_type(monkeypatch):
 
 def test_block_codes_match_the_full_span_at_block_even_masks():
     """_fused_counts walks each block on its own, cycles longest first,
-    and joins the larger block's code x with the smaller block's code y,
-    whose cycles it numbers after the larger block's (either block may be
-    the larger).  At every pair of block-even masks the joined code must
-    classify the element as the rank-n walk of its whole permutation
-    does, over the same cycle lengths."""
+    and joins block a's code x with block b's code y, whose cycles it
+    numbers after block a's (so the joined lengths need not be sorted).
+    At every pair of block-even masks the joined code must classify the
+    element as the rank-n walk of its whole permutation does, over the
+    same cycle lengths."""
     for n in range(2, 8):
         for a in range(1, n):
             b = n - a
@@ -285,13 +244,8 @@ def test_block_codes_match_the_full_span_at_block_even_masks():
                     assert list(lengths) == sorted(lengths_a + lengths_b, reverse=True)
                     reference = all_mask_codes(point_codes)
                     whole = [_code_types(lengths)[reference[ma | mb << a]] for ma in even_a for mb in even_b]
-                    if a >= b:
-                        lengths_big, lengths_small = lengths_a, lengths_b
-                        joined = [_joined(x, y, len(lengths_a)) for x in codes_a for y in codes_b]
-                    else:
-                        lengths_big, lengths_small = lengths_b, lengths_a
-                        joined = [_joined(y, x, len(lengths_b)) for x in codes_a for y in codes_b]
-                    types = _code_types(lengths_big + lengths_small)
+                    joined = [_joined(x, y, len(lengths_a)) for x in codes_a for y in codes_b]
+                    types = _code_types(lengths_a + lengths_b)
                     assert [types[code] for code in joined] == whole, (perm_a, perm_b)
 
 
@@ -301,23 +255,35 @@ def test_fused_counts_match_scan_over_the_group():
             assert _fused_counts(n, a, n - a) == scan_fused_counts(n, a, n - a), (n, a)
 
 
+def test_mirror_splits_fuse_to_swapped_pairs():
+    # blocks are read in block order; the mirror split holds the same
+    # elements with their blocks exchanged, a conjugate by a sign-free
+    # permutation, so the same counts with each pair (pa, pb) swapped
+    for n in range(2, MAX_RANK + 1):
+        for a in range(1, n):
+            swapped = {ty: {(pb, pa): count for (pa, pb), count in pairs.items()} for ty, pairs in _fused_counts(n, a, n - a).items()}
+            assert _fused_counts(n, n - a, a) == swapped, (n, a)
+
+
 def record_tables(monkeypatch):
-    """The ranks of the group tables built from here on, caches cleared."""
+    """The ranks of the group tables asked for from here on, the
+    oracle's caches cleared."""
+    import dweyl.explicit
+
     built = []
-    init = GroupTable.__init__
 
-    def record(self, n):
+    def record(n):
         built.append(n)
-        init(self, n)
+        return build_group(n)
 
-    monkeypatch.setattr(GroupTable, "__init__", record)
-    for cached in (build_group, _block_tally, _fused_counts, _packed):
+    monkeypatch.setattr(dweyl.explicit, "build_group", record)
+    for cached in (_block_tally, _fused_counts, _packed):
         cached.cache_clear()
     return built
 
 
 def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
-    # both blocks are tallied by cycle type; no GroupTable is built
+    # both blocks are tallied by cycle type; no group table is asked for
     built = record_tables(monkeypatch)
     report = verify_formula(6, 2, 4)
     assert report.mismatches == ()
@@ -362,7 +328,8 @@ def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__):
+    assert not hasattr(dweyl.oracle, "build_group")
+    for name in ("d_irr_labels", _point_codes.__name__, _even_codes.__name__):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     for name in ("d_irr_labels", _packed.__name__):
         monkeypatch.setattr(dweyl.verify, name, refuse)
@@ -380,7 +347,8 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated {args}")
 
-    for name in ("d_irr_labels", "build_group", _point_codes.__name__, _even_codes.__name__, "d_char_value", "d_char_column"):
+    assert not hasattr(dweyl.oracle, "build_group")
+    for name in ("d_irr_labels", _point_codes.__name__, _even_codes.__name__, "d_char_value", "d_char_column"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A = B = make_irr_label((2,), ())
     for n, a, b in [(12, 6, 6), (12, 1, 11), (12, 11, 1), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
