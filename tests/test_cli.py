@@ -117,6 +117,8 @@ def test_chartable_types(capsys):
         ("B", "7", "b75d05ec365028d0d3d268234a6580200f9c6b119d9a2a6f6492a591da9ef721"),
         ("D", "8", "664466fcc9c6ac789c82fc5d43612f1d2e2fa766adf8e08d32e1cf28f7a2f21e"),
         ("D", "9", "73df63d4b338e708edda278c1aa6fcd6fffbcce9c514bbb97634117ee0202b37"),
+        ("A", "10", "da328e48129658b30395787af440947b4a6237c3ccfd13e1d4b50d149702c86d"),
+        ("A", "13", "c7c4882b14c655a9937f9b7351456f0a446a0b163e597e4d4df595e8d886bbd3"),
     ],
 )
 def test_chartable_json_is_pinned(capsys, kind, n, digest):
@@ -142,6 +144,16 @@ def test_chartable_over_budget_exits_three_before_enumerating(capsys, monkeypatc
         assert err.startswith("error: resource limit:") and err.count("\n") == 1
 
 
+# SHA-256 of each table's JSON output, pinned before the column walk was
+# folded by conjugation.
+LARGE_TABLE_DIGESTS = {
+    ("D", "10"): "a53d9e171092b4fad4a4ec111feddd1b0c2722ad0359d6ae212be95c4d032813",
+    ("D", "13"): "3e69bc402e3bf87fae732c270906b324069c4135c729a39c4462fc1166742189",
+    ("B", "11"): "7795a75fe4c9d036212bf5744323dacb60902996fcf3da994a42c981ae7448c0",
+    ("A", "21"): "d9aafcb88fe68ef231ca2507d0e3479998322e96d55a4df97b67d1f10afd27ca",
+}
+
+
 @pytest.mark.parametrize(
     "kind, n, count",
     [("D", "10", 251)] + [pytest.param(*largest, marks=pytest.mark.slow) for largest in (("D", "13", 885), ("B", "11", 752), ("A", "21", 792))],
@@ -151,6 +163,7 @@ def test_chartable_under_budget_answers(capsys, kind, n, count):
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == count and len(next(iter(rows.values()))) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[kind, n]
 
 
 def test_chartable_table_format(capsys):
