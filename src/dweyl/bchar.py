@@ -17,10 +17,13 @@ k-box border strip on either component, with sign (-1)**height, and a
 *negative* cycle on the second component takes an extra factor -1.  As
 there, a class's first value walks back from the label and a second
 label asked at the class walks its whole column forward, with no
-recursion either way.  The forward walk keeps only one order of each
-pair of masks: [beta; alpha] is [alpha; beta] tensored with the linear
-character that is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5),
-so a column reads the other order through that sign.
+recursion either way.  The forward walk keeps one state per orbit of
+{(alpha, beta), (beta, alpha), (alpha', beta'), (beta', alpha')}:
+[beta; alpha] is [alpha; beta] tensored with the linear character that
+is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5), and
+[alpha'; beta'] is it tensored with the sign of the underlying
+permutation, so a column reads each label through those signs.  The
+values asked are kept in ``b_memo``, {class: {label: value}}.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .partitions import Bipartition, Partition, enumerate_bipartitions, format_bipartition, size
-from .symchar import _shape, backward, first_request, memo, read_column, sym_centralizer_order, sym_degree
+from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
+from .symchar import _shape, backward, check_class, first_request, read_column, sym_centralizer_order, sym_degree
 
 
 class BClassType(NamedTuple):
@@ -62,15 +65,26 @@ def b_centralizer_order(c: BClassType) -> int:
     return twos * sym_centralizer_order(c.positive) * sym_centralizer_order(c.negative)
 
 
+b_memo: dict = {}
+"""{class: {label: value at the class}}: the values asked of B_n."""
+
+
 def b_char_value(label: Bipartition, c: BClassType) -> int:
     """Value of the irreducible character [alpha; beta] on class c."""
-    value = memo(c)[0].get(label)
-    if value is None:
-        (first, n), (second, m) = _shape(label[0]), _shape(label[1])
-        if n + m != memo(c)[1]:
-            raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-        value = first_request(c, label, lambda: backward(c, (first, second)), lambda: read_column(c))
-    return value
+    try:
+        return b_memo[c][label]
+    except KeyError:
+        pass
+    return _b_request(label, c)
+
+
+def _b_request(label: Bipartition, c: BClassType) -> int:
+    """b_char_value past b_memo, apart so that the lookup builds no closure."""
+    n = check_class(c)
+    (first, a), (second, b) = _shape(label[0]), _shape(label[1])
+    if a + b != n:
+        raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
+    return first_request(b_memo, c, label, bipartition_count(n), lambda: backward(c, (first, second)), lambda: read_column(c))
 
 
 def b_degree(label: Bipartition) -> int:

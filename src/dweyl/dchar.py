@@ -30,13 +30,17 @@ Values come from the abacus walk of ``dweyl.symchar``, with no
 recursion, under its first-request rule: a class's first value walks
 back from the label; a second label asked at the class reads every
 label's value from the folded forward walk of the full group at its
-cycle types, walked once for both classes of a split type.  A class
-here has an even number of negative cycles, so the two orders of a pair
-have one value there and an unordered label is one lookup in the folded
-states, with no table of the full group in between; only the degenerate
-labels then go through ``_restrict``, and the degenerate difference
-reads the symmetric group at pi the same way.  ``d_char_column`` reads
-a class's column whole, with no backward walk first.
+cycle types, walked once for both classes of a split type.  That walk
+keeps one state per orbit of the swap and the conjugation; a class here
+has an even number of negative cycles, so the two orders of a pair have
+one value there and an unordered label is one lookup in its orbit's
+state, times the class's sign pi where the orbit conjugates it, with no
+table of the full group in between; only the degenerate labels then go
+through ``_restrict``, and the degenerate difference reads the
+symmetric group at pi the same way.  ``d_char_column`` reads a class's
+column whole, with no backward walk first.  The values asked are kept in
+``d_memo``, {class: {label: value}}, apart from those of the full group,
+and a class with other than three fields is refused before it is read.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import repeat
 from math import factorial
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
@@ -63,7 +68,7 @@ from .partitions import (
     size,
     union,
 )
-from .symchar import _fold, _labels, _shape, backward, check_class, first_request, memo, splittable, sym_char_value
+from .symchar import _fold, _labels, _shape, backward, check_class, first_request, splittable, sym_char_value
 
 
 class DIrrLabel(NamedTuple):
@@ -111,7 +116,7 @@ def check_label(chi: DIrrLabel, n: Optional[int] = None) -> int:
     (first, second), eps = chi
     rank = size(as_partition(first)) + size(as_partition(second))
     if eps not in (-1, 0, 1):
-        raise ValueError(f"eps must be -1, 0 or +1, got {eps}")
+        raise ValueError(f"eps must be -1, 0 or +1, got {eps!r} for {format_bipartition((first, second))}")
     if first == second and not eps:
         raise ValueError(f"label {format_bipartition((first, second))} is degenerate and needs a sign")
     if first != second and eps:
@@ -197,19 +202,28 @@ def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
     return (_shape(chi.label[0])[0], _shape(chi.label[1])[0]), n
 
 
+def _fields_error(c) -> ValueError:
+    return ValueError(f"class {format_bipartition(c[:2])} is not a type D class: it needs three fields (positive, negative, split)")
+
+
 def delta_value(gamma1: Partition, c: DClassType) -> int:
     """Value of the degenerate difference character for [gamma1; gamma1].
 
     Supported on split classes only:  on (2*pi, (), s) the value is
     s * (-1)**(n/2) * 2**len(pi) * chi_gamma1(pi), with n = 2|gamma1|.
     """
-    n = 2 * _shape(gamma1)[1]
-    if n != memo(c)[1]:
+    if len(c) != 3:
+        raise _fields_error(c)
+    if 2 * _shape(gamma1)[1] != check_class(c):
         raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
+    return _delta(gamma1, c)
+
+
+def _delta(gamma1: Partition, c: DClassType) -> int:
     if c.split is None:
         return 0
     pi = tuple(part // 2 for part in c.positive)
-    return c.split * (-1) ** (n // 2) * 2 ** len(pi) * sym_char_value(gamma1, pi)
+    return c.split * (-1) ** sum(gamma1) * 2 ** len(pi) * sym_char_value(gamma1, pi)
 
 
 def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
@@ -217,57 +231,86 @@ def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
     group."""
     if chi.eps == 0:
         return ambient
-    total = ambient + chi.eps * delta_value(chi.label[0], c)
+    total = ambient + chi.eps * _delta(chi.label[0], c)
     if total % 2:
         raise ArithmeticError(f"non-integral degenerate value for {format_irr_label(chi)} at {format_class(c)}")
     return total // 2
 
 
+d_memo: dict = {}
+"""{class: {label: value at the class}}: the values asked of D_n."""
+
+
 def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
-    """Value of the irreducible character chi on class c."""
+    """Value of the irreducible character chi on class c, a class of this
+    group: one with three fields is checked, any other refused, before
+    d_memo is read."""
+    if len(c) != 3:
+        raise _fields_error(c)
     try:
-        value = memo(c)[0].get(chi)
+        return d_memo[c][chi]
+    except KeyError:
+        pass
     except TypeError:  # unhashable: a bad label, which check_label names, or class
         check_label(chi)
         raise
-    if value is None:
-        state, n = _label_state(chi)
-        if n != memo(c)[1]:
-            raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
-        value = first_request(c, chi, lambda: _restrict(chi, c, backward(c[:2], state)), lambda: _column(c, n))
-    return value
+    return _d_request(chi, c)
+
+
+def _d_request(chi: DIrrLabel, c: DClassType) -> int:
+    """d_char_value past d_memo, apart so that the lookup builds no closure."""
+    n = check_class(c)
+    try:
+        state, size = _label_state(chi)
+    except TypeError:  # unhashable label, at a class with no values yet
+        check_label(chi)
+        raise
+    if size != n:
+        raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
+    return first_request(d_memo, c, chi, bipartition_count(n), lambda: _restrict(chi, c, backward(c[:2], state)), lambda: _column(c, n))
 
 
 @cache
-def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], list, list]:
-    """The labels of rank n, the state of each in the folded walk (that
-    of its bipartition), and the degenerate labels."""
-    labels = d_irr_labels(n)
-    key = dict(zip(*_labels(n, True)[:2]))
-    return labels, [key[X.label] for X in labels], [X for X in labels if X.eps]
+def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], tuple, tuple, list]:
+    """The labels of rank n; the state of each in the folded walk (that of
+    its bipartition); the sign of its value on that state at a class
+    where pi is -1; and the degenerate labels."""
+    labels, keys, signs = _labels(n, True)
+    orbit = dict(zip(labels, zip(keys, signs[1, -1])))
+    keys, conjugated = zip(*(orbit[X.label] for X in d_irr_labels(n)))
+    return d_irr_labels(n), keys, conjugated, [X for X in d_irr_labels(n) if X.eps]
 
 
 def d_char_column(c: DClassType) -> list[int]:
     """Value at c of every label of its rank, in d_irr_labels order: the
     column that d_char_value reads from a class's second label on, kept
-    in the same memo."""
-    box = memo(c)
-    if len(box[0]) < d_label_count(box[1]):
-        box[0] = _column(c, box[1])
-    return list(map(box[0].__getitem__, d_irr_labels(box[1])))
+    in the same store."""
+    if len(c) != 3:
+        raise _fields_error(c)
+    n = check_class(c)
+    column = d_memo.get(c)
+    if column is None or len(column) < d_label_count(n):
+        d_memo[c] = column = _column(c, n)
+    return list(map(column.__getitem__, d_irr_labels(n)))
 
 
 def _column(c: DClassType, n: int) -> dict:
     """Value at c of every label of rank n, read straight from the folded
     walk of c's type: c has an even number of negative cycles, so a label
-    and its swap have one value there, one lookup per label; only the
+    and its swap have one value there, one lookup per label, times c's
+    sign where the conjugation carries the label to its state; only the
     degenerate labels go through _restrict.  The other class of a split
-    type differs only there, and its memo gets its whole column too."""
-    labels, keys, degenerate = _column_keys(n)
-    col = dict(zip(labels, map(_fold(c[:2]).get, keys, repeat(0))))
-    if c.split:
+    type differs only there, and its store entry gets its whole column
+    too."""
+    labels, keys, conjugated, degenerate = _column_keys(n)
+    positive, negative, split = c
+    values = map(_fold((positive, negative)).get, keys, repeat(0))
+    if (n - len(positive) - len(negative)) % 2:  # pi(c) = -1
+        values = map(mul, values, conjugated)
+    col = dict(zip(labels, values))
+    if split:
         twin = c._replace(split=-c.split)
-        memo(twin)[0] = col | {X: _restrict(X, twin, col[X]) for X in degenerate}
+        d_memo[twin] = col | {X: _restrict(X, twin, col[X]) for X in degenerate}
     for X in degenerate:
         col[X] = _restrict(X, c, col[X])
     return col

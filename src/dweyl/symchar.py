@@ -12,14 +12,19 @@ walk; a different label asked there walks the column, which answers
 every later request, unless the rank has more than ``COLUMN_LABELS``
 labels (counted, not enumerated): then every label walks back.
 
-The forward walk of B_n and D_n is folded by the swap of the two
-components: (alpha, beta) and (beta, alpha) differ at a class only by
-the sign (-1)**(negative cycles), so the walk keeps one state per swap
-orbit, with the larger bead mask first, and about half the states of a
-walk keeping both orders.  A column is then one lookup per label, times
-that sign for a label whose masks come in the other order.  A class
-keeps only the values read from its walk, not the walk's states.  The
-memos are ``functools`` caches.
+The forward walk is folded by the linear characters that permute the
+labels: [lambda'] = sgn [lambda] (James-Kerber 2.1.8) for S_n, and for
+B_n and D_n [beta; alpha] = delta [alpha; beta] (Geck-Pfeiffer 2000,
+5.5) and [alpha'; beta'] = pi [alpha; beta], pi the sign of the
+underlying permutation.  The walk keeps one state per orbit of these
+label symmetries, about a half (S_n) or a quarter (B_n, D_n) of the
+states of a walk keeping every label, and a column is one lookup per
+label in its orbit's state, times the class's value of the character
+that carries the label there.  A class keeps only the values read from
+its walk, not the walk's states.  The values asked are kept in one
+plain dict per group type, {class: {label: value}} (``s_memo`` here,
+keyed by the cycle type itself; ``bchar.b_memo``, ``dchar.d_memo``), so
+a warm value is two lookups.
 """
 
 from __future__ import annotations
@@ -28,12 +33,11 @@ from collections import Counter
 from functools import cache
 from itertools import repeat
 from math import comb, factorial, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .partitions import (
     Partition,
     as_partition,
-    bipartition_count,
     enumerate_bipartitions,
     enumerate_partitions,
     format_class,
@@ -84,6 +88,38 @@ def _moves(mask: int, k: int) -> tuple[tuple[int, int], ...]:
         sub = mask ^ low ^ low << d
         sub >>= (~sub & (sub + 1)).bit_length() - 1  # drop the rows now empty
         out.append((sub, -1 if (mask >> low.bit_length() & (1 << d - 1) - 1).bit_count() & 1 else 1))
+    return tuple(out)
+
+
+_conjugates: dict = {0: 0}
+"""{bead mask: the conjugate shape's bead mask}, both ways, for every
+mask _conj has met: the folded walk reads it once per state."""
+
+
+def _conj(mask: int) -> int:
+    """Bead mask of the conjugate shape: the gaps from bit 0 to the top
+    bead, read from the top down."""
+    try:
+        return _conjugates[mask]
+    except KeyError:
+        width = mask.bit_length()
+        conj = int(bin(~mask & (1 << width) - 1)[2:].zfill(width)[::-1], 2)
+        _conjugates[mask], _conjugates[conj] = conj, mask
+        return conj
+
+
+_grown: dict = {}
+"""{k: {bead mask: _grow(mask, k)}}, filled by the folded walk."""
+
+
+def _grow(mask: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(orbit, sign, o, sub) per k-strip added to the shape with bead mask
+    mask (k > 0), as _moves: orbit is the larger of sub and its
+    conjugate, o is 1, -1 or 0 as sub is orbit, its conjugate, or both."""
+    out = []
+    for sub, sign in _moves.__wrapped__(mask, k):
+        conj = _conj(sub)
+        out.append((max(sub, conj), sign, (sub > conj) - (sub < conj), sub))
     return tuple(out)
 
 
@@ -150,53 +186,122 @@ def backward(cls, state: tuple[int, int]) -> int:
     return total
 
 
+def _orbit(first: int, second: int) -> tuple[tuple[int, int], int]:
+    """The state of the orbit of the bead masks (first, second) under the
+    swap and the conjugation of both, the largest of the four, and which
+    of them carries (first, second) there: bit 0 the swap, bit 1 the
+    conjugation."""
+    conj = _conj(first), _conj(second)
+    return max(((first, second), 0), ((second, first), 1), (conj, 2), (conj[::-1], 3), key=itemgetter(0))
+
+
 @cache
-def _labels(n: int, pairs: bool) -> tuple[tuple, list, list]:
+def _labels(n: int, pairs: bool) -> tuple[tuple, list, dict]:
     """Partitions of n, or bipartitions with pairs; each one's state in
-    _fold, its bead masks with the larger first; and -1 where that
-    swapped them, else 1."""
+    _fold (an S_n label (mask, 0) has state mask); and by (turn, pi), the
+    values at a class of the linear characters of the swap and of the
+    conjugation, the sign of the label's value on its state, unless both
+    are 1."""
     labels = enumerate_bipartitions(n) if pairs else enumerate_partitions(n)
-    masks = [(_shape(x[0])[0], _shape(x[1])[0]) if pairs else (_shape(x)[0], 0) for x in labels]
-    return labels, [max(m, m[::-1]) for m in masks], [-1 if m[0] < m[1] else 1 for m in masks]
+    orbits = [_orbit(_shape(x[0])[0], _shape(x[1])[0]) if pairs else _orbit(_shape(x)[0], 0) for x in labels]
+    keys = [state if pairs else state[0] for state, _ in orbits]
+    signs = {(turn, pi): [(1, turn, pi, turn * pi)[via] for _, via in orbits] for turn, pi in ((-1, 1), (1, -1), (-1, -1))}
+    return labels, keys, signs
 
 
 def _fold(cls) -> dict:
     """The walk at class type cls forward from the empty shape, its
-    cycles (k, twist) added smallest first: a k-strip on first, or on
-    second times twist, with one state per swap orbit, (first, second)
-    with first >= second.  A label's value at cls is its state's
-    coefficient, or that times (-1)**(negative cycles) if the state has
-    its masks swapped.
+    cycles added smallest first, keeping one state per orbit of the label
+    symmetries (see the module docstring), its largest member: a bead
+    mask for S_n, (first, second) for B_n.  A label's value at cls is its
+    orbit's coefficient times the class's value of the linear character
+    carrying it there (_labels).
 
-    Swapping the components is tensoring with a linear character,
-    [beta; alpha] = delta [alpha; beta] (Geck-Pfeiffer 5.5), so a state's
-    swap holds its coefficient times turn, the product of the twists so
-    far.  Each kept state moves itself only (a state (h, h) its first
-    component only: its second's moves are the swaps of those).  Adding
-    boxes raises a mask, so a move of first keeps the order; a move of
-    second onto (x, y) with x < y lands on (y, x) times turn, and one
-    onto (x, x) counts for both orders, times 1 + turn.  A class of S_n
-    (twist 0) keeps second = 0 and never swaps."""
+    Each state moves itself only.  A move onto a member of an orbit lands
+    on the orbit's state times the linear character carrying it there,
+    evaluated at the cycles so far: the sign pi = prod (-1)**(k - 1) for
+    the conjugation, turn = prod twist for the swap.  A move onto an
+    orbit with a larger stabilizer counts once for each of its
+    stabilizer's elements outside the moving state's, times that
+    element's character: 1 + pi, as the swap fold had 1 + turn.  A state
+    its own conjugate (or swap) moves only one of each conjugate (swap)
+    pair of its moves, which carry equal terms."""
+    positive, negative = cls
+    pi, conjugates = 1, _conjugates
+    if negative is None:
+        states = {0: 1}
+        for k in reversed(positive):
+            if k % 2 == 0:
+                pi = -pi
+            rule, fixed = (1 + pi, 1, pi), (1, 1, 0)  # by o of the move: 0, 1, -1
+            out: dict = {}
+            get, grown = out.get, _grown.setdefault(k, {})
+            for x, coef in states.items():
+                if not coef:  # cancelled
+                    continue
+                try:
+                    moves = grown[x]
+                except KeyError:
+                    moves = grown[x] = _grow(x, k)
+                f = fixed if x == conjugates[x] else rule
+                for orbit, sign, o, _ in moves:
+                    out[orbit] = get(orbit, 0) + sign * f[o] * coef
+            states = out
+        return states
     states, turn = {(0, 0): 1}, 1
     for k, twist in _cycles(cls):
-        before, turn = turn, turn * twist
-        out: dict = {}
-        get = out.get
-        for (first, second), coef in states.items():
+        turn *= twist
+        if k % 2 == 0:
+            pi = -pi
+        out = {}
+        get, grown = out.get, _grown.setdefault(k, {})
+        for (x, y), coef in states.items():
             if not coef:  # cancelled
                 continue
-            for sub, sign in _moves(first, k):  # sub > first >= second
-                state = sub, second
-                out[state] = get(state, 0) + sign * coef
-            if twist and first != second:
-                for sub, sign in _moves(second, k):
-                    if sub < first:
-                        state, sign = (first, sub), twist * sign
-                    elif sub > first:
-                        state, sign = (sub, first), before * sign
+            xc, yc = conjugates[x], conjugates[y]
+            xs = x == xc
+            fixed = xs and y == yc  # its own conjugate: (1 + pi) / 2 below
+            # Moves of x land above y's orbit, on (orbit, y or yc).
+            if y > yc:
+                seconds, f = (y, y, yc), (coef, coef, pi * coef)
+            elif y < yc:
+                seconds, f = (yc, y, yc), (pi * coef, coef, pi * coef)
+            else:
+                seconds, f = (y, y, y), ((coef, coef, 0) if fixed else ((1 + pi) * coef, coef, pi * coef))
+            try:
+                moves = grown[x]
+            except KeyError:
+                moves = grown[x] = _grow(x, k)
+            for orbit, sign, o, _ in moves:
+                state = orbit, seconds[o]
+                out[state] = get(state, 0) + sign * f[o]
+            if y == x or y == xc:  # its own swap (or swapped conjugate): done
+                continue
+            coef *= twist
+            try:
+                moves = grown[y]
+            except KeyError:
+                moves = grown[y] = _grow(y, k)
+            for orbit, sign, o, sub in moves:
+                if fixed and o < 0:
+                    continue
+                if orbit < x:  # (x, sub) or, x self-conjugate, (x, orbit)
+                    if not xs:
+                        state, f = (x, sub), 1
                     else:
-                        state, sign = (sub, sub), (1 + turn) * twist * sign
-                    out[state] = get(state, 0) + sign * coef
+                        state, f = (x, orbit), pi if o < 0 else 1 if o or fixed else 1 + pi
+                elif orbit > x:  # the swap (orbit, x), or with the conjugation (orbit, xc)
+                    if o < 0:
+                        state, f = (orbit, xc), turn * pi
+                    else:
+                        state, f = (orbit, x), turn if o or fixed or not xs else turn * (1 + pi)
+                elif xs:  # (x, x), all four its own
+                    state, f = (x, x), 1 + turn if fixed else (1 + turn) * (1 + pi)
+                elif o > 0:  # (x, x), its own swap
+                    state, f = (x, x), 1 + turn
+                else:  # (x, xc), its own swapped conjugate
+                    state, f = (x, xc), 1 + turn * pi
+                out[state] = get(state, 0) + sign * f * coef
         states = out
     return states
 
@@ -204,10 +309,12 @@ def _fold(cls) -> dict:
 def read_column(cls) -> dict:
     """Value at class cls of every label of its rank, by label."""
     positive, negative = cls
-    labels, keys, swapped = _labels(sum(positive) + sum(negative or ()), negative is not None)
+    n, cycles = sum(positive) + sum(negative or ()), len(positive) + len(negative or ())
+    labels, keys, signs = _labels(n, negative is not None)
     values = map(_fold(cls).get, keys, repeat(0))
-    if negative and len(negative) % 2:
-        values = map(mul, values, swapped)
+    turn, pi = -1 if negative and len(negative) % 2 else 1, -1 if (n - cycles) % 2 else 1
+    if turn < 0 or pi < 0:
+        values = map(mul, values, signs[turn, pi])
     return dict(zip(labels, values))
 
 
@@ -215,24 +322,22 @@ COLUMN_LABELS = 10_000
 """Most labels (partitions, or bipartitions for B_n and D_n) of a rank
 whose columns are walked: B_n and D_n up to n = 17, S_n up to n = 32."""
 
-
-@cache
-def memo(cls) -> list:
-    """[values asked at class cls, by label; its rank], made once cls is
-    checked, so a bad class leaves no entry; see first_request."""
-    return [{}, check_class(cls)]
+s_memo: dict = {}
+"""{cycle type mu: {label: value at mu}}: the values asked of S_n."""
 
 
-def first_request(cls, label, single, whole) -> int:
-    """A checked label's value missing from memo(cls): single() for the
-    class's first label, else from its column whole(), which memo keeps,
-    unless the rank has more than COLUMN_LABELS labels, counted without
-    enumerating them; then single() answers every label."""
-    box = memo(cls)
-    if box[0] and (bipartition_count if cls[1] is not None else partition_count)(box[1]) <= COLUMN_LABELS:
-        box[0] = whole()
-        return box[0][label]
-    box[0][label] = value = single()
+def first_request(memo: dict, cls, label, labels: int, single, whole) -> int:
+    """A checked label's value missing from memo[cls], cls checked too:
+    single() for the class's first label, else from its column whole(),
+    which memo keeps, unless the rank has more than COLUMN_LABELS labels
+    (labels, counted without enumerating them); then single() answers
+    every label."""
+    column = memo.get(cls)
+    if column and labels <= COLUMN_LABELS:
+        memo[cls] = column = whole()
+        return column[label]
+    value = single()
+    memo.setdefault(cls, {})[label] = value
     return value
 
 
@@ -253,14 +358,21 @@ def border_strips(shape: Partition, k: int) -> list[tuple[Partition, int]]:
 
 def sym_char_value(lam: Partition, mu: Partition) -> int:
     """Value of the irreducible character [lam] at cycle type mu."""
+    try:
+        return s_memo[mu][lam]
+    except KeyError:
+        pass
+    return _sym_request(lam, mu)
+
+
+def _sym_request(lam: Partition, mu: Partition) -> int:
+    """sym_char_value past s_memo, apart so that the lookup builds no closure."""
     cls = mu, None
-    value = memo(cls)[0].get(lam)
-    if value is None:
-        mask, n = _shape(lam)
-        if n != memo(cls)[1]:
-            raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
-        value = first_request(cls, lam, lambda: backward(cls, (mask, 0)), lambda: read_column(cls))
-    return value
+    n = check_class(cls)
+    mask, size = _shape(lam)
+    if size != n:
+        raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
+    return first_request(s_memo, mu, lam, partition_count(n), lambda: backward(cls, (mask, 0)), lambda: read_column(cls))
 
 
 def sym_centralizer_order(mu: Partition) -> int:

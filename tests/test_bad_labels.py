@@ -7,7 +7,7 @@ import re
 import pytest
 
 from dweyl.cli import main
-from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_degree, make_irr_label, parse_class
+from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, make_irr_label, parse_class
 from dweyl.decomp import InducedQuery, branch_restriction, decompose_induced, induced_multiplicity
 from dweyl.lr import lr_coefficient, lr_expand
 
@@ -114,3 +114,33 @@ def test_bad_input_exits_two_in_the_grammar(capsys, argv, shown):
     out = capsys.readouterr()
     assert out.out == ""
     assert_grammar_message(out.err, shown)
+
+
+@pytest.mark.parametrize("eps", [2, -2])
+def test_sign_outside_plus_minus_one_is_refused(eps):
+    """A sign other than -1, 0 or +1, on a degenerate label (whose sign is
+    otherwise required), is refused by every entry point that takes a
+    label, and by d_char_value both at a fresh class and at one whose
+    column is stored."""
+    chi, c = DIrrLabel(((1,), (1,)), eps), DClassType((1, 1), (), None)
+    calls = {
+        "make_irr_label": lambda: make_irr_label((1,), (1,), eps),
+        "d_char_value": lambda: d_char_value(chi, c),
+        "d_degree": lambda: d_degree(chi),
+        "decompose_induced A": lambda: decompose_induced(InducedQuery(4, 2, 2, chi, GOOD)),
+        "decompose_induced B": lambda: decompose_induced(InducedQuery(4, 2, 2, GOOD, chi)),
+    }
+    d_memo.pop(c, None)
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="eps must be -1, 0 or \\+1"):
+            call()
+    assert c not in d_memo
+    assert len(d_char_column(c)) == len(d_irr_labels(2))
+    with pytest.raises(ValueError, match="eps must be -1, 0 or \\+1"):
+        d_char_value(chi, c)
+
+
+def test_branch_restriction_refuses_an_unknown_side():
+    X, B = make_irr_label((3,), (1,)), make_irr_label((3,), ())
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'middle'"):
+        branch_restriction(4, "middle", X, B)

@@ -2,7 +2,7 @@
 decomposition at ranks 7-40 (Frobenius reciprocity at ranks 7-14), and
 the LR expansion at sizes 11-20.
 
-The explicit group stops at rank 10, so the checks are identities the
+The explicit group stops at rank 11 (``oracle.MAX_RANK``), so the checks are identities the
 answer must satisfy whatever it is, or a second rule for the same
 numbers.
 """

@@ -15,16 +15,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dweyl import dchar, symchar
-from dweyl.bchar import BClassType, b_char_value, b_classes
-from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, make_irr_label
-from dweyl.partitions import enumerate_bipartitions, enumerate_partitions
-from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, memo, read_column, sym_char_value
+from dweyl.bchar import BClassType, b_char_value, b_classes, b_memo
+from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, d_memo, make_irr_label
+from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, format_bipartition
+from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, read_column, s_memo, sym_char_value
 
 VIEWS = {
     "S": (sym_char_value, enumerate_partitions, enumerate_partitions),
     "B": (b_char_value, enumerate_bipartitions, b_classes),
     "D": (d_char_value, d_irr_labels, d_classes),
 }
+MEMOS = {sym_char_value: s_memo, b_char_value: b_memo, d_char_value: d_memo}
+
+
+def clear_memos():
+    for memo in MEMOS.values():
+        memo.clear()
+
+
+def memo_entries() -> int:
+    """Classes holding values, over the three views."""
+    return sum(map(len, MEMOS.values()))
 
 
 @contextmanager
@@ -48,17 +59,18 @@ def both_directions(view, label, other, cls, count):
     """label's value at cls asked first (a backward walk), and asked after
     a different label (read from the one walk of cls's column, next to
     which a split D class may walk S_{n/2} columns for its degenerate
-    labels: memo then holds the values of all count labels of the rank)."""
+    labels: the view's memo then holds the values of all count labels of
+    the rank)."""
     key = (cls, None) if view is sym_char_value else cls[:2]
-    memo.cache_clear()
+    clear_memos()
     with counted_walks() as walks:
         single = view(label, cls)
-        memo.cache_clear()
+        clear_memos()
         view(other, cls)
         assert not walks
         whole = view(label, cls)
     assert walks.count(key) == 1
-    assert len(memo((cls, None) if view is sym_char_value else cls)[0]) == count
+    assert len(MEMOS[view][cls]) == count
     return single, whole
 
 
@@ -75,7 +87,7 @@ def test_single_value_walk_equals_column(kind, n, data):
 
 
 def test_rank_one_values_walk_no_column():
-    memo.cache_clear()
+    clear_memos()
     with counted_walks() as walks:
         assert sym_char_value((1,), (1,)) == 1
         assert b_char_value(((), (1,)), BClassType((), (1,))) == -1
@@ -83,7 +95,7 @@ def test_rank_one_values_walk_no_column():
 
 
 def test_one_row_walks_no_column():
-    memo.cache_clear()
+    clear_memos()
     labels, classes = d_irr_labels(10), d_classes(10)
     assert len(classes) == 251
     identity = DClassType((1,) * 10, (), None)
@@ -97,12 +109,12 @@ def test_one_row_walks_no_column():
 
 
 def test_degenerate_row_walks_no_column():
-    memo.cache_clear()
+    clear_memos()
     chi = make_irr_label((3, 1), (3, 1), -1)
     with counted_walks() as walks:
         row = [d_char_value(chi, c) for c in d_classes(8)]
     assert not walks
-    memo.cache_clear()
+    clear_memos()
     assert row == [d_char_value(chi, c) for c in d_classes(8)]
 
 
@@ -117,7 +129,7 @@ def test_degenerate_row_walks_no_column():
     ],
 )
 def test_fifteen_hundred_parts_answer_fast(call, expected):
-    memo.cache_clear()
+    clear_memos()
     start = time.perf_counter()
     assert call() == expected
     assert time.perf_counter() - start < 1.0
@@ -151,19 +163,19 @@ BAD_LABELS = [
 
 @pytest.mark.parametrize("view, label, cls, warm, message", BAD_LABELS)
 def test_bad_labels_rejected_in_both_directions(view, label, cls, warm, message):
-    memo.cache_clear()
+    clear_memos()
     with pytest.raises(ValueError, match=re.escape(message)):
         view(label, cls)
     for good in warm:
         view(good, cls)
-    entries = memo.cache_info().currsize
+    entries = memo_entries()
     with pytest.raises(ValueError, match=re.escape(message)):
         view(label, cls)
-    assert memo.cache_info().currsize == entries
+    assert memo_entries() == entries
 
 
 def test_bad_classes_leave_no_memo_entry():
-    memo.cache_clear()
+    clear_memos()
     sym_char_value((3,), (3,))
     bad = [(sym_char_value, (3,), (i + 1, i + 2)) for i in range(3)] + [
         (b_char_value, ((3,), ()), BClassType((1, 2), ())),
@@ -173,7 +185,32 @@ def test_bad_classes_leave_no_memo_entry():
     for view, label, cls in bad:
         with pytest.raises(ValueError):
             view(label, cls)
-        assert memo.cache_info().currsize == 1
+        assert memo_entries() == 1
+
+
+# Classes of the full group are not classes of the D view: each is refused,
+# with no store entry, whether or not b_char_value has walked its column.
+
+B_CLASSES_IN_THE_D_VIEW = [
+    (make_irr_label((3,), (1,)), BClassType((3,), (1,))),  # odd number of negative cycles
+    (make_irr_label((3,), (1,)), BClassType((2, 2), ())),  # needs a +/- tag
+    (make_irr_label((2,), (2,), 1), BClassType((2, 2), ())),
+    (make_irr_label((2,), (1,)), BClassType((2, 1), ())),  # a D class but for its third field
+]
+
+
+@pytest.mark.parametrize("chi, c", B_CLASSES_IN_THE_D_VIEW)
+def test_d_view_refuses_classes_of_the_full_group(chi, c):
+    labels = enumerate_bipartitions(sum(c.positive) + sum(c.negative))
+    clear_memos()
+    for _ in range(2):  # before b_char_value walks c's column, then after
+        for call in (lambda: d_char_value(chi, c), lambda: d_char_column(c)):
+            with pytest.raises(ValueError, match=re.escape(f"class {format_bipartition(c)} is not a type D class")):
+                call()
+        assert not d_memo
+        b_char_value(labels[0], c)
+        b_char_value(labels[1], c)
+        assert len(b_memo[c]) == len(labels)  # the B column is walked
 
 
 # The folded column walk against the walk that keeps both orders of every
@@ -222,14 +259,14 @@ def test_d_table_walks_each_type_once():
     """A split class's column walk fills the memo of the other class of
     its type, with that class's own values."""
     classes, labels = d_classes(8), d_irr_labels(8)
-    memo.cache_clear()
+    clear_memos()
     with counted_walks() as walks:
         table = [[d_char_value(X, c) for X in labels] for c in classes]
     types = [w for w in walks if w[1] is not None]  # not the S_4 walks of delta_value
     assert len(types) == len(set(types)) < len(classes)
     assert set(types) == {c[:2] for c in classes}
     for c, values in zip(classes, table):
-        memo.cache_clear()
+        clear_memos()
         assert [d_char_value(X, c) for X in labels] == values
 
 
@@ -243,9 +280,9 @@ def test_d_column_reads_the_memo_of_the_per_value_view():
 
     for n in (6, 8):
         classes, labels = d_classes(n), d_irr_labels(n)
-        memo.cache_clear()
+        clear_memos()
         table = [[d_char_value(X, c) for X in labels] for c in classes]
-        memo.cache_clear()
+        clear_memos()
         with counted_walks() as walks, pytest.MonkeyPatch.context() as patch:
             patch.setattr(dchar, "backward", refuse)
             assert [d_char_column(c) for c in classes] == table
@@ -262,8 +299,21 @@ def test_folded_walk_keeps_about_half_the_states():
     assert folded <= 0.55 * sum(len(unfolded_walk(c[:2])) for c in d_classes(9))
 
 
+def test_orbit_walk_keeps_about_a_quarter_of_the_pair_states():
+    """Folding by the conjugation as well as by the swap: at most 30% of
+    the unfolded states over the D_9 types, 55% over the S_13 classes."""
+    types = {c[:2] for c in d_classes(9)}
+    assert sum(len(_fold(t)) for t in types) <= 0.30 * sum(len(unfolded_walk(t)) for t in types)
+    classes = [(mu, None) for mu in enumerate_partitions(13)]
+    assert sum(len(_fold(c)) for c in classes) <= 0.55 * sum(len(unfolded_walk(c)) for c in classes)
+
+
 def partitions_of(data, n):
     return data.draw(st.sampled_from(enumerate_partitions(n)))
+
+
+def conjugate(p):
+    return tuple(sum(part > j for part in p) for j in range(p[0])) if p else ()
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,15 +324,38 @@ def test_swapped_label_is_delta_tensor(n, data):
     k, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n - 1))
     alpha, beta = partitions_of(data, k), partitions_of(data, n - k)
     c = BClassType(partitions_of(data, j), partitions_of(data, n - j))
-    memo.cache_clear()
+    clear_memos()
     swapped = b_char_value((beta, alpha), c)
-    memo.cache_clear()
+    clear_memos()
     assert swapped == (-1) ** len(c.negative) * b_char_value((alpha, beta), c)
-    assert len(memo(c)[0]) == 1  # each value was its fresh class's first: a backward walk
+    assert len(b_memo[c]) == 1  # each value was its fresh class's first: a backward walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+def test_conjugate_label_is_sign_tensor(n, data):
+    """[lambda'] = sgn [lambda] on S_n, and [alpha'; beta'] = pi [alpha; beta]
+    on B_n, pi the sign of the underlying permutation: the identities the
+    orbit fold rests on besides the swap, here through backward walks."""
+    lam, mu = partitions_of(data, n), partitions_of(data, n)
+    clear_memos()
+    conjugated = sym_char_value(conjugate(lam), mu)
+    clear_memos()
+    assert conjugated == (-1) ** (n - len(mu)) * sym_char_value(lam, mu)
+    assert len(s_memo[mu]) == 1  # each value was its fresh class's first: a backward walk
+    n = min(n, 12)
+    k, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    alpha, beta = partitions_of(data, k), partitions_of(data, n - k)
+    c = BClassType(partitions_of(data, j), partitions_of(data, n - j))
+    clear_memos()
+    conjugated = b_char_value((conjugate(alpha), conjugate(beta)), c)
+    clear_memos()
+    assert conjugated == (-1) ** (n - len(c.positive) - len(c.negative)) * b_char_value((alpha, beta), c)
+    assert len(b_memo[c]) == 1
 
 
 def test_past_column_labels_every_label_walks_back(monkeypatch):
-    memo.cache_clear()
+    clear_memos()
     split = DClassType((2,) * 100, (), 1)
     plus, minus = make_irr_label((100,), (100,), 1), make_irr_label((100,), (100,), -1)
     with monkeypatch.context() as patch, counted_walks() as walks:
