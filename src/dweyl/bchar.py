@@ -33,7 +33,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
-from .symchar import _shape, backward, check_class, first_request, read_column, sym_centralizer_order, sym_degree
+from .symchar import _shape, backward, checked_rank, first_request, read_column, sym_centralizer_order, sym_degree
 
 
 class BClassType(NamedTuple):
@@ -80,7 +80,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
 
 def _b_request(label: Bipartition, c: BClassType) -> int:
     """b_char_value past b_memo, apart so that the lookup builds no closure."""
-    n = check_class(c)
+    n = checked_rank(b_memo, c, c)
     (first, a), (second, b) = _shape(label[0]), _shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")

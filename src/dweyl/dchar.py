@@ -68,7 +68,7 @@ from .partitions import (
     size,
     union,
 )
-from .symchar import _fold, _labels, _shape, backward, check_class, first_request, splittable, sym_char_value
+from .symchar import _fold, _orbit, _shape, backward, check_class, checked_rank, first_request, splittable, sym_char_value
 
 
 class DIrrLabel(NamedTuple):
@@ -220,6 +220,7 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
 
 
 def _delta(gamma1: Partition, c: DClassType) -> int:
+    """delta_value with gamma1 and c already checked."""
     if c.split is None:
         return 0
     pi = tuple(part // 2 for part in c.positive)
@@ -242,9 +243,9 @@ d_memo: dict = {}
 
 
 def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
-    """Value of the irreducible character chi on class c, a class of this
-    group: one with three fields is checked, any other refused, before
-    d_memo is read."""
+    """Value of the irreducible character chi on class c.  A class without
+    the three fields of a class of this group, such as a class of the
+    full group, is refused before d_memo is read."""
     if len(c) != 3:
         raise _fields_error(c)
     try:
@@ -259,7 +260,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
 
 def _d_request(chi: DIrrLabel, c: DClassType) -> int:
     """d_char_value past d_memo, apart so that the lookup builds no closure."""
-    n = check_class(c)
+    n = checked_rank(d_memo, c, c)
     try:
         state, size = _label_state(chi)
     except TypeError:  # unhashable label, at a class with no values yet
@@ -271,14 +272,14 @@ def _d_request(chi: DIrrLabel, c: DClassType) -> int:
 
 
 @cache
-def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], tuple, tuple, list]:
+def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], list, list, list]:
     """The labels of rank n; the state of each in the folded walk (that of
     its bipartition); the sign of its value on that state at a class
     where pi is -1; and the degenerate labels."""
-    labels, keys, signs = _labels(n, True)
-    orbit = dict(zip(labels, zip(keys, signs[1, -1])))
-    keys, conjugated = zip(*(orbit[X.label] for X in d_irr_labels(n)))
-    return d_irr_labels(n), keys, conjugated, [X for X in d_irr_labels(n) if X.eps]
+    labels = d_irr_labels(n)
+    orbits = [_orbit(_shape(X.label[0])[0], _shape(X.label[1])[0]) for X in labels]
+    keys = [(first, second) for first, second, _ in orbits]
+    return labels, keys, [-1 if via & 2 else 1 for *_, via in orbits], [X for X in labels if X.eps]
 
 
 def d_char_column(c: DClassType) -> list[int]:
@@ -287,7 +288,7 @@ def d_char_column(c: DClassType) -> list[int]:
     in the same store."""
     if len(c) != 3:
         raise _fields_error(c)
-    n = check_class(c)
+    n = checked_rank(d_memo, c, c)
     column = d_memo.get(c)
     if column is None or len(column) < d_label_count(n):
         d_memo[c] = column = _column(c, n)
@@ -309,7 +310,7 @@ def _column(c: DClassType, n: int) -> dict:
         values = map(mul, values, conjugated)
     col = dict(zip(labels, values))
     if split:
-        twin = c._replace(split=-c.split)
+        twin = DClassType(positive, negative, -split)
         d_memo[twin] = col | {X: _restrict(X, twin, col[X]) for X in degenerate}
     for X in degenerate:
         col[X] = _restrict(X, c, col[X])

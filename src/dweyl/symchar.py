@@ -33,7 +33,7 @@ from collections import Counter
 from functools import cache
 from itertools import repeat
 from math import comb, factorial, prod
-from operator import itemgetter, mul
+from operator import mul
 
 from .partitions import (
     Partition,
@@ -186,13 +186,13 @@ def backward(cls, state: tuple[int, int]) -> int:
     return total
 
 
-def _orbit(first: int, second: int) -> tuple[tuple[int, int], int]:
-    """The state of the orbit of the bead masks (first, second) under the
-    swap and the conjugation of both, the largest of the four, and which
-    of them carries (first, second) there: bit 0 the swap, bit 1 the
-    conjugation."""
+def _orbit(first: int, second: int) -> tuple[int, int, int]:
+    """(first, second, via) for the state of the orbit of the bead masks
+    (first, second) under the swap and the conjugation of both, the
+    largest of the four, and via, which of them carries (first, second)
+    there: bit 0 the swap, bit 1 the conjugation."""
     conj = _conj(first), _conj(second)
-    return max(((first, second), 0), ((second, first), 1), (conj, 2), (conj[::-1], 3), key=itemgetter(0))
+    return max((first, second, 0), (second, first, 1), (*conj, 2), (conj[1], conj[0], 3))
 
 
 @cache
@@ -204,28 +204,33 @@ def _labels(n: int, pairs: bool) -> tuple[tuple, list, dict]:
     are 1."""
     labels = enumerate_bipartitions(n) if pairs else enumerate_partitions(n)
     orbits = [_orbit(_shape(x[0])[0], _shape(x[1])[0]) if pairs else _orbit(_shape(x)[0], 0) for x in labels]
-    keys = [state if pairs else state[0] for state, _ in orbits]
-    signs = {(turn, pi): [(1, turn, pi, turn * pi)[via] for _, via in orbits] for turn, pi in ((-1, 1), (1, -1), (-1, -1))}
+    keys = [(first, second) if pairs else first for first, second, _ in orbits]
+    signs = {(turn, pi): [(1, turn, pi, turn * pi)[via] for *_, via in orbits] for turn, pi in ((-1, 1), (1, -1), (-1, -1))}
     return labels, keys, signs
 
 
 def _fold(cls) -> dict:
     """The walk at class type cls forward from the empty shape, its
     cycles added smallest first, keeping one state per orbit of the label
-    symmetries (see the module docstring), its largest member: a bead
-    mask for S_n, (first, second) for B_n.  A label's value at cls is its
-    orbit's coefficient times the class's value of the linear character
-    carrying it there (_labels).
+    symmetries (see the module docstring), the orbit's largest member: a
+    bead mask x >= x' for S_n, (x, y) with x >= x' and x >= y, y' for B_n.
+    A label's value at cls is its orbit's coefficient times the class's
+    value of the linear character carrying the label there (_labels).
 
-    Each state moves itself only.  A move onto a member of an orbit lands
-    on the orbit's state times the linear character carrying it there,
-    evaluated at the cycles so far: the sign pi = prod (-1)**(k - 1) for
-    the conjugation, turn = prod twist for the swap.  A move onto an
-    orbit with a larger stabilizer counts once for each of its
-    stabilizer's elements outside the moving state's, times that
-    element's character: 1 + pi, as the swap fold had 1 + turn.  A state
-    its own conjugate (or swap) moves only one of each conjugate (swap)
-    pair of its moves, which carry equal terms."""
+    The coefficient of a state's image under the swap, the conjugation or
+    both is its own times turn, pi or turn * pi, the products over the
+    cycles so far of twist and of (-1)**(k - 1).  So each state moves
+    itself only, and a move landing on another member of an orbit adds
+    to the orbit's state times the character carrying it there.  A move
+    onto a state fixed by more of the symmetries than the moving state
+    adds once for each of them, times its character: 1 + pi onto a
+    self-conjugate shape, as the swap fold had 1 + turn onto (h, h).  A
+    state fixed by a symmetry makes only one of each pair of its moves
+    that the symmetry swaps, which add equal terms: (h, h) and (h, h')
+    move h only, and a self-conjugate state skips the moves onto the
+    conjugate of a state, counting one onto a self-conjugate state once.
+    A move of x raises it above y and y', so it lands on (orbit, y) or,
+    conjugated, (orbit, y')."""
     positive, negative = cls
     pi, conjugates = 1, _conjugates
     if negative is None:
@@ -260,29 +265,29 @@ def _fold(cls) -> dict:
                 continue
             xc, yc = conjugates[x], conjugates[y]
             xs = x == xc
-            fixed = xs and y == yc  # its own conjugate: (1 + pi) / 2 below
-            # Moves of x land above y's orbit, on (orbit, y or yc).
+            fixed = xs and y == yc  # its own conjugate
+            # By o of a move of x: the second component where it lands, and its term.
             if y > yc:
-                seconds, f = (y, y, yc), (coef, coef, pi * coef)
+                seconds, terms = (y, y, yc), (coef, coef, pi * coef)
             elif y < yc:
-                seconds, f = (yc, y, yc), (pi * coef, coef, pi * coef)
+                seconds, terms = (yc, y, yc), (pi * coef, coef, pi * coef)
             else:
-                seconds, f = (y, y, y), ((coef, coef, 0) if fixed else ((1 + pi) * coef, coef, pi * coef))
+                seconds, terms = (y, y, y), ((coef, coef, 0) if fixed else ((1 + pi) * coef, coef, pi * coef))
             try:
                 moves = grown[x]
             except KeyError:
                 moves = grown[x] = _grow(x, k)
             for orbit, sign, o, _ in moves:
                 state = orbit, seconds[o]
-                out[state] = get(state, 0) + sign * f[o]
-            if y == x or y == xc:  # its own swap (or swapped conjugate): done
+                out[state] = get(state, 0) + sign * terms[o]
+            if y == x or y == xc:  # its own swap (or swapped conjugate): x's moves cover y's
                 continue
             coef *= twist
             try:
                 moves = grown[y]
             except KeyError:
                 moves = grown[y] = _grow(y, k)
-            for orbit, sign, o, sub in moves:
+            for orbit, sign, o, sub in moves:  # onto (x, sub)
                 if fixed and o < 0:
                     continue
                 if orbit < x:  # (x, sub) or, x self-conjugate, (x, orbit)
@@ -324,6 +329,13 @@ whose columns are walked: B_n and D_n up to n = 17, S_n up to n = 32."""
 
 s_memo: dict = {}
 """{cycle type mu: {label: value at mu}}: the values asked of S_n."""
+
+
+def checked_rank(memo: dict, key, cls) -> int:
+    """Rank of the class cls, which memo keeps under key: checked by
+    check_class unless memo holds it, as it does only once checked."""
+    positive, negative, *_ = cls
+    return sum(positive) + sum(negative or ()) if key in memo else check_class(cls)
 
 
 def first_request(memo: dict, cls, label, labels: int, single, whole) -> int:
@@ -368,7 +380,7 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
 def _sym_request(lam: Partition, mu: Partition) -> int:
     """sym_char_value past s_memo, apart so that the lookup builds no closure."""
     cls = mu, None
-    n = check_class(cls)
+    n = checked_rank(s_memo, mu, cls)
     mask, size = _shape(lam)
     if size != n:
         raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
