@@ -119,7 +119,7 @@ def _grow(mask: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     out = []
     for sub, sign in _moves.__wrapped__(mask, k):
         conj = _conj(sub)
-        out.append((max(sub, conj), sign, (sub > conj) - (sub < conj), sub))
+        out.append((sub, sign, 1, sub) if sub > conj else (conj, sign, -1, sub) if sub < conj else (sub, sign, 0, sub))
     return tuple(out)
 
 
