@@ -28,7 +28,7 @@ values asked are kept in ``b_memo``, {class: {label: value}}.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -75,16 +75,11 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
         return b_memo[c][label]
     except KeyError:
         pass
-    return _b_request(label, c)
-
-
-def _b_request(label: Bipartition, c: BClassType) -> int:
-    """b_char_value past b_memo, apart so that the lookup builds no closure."""
     n = checked_rank(b_memo, c, c)
     (first, a), (second, b) = _shape(label[0]), _shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-    return first_request(b_memo, c, label, bipartition_count(n), lambda: backward(c, (first, second)), lambda: read_column(c))
+    return first_request(b_memo, c, label, bipartition_count(n), partial(backward, c, (first, second)), partial(read_column, c))
 
 
 def b_degree(label: Bipartition) -> int:

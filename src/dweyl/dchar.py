@@ -45,7 +45,7 @@ and a class with other than three fields is refused before it is read.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from math import factorial
 from operator import mul
@@ -255,11 +255,6 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
     except TypeError:  # unhashable: a bad label, which check_label names, or class
         check_label(chi)
         raise
-    return _d_request(chi, c)
-
-
-def _d_request(chi: DIrrLabel, c: DClassType) -> int:
-    """d_char_value past d_memo, apart so that the lookup builds no closure."""
     n = checked_rank(d_memo, c, c)
     try:
         state, size = _label_state(chi)
@@ -268,7 +263,12 @@ def _d_request(chi: DIrrLabel, c: DClassType) -> int:
         raise
     if size != n:
         raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
-    return first_request(d_memo, c, chi, bipartition_count(n), lambda: _restrict(chi, c, backward(c[:2], state)), lambda: _column(c, n))
+    return first_request(d_memo, c, chi, bipartition_count(n), partial(_first_value, chi, c, state), partial(_column, c, n))
+
+
+def _first_value(chi: DIrrLabel, c: DClassType, state: tuple[int, int]) -> int:
+    """chi's value at c by a backward walk from its bead masks."""
+    return _restrict(chi, c, backward(c[:2], state))
 
 
 @cache

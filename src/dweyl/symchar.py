@@ -30,7 +30,7 @@ a warm value is two lookups.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import mul
@@ -343,7 +343,8 @@ def first_request(memo: dict, cls, label, labels: int, single, whole) -> int:
     single() for the class's first label, else from its column whole(),
     which memo keeps, unless the rank has more than COLUMN_LABELS labels
     (labels, counted without enumerating them); then single() answers
-    every label."""
+    every label.  The views pass single and whole as partial objects,
+    not closures, so that their lookups make no cells."""
     column = memo.get(cls)
     if column and labels <= COLUMN_LABELS:
         memo[cls] = column = whole()
@@ -374,17 +375,12 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
         return s_memo[mu][lam]
     except KeyError:
         pass
-    return _sym_request(lam, mu)
-
-
-def _sym_request(lam: Partition, mu: Partition) -> int:
-    """sym_char_value past s_memo, apart so that the lookup builds no closure."""
     cls = mu, None
     n = checked_rank(s_memo, mu, cls)
     mask, size = _shape(lam)
     if size != n:
         raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
-    return first_request(s_memo, mu, lam, partition_count(n), lambda: backward(cls, (mask, 0)), lambda: read_column(cls))
+    return first_request(s_memo, mu, lam, partition_count(n), partial(backward, cls, (mask, 0)), partial(read_column, cls))
 
 
 def sym_centralizer_order(mu: Partition) -> int:
