@@ -79,7 +79,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     (first, a), (second, b) = _shape(label[0]), _shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-    return first_request(b_memo, c, label, bipartition_count(n), partial(backward, c, (first, second)), partial(read_column, c))
+    return first_request(b_memo, c, label, bipartition_count, n, partial(backward, c, (first, second)), partial(read_column, c))
 
 
 def b_degree(label: Bipartition) -> int:

@@ -263,7 +263,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
         raise
     if size != n:
         raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
-    return first_request(d_memo, c, chi, bipartition_count(n), partial(_first_value, chi, c, state), partial(_column, c, n))
+    return first_request(d_memo, c, chi, bipartition_count, n, partial(_first_value, chi, c, state), partial(_column, c, n))
 
 
 def _first_value(chi: DIrrLabel, c: DClassType, state: tuple[int, int]) -> int:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dweyl import dchar, symchar
+from dweyl import bchar, dchar, symchar
 from dweyl.bchar import BClassType, b_char_value, b_classes, b_memo
 from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, d_memo, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, format_bipartition
@@ -133,6 +133,36 @@ def test_fifteen_hundred_parts_answer_fast(call, expected):
     start = time.perf_counter()
     assert call() == expected
     assert time.perf_counter() - start < 1.0
+
+
+B3, D3 = BClassType((2,), (1,)), DClassType((2, 1), (), None)
+
+
+@pytest.mark.parametrize(
+    "module, counter, first, second",
+    [
+        (symchar, "partition_count", lambda: sym_char_value((2, 1), (2, 1)), lambda: sym_char_value((3,), (2, 1))),
+        (bchar, "bipartition_count", lambda: b_char_value(((2,), (1,)), B3), lambda: b_char_value(((3,), ()), B3)),
+        (
+            dchar,
+            "bipartition_count",
+            lambda: d_char_value(make_irr_label((2,), (1,)), D3),
+            lambda: d_char_value(make_irr_label((3,), ()), D3),
+        ),
+    ],
+    ids=["S", "B", "D"],
+)
+def test_labels_are_counted_from_a_class_second_value_on(module, counter, first, second, monkeypatch):
+    """Whether a class's column is walked depends on the number of labels
+    of its rank, which a class's first value, a backward walk, never
+    needs: a lone value at a large rank counts no partitions."""
+    clear_memos()
+    counted, count = [], getattr(module, counter)
+    monkeypatch.setattr(module, counter, lambda n: counted.append(n) or count(n))
+    first()
+    assert counted == []
+    second()
+    assert counted == [3]
 
 
 # Bad labels: each is rejected the same way whether its class has no
