@@ -23,7 +23,8 @@ recursion either way.  The forward walk keeps one state per orbit of
 is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5), and
 [alpha'; beta'] is it tensored with the sign of the underlying
 permutation, so a column reads each label through those signs.  The
-values asked are kept in ``b_memo``, {class: {label: value}}.
+values asked are kept in ``b_memo``, {class: {label: value}}, and a
+class with other than two fields is refused before it is walked.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cache, partial
 from math import comb, factorial
 from typing import NamedTuple
 
-from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
+from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, format_partition, size
 from .symchar import _shape, backward, checked_rank, first_request, read_column, sym_centralizer_order, sym_degree
 
 
@@ -69,12 +70,21 @@ b_memo: dict = {}
 """{class: {label: value at the class}}: the values asked of B_n."""
 
 
+def _fields_error(c) -> ValueError:
+    fields = ",".join(map(format_partition, c[:2]))
+    return ValueError(f"class ({fields}) is not a type B class: it needs two fields (positive, negative)")
+
+
 def b_char_value(label: Bipartition, c: BClassType) -> int:
-    """Value of the irreducible character [alpha; beta] on class c."""
+    """Value of the irreducible character [alpha; beta] on class c.  A
+    class without the two fields of a class of this group, such as a
+    class of W(D_n), is refused on a miss; b_memo never holds one."""
     try:
         return b_memo[c][label]
     except KeyError:
         pass
+    if len(c) != 2:
+        raise _fields_error(c)
     n = checked_rank(b_memo, c, c)
     (first, a), (second, b) = _shape(label[0]), _shape(label[1])
     if a + b != n:

@@ -41,8 +41,11 @@ cycle, plus the flip bit), the code of a sign mask is the XOR of the
 codes of its points, and each element's class type is one lookup in
 the code table of its cycle lengths.  The cycles are numbered longest
 first, so the lengths of a permutation come out sorted and a block has
-one code table per cycle type.  The codes are spanned by doubling over
-the even masks only, the ones that are read.
+one code table per cycle type; an element of the block subgroup is read
+from the table of its blocks' lengths joined smaller tuple first, one
+table per pair of block cycle types that mirror splits share.  The
+codes are spanned by doubling over the even masks only, the ones that
+are read.
 
 The block subgroup is enumerated as pairs of block elements, each
 classified by its own signed cycle type, and each block's codes are
@@ -71,11 +74,14 @@ many subgroup elements of each type the pair holds.  For a label A the
 sums over pa weighted by A(pa) are formed once per pb, and for each B
 the multiply-adds weighted by B(pb) give one integer whose slots are the
 |Irr D_n| numerators; one decode reads them, and each is divided
-exactly by |H|.  A numerator is a sum over H of character values, each
-bounded by its degree, so |H| * max deg A * max deg B * max deg X bounds
-it; a split whose bound reaches 2^63 is refused before anything is
-packed.  Under the cap above the bound stays below 2^60, at (11, 1, 10);
-at n = 12 the splits with a block of rank 1 or 2 pass 2^63.
+exactly by |H|.  Each block character's values are read once per split.
+A numerator is a sum over H of character values, each bounded by its
+degree, so |H| * max deg A * max deg B * max deg X bounds it, each
+maximum found by an unchecked hook-length key and read by d_degree at
+the one label that attains it; a split whose bound reaches 2^63 is
+refused before anything is packed.  Under the cap above the bound stays
+below 2^60, at (11, 1, 10); at n = 12 the splits with a block of rank 1
+or 2 pass 2^63.
 """
 
 from __future__ import annotations
@@ -86,13 +92,13 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d
 from .decomp import DecompositionResult
 from .partitions import Partition, RangeError, enumerate_partitions
-from .symchar import sym_centralizer_order
+from .symchar import _degree, _shape, sym_centralizer_order
 
 MAX_RANK = 11  # verify_formula and oracle_induce
 
@@ -159,21 +165,27 @@ def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
     cycles, which belongs to no even-signed element."""
     out: list[DClassType | None] = [None] * (2 << len(lengths))
     longest_first = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    cycles = [(lengths[j], 1 << j) for j in longest_first]
     for negs in range(1 << len(lengths)):
         if negs.bit_count() % 2 == 0:
-            positive = tuple(lengths[j] for j in longest_first if not negs >> j & 1)
-            negative = tuple(lengths[j] for j in longest_first if negs >> j & 1)
-            out[negs << 1] = _class_type(positive, negative, 0)
-            out[negs << 1 | 1] = _class_type(positive, negative, 1)
+            positive = tuple([length for length, bit in cycles if not negs & bit])
+            negative = tuple([length for length, bit in cycles if negs & bit])
+            out[negs << 1] = ty = _class_type(positive, negative, 0)
+            out[negs << 1 | 1] = ty if ty.split is None else _class_type(positive, negative, 1)
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # The block subgroup and explicit induction
 
+def _moved(code: int, cycles: int) -> int:
+    """A block code with its cycles numbered after that many others."""
+    return code & 1 ^ code >> 1 << cycles + 1
+
+
 def _joined(x: int, y: int, cycles: int) -> int:
     """Element code from block codes, y's cycles numbered after x's."""
-    return x ^ y & 1 ^ y >> 1 << cycles + 1
+    return x ^ _moved(y, cycles)
 
 
 def _cycle_perm(lam: Partition) -> tuple[int, ...]:
@@ -188,16 +200,16 @@ def _cycle_perm(lam: Partition) -> tuple[int, ...]:
 
 
 @cache
-def _block_tally(k: int) -> dict[tuple[int, ...], Counter]:
+def _block_tally(k: int) -> dict[tuple[int, ...], dict[int, int]]:
     """Per cycle lengths of the rank-k group: code -> how many of its
     elements.  One permutation per cycle type is walked and its code
     counts weighted by the k!/z_lambda permutations of that type, which
     all have the same tally (see the module docstring)."""
-    tally: dict[tuple[int, ...], Counter] = {}
+    tally: dict[tuple[int, ...], dict[int, int]] = {}
     for lam in enumerate_partitions(k):
         lengths, point_codes = _point_codes(_cycle_perm(lam))
         weight = factorial(k) // sym_centralizer_order(lam)
-        tally[lengths] = Counter({code: weight * count for code, count in Counter(_even_codes(point_codes)).items()})
+        tally[lengths] = {code: weight * count for code, count in Counter(_even_codes(point_codes)).items()}
     return tally
 
 
@@ -210,8 +222,10 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
     classified by its own signed cycle type: both blocks' codes are
     tallied by _block_tally, by cycle lengths, one tally per rank that
     mirror splits share.  A pair of codes x, y is decoded once: the
-    element's type is _code_types at _joined(x, y, cycles of block a),
-    each block's at its own code.
+    element's type is read from the code table of the two blocks' cycle
+    lengths joined smaller tuple first, one table per pair of cycle
+    types that mirror splits share too, at the codes joined in that
+    order; each block's type at its own code.
     """
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
@@ -220,10 +234,16 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
     for lengths_a, xs in _block_tally(a).items():
         types_a = _code_types(lengths_a)
         for lengths_b, ys in tally_b.items():
-            types, types_b = _code_types(lengths_a + lengths_b), _code_types(lengths_b)
+            if lengths_a <= lengths_b:
+                types, after_a, after_b = _code_types(lengths_a + lengths_b), 0, len(lengths_a)
+            else:
+                types, after_a, after_b = _code_types(lengths_b + lengths_a), len(lengths_b), 0
+            types_b = _code_types(lengths_b)
+            moved_b = [(_moved(y, after_b), types_b[y], ny) for y, ny in ys.items()]
             for x, nx in xs.items():
-                for y, ny in ys.items():
-                    counts[types[_joined(x, y, len(lengths_a))]][types_a[x], types_b[y]] += nx * ny
+                code_a, pa = _moved(x, after_a), types_a[x]
+                for code_b, pb, ny in moved_b:
+                    counts[types[code_a ^ code_b]][pa, pb] += nx * ny
     return {ty: dict(pairs) for ty, pairs in counts.items()}
 
 
@@ -249,13 +269,25 @@ def _unpack(packed: int, count: int) -> list[int]:
     return list(map(operator.add, words, itertools.chain((False,), map((0).__gt__, words))))
 
 
+def _degree_key(X: DIrrLabel) -> int:
+    """d_degree of a label as d_irr_labels builds it, unchecked:
+    C(n, |alpha|) f(alpha) f(beta) by hook lengths, halved for a
+    degenerate label."""
+    (alpha, beta), eps = X
+    (first, a), (second, b) = _shape(alpha), _shape(beta)
+    degree = comb(a + b, a) * _degree(first)[1] * _degree(second)[1]
+    return degree // 2 if eps else degree
+
+
 def _slot_bound(n: int, a: int, b: int) -> int:
     """A bound on |sum over the subgroup of A x B times X| for all labels
     A, B, X of the split, as character values are bounded by degrees:
-    |H| * max deg A * max deg B * max deg X."""
+    |H| * max deg A * max deg B * max deg X.  Each rank's largest degree
+    is found by _degree_key and read by d_degree from the one label that
+    attains it."""
     bound = group_order_d(a) * group_order_d(b)
     for rank in (a, b, n):
-        bound *= max(map(d_degree, d_irr_labels(rank)))
+        bound *= d_degree(max(d_irr_labels(rank), key=_degree_key))
     return bound
 
 
@@ -286,19 +318,23 @@ def _packed(n: int, a: int, b: int) -> _Packed:
     return _Packed(d_irr_labels(n), types_a, types_b, by_b, group_order_d(a) * group_order_d(b))
 
 
+def _row(chi: DIrrLabel, types: tuple[DClassType, ...]) -> list[int]:
+    """chi's values at a block's types."""
+    return [d_char_value(chi, ty) for ty in types]
+
+
 def _partials(split: _Packed, A: DIrrLabel) -> list[int]:
     """Per block-b type pb: sum over block-a types pa of A(pa) times the
     packed sums at (pa, pb)."""
-    row = [d_char_value(A, pa) for pa in split.types_a]
+    row = _row(A, split.types_a)
     return [sum(map(operator.mul, row, column)) for column in split.by_b]
 
 
-def _induce(split: _Packed, A: DIrrLabel, B: DIrrLabel, partials: list[int]) -> dict[DIrrLabel, int]:
+def _induce(split: _Packed, A: DIrrLabel, B: DIrrLabel, partials: list[int], row_b: list[int]) -> dict[DIrrLabel, int]:
     """Multiplicities of the labels in A x B induced, in label order, from
-    A's partials: one multiply-add per block-b type, one decode, and an
-    exact division per label."""
-    row = [d_char_value(B, pb) for pb in split.types_b]
-    nums = _unpack(sum(map(operator.mul, row, partials)), len(split.labels))
+    A's partials and B's row, _row(B, split.types_b): one multiply-add
+    per block-b type, one decode, and an exact division per label."""
+    nums = _unpack(sum(map(operator.mul, row_b, partials)), len(split.labels))
     mults: dict[DIrrLabel, int] = {}
     for X, num in zip(split.labels, nums):
         if num:
@@ -323,5 +359,5 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     if a < 1 or b < 1 or a + b != n or n > MAX_RANK:
         raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK}, got a={a}, b={b}, n={n}")
     split = _packed(n, a, b)
-    return DecompositionResult(n, a, b, A, B, _induce(split, A, B, _partials(split, A)), method="oracle")
+    return DecompositionResult(n, a, b, A, B, _induce(split, A, B, _partials(split, A), _row(B, split.types_b)), method="oracle")
 

@@ -48,6 +48,7 @@ from dweyl.oracle import (
     MAX_RANK,
     _block_tally,
     _code_types,
+    _degree_key,
     _even_codes,
     _fused_counts,
     _joined,
@@ -577,6 +578,41 @@ def test_slot_bound_fits_every_split_the_caps_allow():
     assert {a for a in range(1, n) if _slot_bound(n, a, n - a) >= 1 << 63} == {1, 2, n - 2, n - 1}
     n, a, b = 5, 2, 3
     assert bounds[n, a, b] == group_order_d(a) * group_order_d(b) * max(map(d_degree, d_irr_labels(a))) * max(map(d_degree, d_irr_labels(b))) * max(map(d_degree, d_irr_labels(n)))
+
+
+def test_degree_key_is_the_degree_of_every_label():
+    for n in range(1, 13):
+        for X in d_irr_labels(n):
+            assert _degree_key(X) == d_degree(X), X
+
+
+def test_slot_bound_equals_the_full_scan_of_degrees():
+    # the bound reads d_degree at one label per rank, found by the
+    # unchecked key; the full scan reads it at every label
+    largest = {n: max(map(d_degree, d_irr_labels(n))) for n in range(1, 13)}
+    for n in range(2, 13):
+        for a in range(1, n):
+            b = n - a
+            assert _slot_bound(n, a, b) == group_order_d(a) * group_order_d(b) * largest[a] * largest[b] * largest[n], (n, a)
+
+
+def test_verify_reads_each_block_value_once_per_split(monkeypatch):
+    # a block character's row is read once per split and shared across
+    # the labels of the other block, not once per pair
+    import dweyl.oracle
+
+    calls = []
+
+    def counted(chi, c):
+        calls.append((chi, c))
+        return d_char_value(chi, c)
+
+    monkeypatch.setattr(dweyl.oracle, "d_char_value", counted)
+    for n, a, b in [(6, 3, 3), (6, 1, 5)]:
+        split = _packed(n, a, b)
+        calls.clear()
+        assert verify_formula(n, a, b).mismatches == ()
+        assert len(calls) == len(d_irr_labels(a)) * len(split.types_a) + len(d_irr_labels(b)) * len(split.types_b), (n, a)
 
 
 def test_over_bound_split_is_refused_before_packing(monkeypatch):

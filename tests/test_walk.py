@@ -243,6 +243,24 @@ def test_d_view_refuses_classes_of_the_full_group(chi, c):
         assert len(b_memo[c]) == len(labels)  # the B column is walked
 
 
+# Nor does the B view take classes of W(D_n), or any class without two
+# fields: each is refused on a miss, with no store entry, before and after
+# the B class with the same cycles has its column.
+
+
+@pytest.mark.parametrize("c", [DClassType((3,), (), None), ((3,), (), None, 0)], ids=["three fields", "four fields"])
+def test_b_view_refuses_classes_without_two_fields(c):
+    labels = enumerate_bipartitions(3)
+    clear_memos()
+    for _ in range(2):  # on a fresh class, then after BClassType((3,), ()) has its column
+        with pytest.raises(ValueError, match=re.escape("class ([3],[]) is not a type B class: it needs two fields")):
+            b_char_value(labels[0], c)
+        assert c not in b_memo
+        b_char_value(labels[0], BClassType((3,), ()))
+        b_char_value(labels[1], BClassType((3,), ()))
+        assert len(b_memo[BClassType((3,), ())]) == len(labels)
+
+
 # The folded column walk against the walk that keeps both orders of every
 # state, its reference.
 
