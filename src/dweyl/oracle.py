@@ -90,7 +90,7 @@ import itertools
 import operator
 import sys
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
@@ -164,12 +164,14 @@ def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
     order of its bits; None for a code with an odd number of negative
     cycles, which belongs to no even-signed element."""
     out: list[DClassType | None] = [None] * (2 << len(lengths))
-    longest_first = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    cycles = [(lengths[j], 1 << j) for j in longest_first]
-    for negs in range(1 << len(lengths)):
+    signs = [(0, (), ())]  # (negs, positive, negative), doubled over the cycles longest first
+    for j in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        length, bit = (lengths[j],), 1 << j
+        signs = [(negs, positive + length, negative) for negs, positive, negative in signs] + [
+            (negs | bit, positive, negative + length) for negs, positive, negative in signs
+        ]
+    for negs, positive, negative in signs:
         if negs.bit_count() % 2 == 0:
-            positive = tuple([length for length, bit in cycles if not negs & bit])
-            negative = tuple([length for length, bit in cycles if negs & bit])
             out[negs << 1] = ty = _class_type(positive, negative, 0)
             out[negs << 1 | 1] = ty if ty.split is None else _class_type(positive, negative, 1)
     return tuple(out)
@@ -209,7 +211,9 @@ def _block_tally(k: int) -> dict[tuple[int, ...], dict[int, int]]:
     for lam in enumerate_partitions(k):
         lengths, point_codes = _point_codes(_cycle_perm(lam))
         weight = factorial(k) // sym_centralizer_order(lam)
-        tally[lengths] = {code: weight * count for code, count in Counter(_even_codes(point_codes)).items()}
+        tally[lengths] = counts = {}
+        for code in _even_codes(point_codes):
+            counts[code] = counts.get(code, 0) + weight
     return tally
 
 
@@ -230,7 +234,7 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
     tally_b = _block_tally(b)
-    counts: defaultdict[DClassType, Counter] = defaultdict(Counter)
+    counts: defaultdict[DClassType, dict] = defaultdict(dict)
     for lengths_a, xs in _block_tally(a).items():
         types_a = _code_types(lengths_a)
         for lengths_b, ys in tally_b.items():
@@ -243,8 +247,9 @@ def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassT
             for x, nx in xs.items():
                 code_a, pa = _moved(x, after_a), types_a[x]
                 for code_b, pb, ny in moved_b:
-                    counts[types[code_a ^ code_b]][pa, pb] += nx * ny
-    return {ty: dict(pairs) for ty, pairs in counts.items()}
+                    pairs = counts[types[code_a ^ code_b]]
+                    pairs[pa, pb] = pairs.get((pa, pb), 0) + nx * ny
+    return dict(counts)
 
 
 # ---------------------------------------------------------------------------
