@@ -11,7 +11,6 @@ from .bchar import BClassType, b_centralizer_order, b_char_value, b_classes, b_d
 from .dchar import (
     DClassType,
     DIrrLabel,
-    class_size_sum_check,
     d_centralizer_order,
     d_char_value,
     d_classes,
@@ -20,7 +19,6 @@ from .dchar import (
     delta_value,
     format_class,
     format_irr_label,
-    fuse_class,
     group_order_d,
     make_irr_label,
     parse_class,
@@ -34,7 +32,6 @@ from .decomp import (
     branch_set,
     decompose_induced,
     induced_multiplicity,
-    remark_identity_check,
 )
 from .lr import lr_coefficient, lr_expand
 from .oracle import oracle_induce
@@ -43,7 +40,6 @@ from .partitions import (
     Partition,
     enumerate_bipartitions,
     enumerate_partitions,
-    enumerate_splits,
     format_bipartition,
     format_partition,
     length,
@@ -58,15 +54,3 @@ from .symchar import sym_centralizer_order, sym_char_value, sym_degree
 from .verify import verify_formula
 
 __version__ = "0.1.0"
-
-_EXPLICIT = ("GroupTable", "build_group", "classify_element", "oracle_char_table")
-
-
-def __getattr__(name: str):
-    # The explicit-element toolkit is for tests; import it on first use
-    # only, so that importing the package leaves it (and fractions) out.
-    if name in _EXPLICIT:
-        from . import explicit
-
-        return getattr(explicit, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

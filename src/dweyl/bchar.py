@@ -70,9 +70,14 @@ b_memo: dict = {}
 """{class: {label: value at the class}}: the values asked of B_n."""
 
 
-def _fields_error(c) -> ValueError:
+_FIELDS = {"B": "two fields (positive, negative)", "D": "three fields (positive, negative, split)"}
+
+
+def _fields_error(c, group: str) -> ValueError:
+    """The refusal of a class c without the fields of a class of the
+    type-group view, B or D: its first two fields, however many it has."""
     fields = ",".join(map(format_partition, c[:2]))
-    return ValueError(f"class ({fields}) is not a type B class: it needs two fields (positive, negative)")
+    return ValueError(f"class ({fields}) is not a type {group} class: it needs {_FIELDS[group]}")
 
 
 def b_char_value(label: Bipartition, c: BClassType) -> int:
@@ -84,7 +89,7 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     except KeyError:
         pass
     if len(c) != 2:
-        raise _fields_error(c)
+        raise _fields_error(c, "B")
     n = checked_rank(b_memo, c, c)
     (first, a), (second, b) = _shape(label[0]), _shape(label[1])
     if a + b != n:

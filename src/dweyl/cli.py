@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .bchar import b_char_value, b_classes
 from .dchar import (
@@ -45,6 +46,7 @@ from .partitions import (
     enumerate_partitions,
     format_bipartition,
     format_partition,
+    last_rank_within,
     parse_partition,
     partition_count,
 )
@@ -87,9 +89,10 @@ def cmd_chartable(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise RangeError("need n >= 1")
-    count = {"A": partition_count, "B": bipartition_count, "D": d_label_count}[args.type](n)
-    if count**2 > CHARTABLE_CELLS:
-        raise ResourceLimit(f"the {args.type}_{n} table has {count:,} labels, {count**2:,} cells; the budget is {CHARTABLE_CELLS:,}")
+    count = {"A": partition_count, "B": bipartition_count, "D": d_label_count}[args.type]
+    most = isqrt(CHARTABLE_CELLS)  # the most labels whose square is within the budget
+    if n > last_rank_within(count, most):
+        raise ResourceLimit(f"the {args.type}_{n} table has more than {most:,} labels, so more than {CHARTABLE_CELLS:,} cells, the budget")
     if args.type == "A":
         labels = classes = enumerate_partitions(n)
         value, label_text, class_text = sym_char_value, format_partition, format_partition

@@ -51,7 +51,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
+from .bchar import BClassType, _fields_error, b_centralizer_order, b_classes, b_degree
 from .partitions import (
     Bipartition,
     Partition,
@@ -66,7 +66,6 @@ from .partitions import (
     partition_count,
     read_label,
     size,
-    union,
 )
 from .symchar import _fold, _orbit, _shape, backward, check_class, checked_rank, first_request, splittable, sym_char_value
 
@@ -202,10 +201,6 @@ def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
     return (_shape(chi.label[0])[0], _shape(chi.label[1])[0]), n
 
 
-def _fields_error(c) -> ValueError:
-    return ValueError(f"class {format_bipartition(c[:2])} is not a type D class: it needs three fields (positive, negative, split)")
-
-
 def delta_value(gamma1: Partition, c: DClassType) -> int:
     """Value of the degenerate difference character for [gamma1; gamma1].
 
@@ -213,7 +208,7 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
     s * (-1)**(n/2) * 2**len(pi) * chi_gamma1(pi), with n = 2|gamma1|.
     """
     if len(c) != 3:
-        raise _fields_error(c)
+        raise _fields_error(c, "D")
     if 2 * _shape(gamma1)[1] != check_class(c):
         raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
     return _delta(gamma1, c)
@@ -247,7 +242,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
     the three fields of a class of this group, such as a class of the
     full group, is refused before d_memo is read."""
     if len(c) != 3:
-        raise _fields_error(c)
+        raise _fields_error(c, "D")
     try:
         return d_memo[c][chi]
     except KeyError:
@@ -287,7 +282,7 @@ def d_char_column(c: DClassType) -> list[int]:
     column that d_char_value reads from a class's second label on, kept
     in the same store."""
     if len(c) != 3:
-        raise _fields_error(c)
+        raise _fields_error(c, "D")
     n = checked_rank(d_memo, c, c)
     column = d_memo.get(c)
     if column is None or len(column) < d_label_count(n):
@@ -323,28 +318,6 @@ def d_degree(chi: DIrrLabel) -> int:
     if chi.eps == 0:
         return deg
     return deg // 2
-
-
-def fuse_class(ca: DClassType, cb: DClassType) -> DClassType:
-    """Class of a blockwise product element from its block classes.
-
-    Cycle types concatenate.  The fused type can split only when both
-    block classes are split (a non-split block contributes an odd
-    positive part or a negative cycle), and then the tags multiply.
-    """
-    positive = union(ca.positive, cb.positive)
-    negative = union(ca.negative, cb.negative)
-    if splittable(positive, negative):
-        if ca.split is None or cb.split is None:
-            raise ArithmeticError(f"impossible fusion {format_class(ca)} * {format_class(cb)}: unsplit block in a splittable product")
-        return DClassType(positive, negative, ca.split * cb.split)
-    return DClassType(positive, negative, None)
-
-
-def class_size_sum_check(n: int) -> bool:
-    """Class sizes from the centralizer formula partition the group."""
-    order = group_order_d(n)
-    return sum(order // d_centralizer_order(c) for c in d_classes(n)) == order
 
 
 # ---------------------------------------------------------------------------

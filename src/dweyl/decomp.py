@@ -176,35 +176,6 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
     return DecompositionResult(q.n, q.a, q.b, q.A, q.B, mults, method="formula")
 
 
-def remark_identity_check(alpha1: Partition, beta1: Partition, gamma1: Partition) -> bool:
-    """Check the all-degenerate special case against its closed form.
-
-    For alpha = (alpha1; alpha1), beta = (beta1; beta1) and
-    gamma = (gamma1; gamma1) the symmetrized coefficient collapses to
-    c(alpha1, beta1; gamma1)**2, and the two degenerate multiplicities
-    become c(c +/- 1)/2.  The second part only applies when the ambient
-    rank 2|gamma1| is at least 4.
-    """
-    alpha = (alpha1, alpha1)
-    beta = (beta1, beta1)
-    gamma = (gamma1, gamma1)
-    c = lr_coefficient(alpha1, beta1, gamma1)
-    if a_coefficient(alpha, beta, gamma) != c * c:
-        return False
-    n = 2 * size(gamma1)
-    a = 2 * size(alpha1)
-    b = 2 * size(beta1)
-    if n >= 4 and a >= 2 and b >= 2 and size(gamma1) == size(alpha1) + size(beta1):
-        for ea in (1, -1):
-            for eb in (1, -1):
-                q = InducedQuery(n, a, b, DIrrLabel(alpha, ea), DIrrLabel(beta, eb))
-                for ex in (1, -1):
-                    expected = c * (c + ea * eb * ex) // 2
-                    if induced_multiplicity(q, DIrrLabel(gamma, ex)) != expected:
-                        return False
-    return True
-
-
 def branch_set(gamma: Bipartition) -> set[Bipartition]:
     """All bipartitions reachable from gamma by removing one box.
 

@@ -19,7 +19,7 @@ row right to left, rows top to bottom) is a ballot sequence.
   and never the number of partitions of n.
 
 Each rule is tested against the other, and the representation-theoretic
-definition is kept as a third check in dweyl.explicit.  lr_coefficient
+definition is kept as a third check in the tests.  lr_coefficient
 checks its arguments with as_partition on a cache miss, lr_expand on
 every call; decomp, which has checked its labels, calls the unchecked
 _lr_expand.

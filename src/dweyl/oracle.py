@@ -5,9 +5,10 @@ computation: conjugacy classes come from each element's signed cycle
 type, and induced characters from explicit summation over the elements
 of the block subgroup.  Nothing here uses the formula;
 dweyl.verify.verify_formula compares the two for every pair of block
-characters.  The explicit-element toolkit that only the tests use
-(reference group tables that classify every element by its own cycle
-walk, element arithmetic, elementwise induction) is in dweyl.explicit.
+characters.  The tests hold it against their own explicit-element
+toolkit (reference group tables that classify every element by its own
+cycle walk, element arithmetic, elementwise induction), which is not
+part of the package.
 
 A signed permutation of {1..n} is a tuple w of length n whose entry
 w[i] = +j or -j says that point i+1 maps to point j with that sign.
@@ -30,11 +31,10 @@ sign mask, which are linear over GF(2):
 
 * a cycle with point mask c is negative exactly when popcount(m & c)
   is odd;
-* the parity of the conjugator's sign changes (see
-  explicit._cycle_walk) is popcount(m & F) mod 2 for one flip mask F of
-  the permutation: along a cycle i_0 -> i_1 -> ... -> i_(L-1) the sign
-  of w(i_l) is carried to the L-1-l points after i_l, so F holds the
-  points i_l with L-1-l odd.
+* the parity of the conjugator's sign changes is popcount(m & F) mod 2
+  for one flip mask F of the permutation: along a cycle
+  i_0 -> i_1 -> ... -> i_(L-1) the sign of w(i_l) is carried to the
+  L-1-l points after i_l, so F holds the points i_l with L-1-l odd.
 
 So one walk per unsigned permutation gives each point a code (a bit per
 cycle, plus the flip bit), the code of a sign mask is the XOR of the
@@ -107,8 +107,8 @@ MAX_RANK = 11  # verify_formula and oracle_induce
 # Signed cycle types by sign-mask codes
 
 def _class_type(positive: Partition, negative: Partition, flips: int) -> DClassType:
-    """Class label from explicit._cycle_walk's result, or from the parts
-    of a code (see the module docstring)."""
+    """Class label from the cycle types and the conjugator's parity of
+    an element, or from the parts of a code (see the module docstring)."""
     if negative or any(part % 2 for part in positive):
         return DClassType(positive, negative, None)
     return DClassType(positive, negative, -1 if flips else 1)
@@ -118,8 +118,8 @@ def _point_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     """Cycle lengths of an unsigned permutation and the code of each of
     its points (see the module docstring).
 
-    Cycles are walked from their smallest point, in explicit._cycle_walk's
-    order, and numbered longest first, ties in walk order.  Bit 0 of a
+    Cycles are walked from their smallest point, in point order, and
+    numbered longest first, ties in walk order.  Bit 0 of a
     code holds the parity of the conjugator's sign changes, and bit j+1
     is set when cycle j is negative: a point of cycle j has bit j+1, and
     bit 0 when it is in the flip mask.
@@ -163,17 +163,17 @@ def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
     """Class label of each code of _point_codes, for cycle lengths in the
     order of its bits; None for a code with an odd number of negative
     cycles, which belongs to no even-signed element."""
+    def signed(signs, j, sign):  # each of signs with cycle j added, positive (0) or negative (1)
+        bit, plus, minus = (1 << j, (), (lengths[j],)) if sign else (0, (lengths[j],), ())
+        return [(negs | bit, positive + plus, negative + minus) for negs, positive, negative in signs]
     out: list[DClassType | None] = [None] * (2 << len(lengths))
-    signs = [(0, (), ())]  # (negs, positive, negative), doubled over the cycles longest first
-    for j in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
-        length, bit = (lengths[j],), 1 << j
-        signs = [(negs, positive + length, negative) for negs, positive, negative in signs] + [
-            (negs | bit, positive, negative + length) for negs, positive, negative in signs
-        ]
-    for negs, positive, negative in signs:
-        if negs.bit_count() % 2 == 0:
-            out[negs << 1] = ty = _class_type(positive, negative, 0)
-            out[negs << 1 | 1] = ty if ty.split is None else _class_type(positive, negative, 1)
+    *cycles, last = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    even, odd = [(0, (), ())], []  # (negs, positive, negative) by the parity of negs, as _even_codes
+    for j in cycles:
+        even, odd = signed(even, j, 0) + signed(odd, j, 1), signed(odd, j, 0) + signed(even, j, 1)
+    for negs, positive, negative in signed(even, last, 0) + signed(odd, last, 1):
+        out[negs << 1] = ty = _class_type(positive, negative, 0)
+        out[negs << 1 | 1] = ty if ty.split is None else _class_type(positive, negative, 1)
     return tuple(out)
 
 
@@ -183,11 +183,6 @@ def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
 def _moved(code: int, cycles: int) -> int:
     """A block code with its cycles numbered after that many others."""
     return code & 1 ^ code >> 1 << cycles + 1
-
-
-def _joined(x: int, y: int, cycles: int) -> int:
-    """Element code from block codes, y's cycles numbered after x's."""
-    return x ^ _moved(y, cycles)
 
 
 def _cycle_perm(lam: Partition) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ from operator import mul
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
-PairSplit = tuple[int, int]
 
 
 class RangeError(ValueError):
@@ -91,20 +90,31 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     return tuple(out)
 
 
-@cache
+_counted: tuple[int, ...] = (1,)
+"""p(0), p(1), ...: the numbers of partitions counted so far.
+partition_counts replaces it with a longer tuple, never changes it in
+place, so concurrent callers at worst count some ranks twice."""
+
+
 def partition_counts(n: int) -> tuple[int, ...]:
     """p(0), ..., p(n), the numbers of partitions, by Euler's pentagonal
     recurrence: p(m) = sum over k >= 1 of (-1)**(k+1) (p(m - k(3k-1)/2)
-    + p(m - k(3k+1)/2)).  No partition is enumerated."""
-    p = [1]
-    for m in range(1, n + 1):
+    + p(m - k(3k+1)/2)).  No partition is enumerated, and the ranks
+    counted before are not counted again, so counting rank by rank up to
+    n costs what counting n once does."""
+    global _counted
+    if n < len(_counted):
+        return _counted[: n + 1]
+    p = list(_counted)
+    for m in range(len(p), n + 1):
         total, k = 0, 1
         while (pentagonal := k * (3 * k - 1) // 2) <= m:
             term = p[m - pentagonal] + (p[m - pentagonal - k] if pentagonal + k <= m else 0)
             total += term if k % 2 else -term
             k += 1
         p.append(total)
-    return tuple(p)
+    _counted = counted = tuple(p)
+    return counted
 
 
 def partition_count(n: int) -> int:
@@ -118,9 +128,17 @@ def bipartition_count(n: int) -> int:
     return sum(map(mul, p, reversed(p)))
 
 
-def enumerate_splits(n: int) -> list[PairSplit]:
-    """All pairs (a, b) of positive integers with a + b = n."""
-    return [(a, n - a) for a in range(1, n)]
+@cache
+def last_rank_within(count, budget: int) -> int:
+    """The largest rank n with count(n) <= budget, for a count of labels
+    that never falls from rank 1 on and is at most budget there.  A
+    budget check compares a rank with it, so no rank past the first
+    whose count passes the budget is ever counted, however large the
+    rank checked."""
+    n = 1
+    while count(n + 1) <= budget:
+        n += 1
+    return n
 
 
 def removable_rows(p: Partition) -> list[int]:

@@ -42,6 +42,7 @@ from .partitions import (
     enumerate_partitions,
     format_class,
     format_partition,
+    last_rank_within,
     partition_count,
 )
 
@@ -51,10 +52,6 @@ def _shape(p: Partition) -> tuple[int, int]:
     """Bead mask (bit 0 clear: one per shape) and size of a partition, checked."""
     as_partition(p)
     return sum(1 << (part + len(p) - 1 - i) for i, part in enumerate(p)), sum(p)
-
-
-def _beads(mask: int) -> list[int]:
-    return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
 @cache
@@ -346,32 +343,17 @@ def first_request(memo: dict, cls, label, count, n: int, single, whole) -> int:
     """A checked label's value missing from memo[cls], cls of rank n
     checked too: single() for the class's first label, else from its
     column whole(), which memo keeps, unless the rank has more than
-    COLUMN_LABELS labels (count(n), counted without enumerating them,
-    and only once the class holds a value); then single() answers every
-    label.  The views pass single and whole as partial objects, not
+    COLUMN_LABELS labels (by count, counted without enumerating them,
+    only up to the first rank past the budget, and only once the class
+    holds a value); then single() answers every label.  The views pass single and whole as partial objects, not
     closures, so that their lookups make no cells."""
     column = memo.get(cls)
-    if column and count(n) <= COLUMN_LABELS:
+    if column and n <= last_rank_within(count, COLUMN_LABELS):
         memo[cls] = column = whole()
         return column[label]
     value = single()
     memo.setdefault(cls, {})[label] = value
     return value
-
-
-def border_strips(shape: Partition, k: int) -> list[tuple[Partition, int]]:
-    """All removals of a k-box border strip from shape.
-
-    Returns (smaller_shape, sign) pairs with sign = (-1)**height, where
-    height is one less than the number of rows the strip occupies.
-    A partition-level view of the walk's removal move.
-    """
-    if k <= 0:
-        return []
-    return [
-        (tuple(b - i for i, b in enumerate(_beads(sub)))[::-1], sign)
-        for sub, sign in _moves(_shape(shape)[0], -k)
-    ]
 
 
 def sym_char_value(lam: Partition, mu: Partition) -> int:

@@ -6,9 +6,11 @@ codes, which the tests hold against them), the class of a single
 element, the block subgroup as a set of rank-n elements, induction by
 literal summation over elements and over subgroup classes, and
 independent formulas for single steps (centralizer orders, induced S_n
-characters, LR coefficients from characters).  None of it is on the
-path of the CLI or of verify_formula; it checks that path from outside,
-and like dweyl.oracle it uses nothing from the formula.
+characters, LR coefficients from characters, the class of a blockwise
+product from its block classes).  It lives with the tests, outside the
+installed package: nothing in dweyl, the CLI or verify_formula runs
+it; it checks that path from outside, and like dweyl.oracle it uses
+nothing from the formula.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from functools import cache, cached_property
 from math import factorial
 from typing import Callable
 
-from .dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, group_order_d
-from .oracle import _class_type, _fused_counts
-from .partitions import Partition, RangeError, enumerate_partitions, size
-from .symchar import sym_centralizer_order, sym_char_value
+from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, group_order_d
+from dweyl.oracle import _class_type, _fused_counts
+from dweyl.partitions import Partition, RangeError, enumerate_partitions, format_class, size, union
+from dweyl.symchar import splittable, sym_centralizer_order, sym_char_value
 
 SignedPerm = tuple[int, ...]
 
@@ -281,6 +283,22 @@ def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
 
 # ---------------------------------------------------------------------------
 # Independent formulas used to cross-check individual steps
+
+def fuse_class(ca: DClassType, cb: DClassType) -> DClassType:
+    """Class of a blockwise product element from its block classes.
+
+    Cycle types concatenate.  The fused type can split only when both
+    block classes are split (a non-split block contributes an odd
+    positive part or a negative cycle), and then the tags multiply.
+    """
+    positive = union(ca.positive, cb.positive)
+    negative = union(ca.negative, cb.negative)
+    if splittable(positive, negative):
+        if ca.split is None or cb.split is None:
+            raise ArithmeticError(f"impossible fusion {format_class(ca)} * {format_class(cb)}: unsplit block in a splittable product")
+        return DClassType(positive, negative, ca.split * cb.split)
+    return DClassType(positive, negative, None)
+
 
 def centralizer_chain_values(n: int, pi: Partition) -> dict[str, int]:
     """The four centralizer orders attached to a doubled cycle type.

@@ -29,7 +29,12 @@ from dweyl.dchar import (
 from dweyl.decomp import InducedQuery, a_coefficient, branch_restriction, induced_multiplicity
 from dweyl.dchar import DIrrLabel
 from dweyl.lr import lr_coefficient
-from dweyl.explicit import (
+from dweyl.oracle import oracle_induce
+from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, union
+from dweyl.symchar import sym_centralizer_order, sym_char_value
+from dweyl.verify import verify_formula
+
+from explicit import (
     build_group,
     centralizer_chain_values,
     classify_element,
@@ -40,10 +45,6 @@ from dweyl.explicit import (
     sp_mul,
     sym_induced_product_value,
 )
-from dweyl.oracle import oracle_induce
-from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, union
-from dweyl.symchar import sym_centralizer_order, sym_char_value
-from dweyl.verify import verify_formula
 
 TRIV1 = DIrrLabel(((1,), ()), 0)
 

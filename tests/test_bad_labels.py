@@ -7,7 +7,7 @@ import re
 import pytest
 
 from dweyl.cli import main
-from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, make_irr_label, parse_class
+from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, delta_value, make_irr_label, parse_class
 from dweyl.decomp import InducedQuery, branch_restriction, decompose_induced, induced_multiplicity
 from dweyl.lr import lr_coefficient, lr_expand
 
@@ -37,6 +37,7 @@ CLASSES = [
     ("tag on a class that does not split", "([3],[],+)", DClassType((3,), (), 1)),
     ("no tag on a class that splits", "([4],[])", DClassType((4,), (), None)),
     ("odd number of negative cycles", "([2],[1])", DClassType((2,), (1,), None)),
+    ("one field", "([2])", ((2,),)),
 ]
 
 
@@ -63,7 +64,9 @@ CALLS = [
     pytest.param(call, shown, id=f"{case}: {name}")
     for case, shown, c in CLASSES
     for name, call in {
-        "d_char_value": lambda c=c: d_char_value(make_irr_label((sum(c.positive) + sum(c.negative),), ()), c),
+        "d_char_value": lambda c=c: d_char_value(make_irr_label((sum(map(sum, c[:2])),), ()), c),
+        "d_char_column": lambda c=c: d_char_column(c),
+        "delta_value": lambda c=c: delta_value((1,), c),
         "parse_class": lambda shown=shown: parse_class(shown),
     }.items()
 ] + [

@@ -9,7 +9,6 @@ from dweyl.dchar import (
     d_classes,
     d_degree,
     d_irr_labels,
-    fuse_class,
     group_order_d,
     make_irr_label,
     parse_irr_label,
@@ -22,9 +21,11 @@ from dweyl.decomp import (
     branch_set,
     decompose_induced,
     induced_multiplicity,
-    remark_identity_check,
 )
+from dweyl.lr import lr_coefficient
 from dweyl.partitions import ResourceLimit, enumerate_bipartitions, enumerate_partitions, size
+
+from explicit import fuse_class
 
 TRIV1 = DIrrLabel(((1,), ()), 0)
 
@@ -174,6 +175,35 @@ def test_pieri_rule_for_one_row_factors():
                 for gamma in enumerate_partitions(total):
                     expected = 1 if _is_horizontal_strip(gamma, beta) else 0
                     assert lrc((k,), beta, gamma) == expected
+
+
+def remark_identity_check(alpha1, beta1, gamma1) -> bool:
+    """Check the all-degenerate special case against its closed form.
+
+    For alpha = (alpha1; alpha1), beta = (beta1; beta1) and
+    gamma = (gamma1; gamma1) the symmetrized coefficient collapses to
+    c(alpha1, beta1; gamma1)**2, and the two degenerate multiplicities
+    become c(c +/- 1)/2.  The second part only applies when the ambient
+    rank 2|gamma1| is at least 4.
+    """
+    alpha = (alpha1, alpha1)
+    beta = (beta1, beta1)
+    gamma = (gamma1, gamma1)
+    c = lr_coefficient(alpha1, beta1, gamma1)
+    if a_coefficient(alpha, beta, gamma) != c * c:
+        return False
+    n = 2 * size(gamma1)
+    a = 2 * size(alpha1)
+    b = 2 * size(beta1)
+    if n >= 4 and a >= 2 and b >= 2 and size(gamma1) == size(alpha1) + size(beta1):
+        for ea in (1, -1):
+            for eb in (1, -1):
+                q = InducedQuery(n, a, b, DIrrLabel(alpha, ea), DIrrLabel(beta, eb))
+                for ex in (1, -1):
+                    expected = c * (c + ea * eb * ex) // 2
+                    if induced_multiplicity(q, DIrrLabel(gamma, ex)) != expected:
+                        return False
+    return True
 
 
 def test_remark_identity():

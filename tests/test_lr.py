@@ -3,9 +3,10 @@ from math import comb
 import pytest
 
 from dweyl.lr import lr_coefficient, lr_expand
-from dweyl.explicit import lr_coefficient_by_characters
 from dweyl.partitions import enumerate_partitions
 from dweyl.symchar import sym_degree
+
+from explicit import lr_coefficient_by_characters
 
 
 def test_basic_values():

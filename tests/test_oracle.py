@@ -24,7 +24,26 @@ from dweyl.dchar import (
 )
 from dweyl.cli import main
 from dweyl.decomp import InducedQuery, decompose_induced
-from dweyl.explicit import (
+from dweyl.oracle import (
+    MAX_RANK,
+    _block_tally,
+    _code_types,
+    _degree_key,
+    _even_codes,
+    _fused_counts,
+    _moved,
+    _pack,
+    _packed,
+    _point_codes,
+    _slot_bound,
+    _unpack,
+    oracle_induce,
+)
+from dweyl.partitions import RangeError, enumerate_partitions, partition_count
+from dweyl.symchar import sym_centralizer_order
+from dweyl.verify import verify_formula
+
+from explicit import (
     _block_parts,
     _class_sums,
     _in_block_subgroup,
@@ -44,24 +63,6 @@ from dweyl.explicit import (
     split_partition_pairs,
     sym_induced_product_value,
 )
-from dweyl.oracle import (
-    MAX_RANK,
-    _block_tally,
-    _code_types,
-    _degree_key,
-    _even_codes,
-    _fused_counts,
-    _joined,
-    _pack,
-    _packed,
-    _point_codes,
-    _slot_bound,
-    _unpack,
-    oracle_induce,
-)
-from dweyl.partitions import RangeError, enumerate_partitions, partition_count
-from dweyl.symchar import sym_centralizer_order
-from dweyl.verify import verify_formula
 
 
 def test_signed_permutation_arithmetic():
@@ -245,7 +246,7 @@ def test_block_codes_match_the_full_span_at_block_even_masks():
                     assert list(lengths) == sorted(lengths_a + lengths_b, reverse=True)
                     reference = all_mask_codes(point_codes)
                     whole = [_code_types(lengths)[reference[ma | mb << a]] for ma in even_a for mb in even_b]
-                    joined = [_joined(x, y, len(lengths_a)) for x in codes_a for y in codes_b]
+                    joined = [x ^ _moved(y, len(lengths_a)) for x in codes_a for y in codes_b]
                     types = _code_types(lengths_a + lengths_b)
                     assert [types[code] for code in joined] == whole, (perm_a, perm_b)
 
@@ -269,7 +270,7 @@ def test_mirror_splits_fuse_to_swapped_pairs():
 def record_tables(monkeypatch):
     """The ranks of the group tables asked for from here on, the
     oracle's caches cleared."""
-    import dweyl.explicit
+    import explicit
 
     built = []
 
@@ -277,7 +278,7 @@ def record_tables(monkeypatch):
         built.append(n)
         return build_group(n)
 
-    monkeypatch.setattr(dweyl.explicit, "build_group", record)
+    monkeypatch.setattr(explicit, "build_group", record)
     for cached in (_block_tally, _fused_counts, _packed):
         cached.cache_clear()
     return built

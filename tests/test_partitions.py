@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dweyl import partitions
 from dweyl.dchar import DClassType, DIrrLabel, d_classes, d_irr_labels, d_label_count, format_class, format_irr_label, parse_class, parse_irr_label
 from dweyl.partitions import (
     as_partition,
     bipartition_count,
     enumerate_bipartitions,
     enumerate_partitions,
-    enumerate_splits,
     format_bipartition,
     format_partition,
+    last_rank_within,
     length,
     parse_bipartition,
     parse_partition,
@@ -94,12 +95,6 @@ def test_bipartition_count_identity():
             for k in range(n + 1)
         )
         assert len(enumerate_bipartitions(n)) == expected
-
-
-def test_enumerate_splits():
-    assert enumerate_splits(4) == [(1, 3), (2, 2), (3, 1)]
-    assert enumerate_splits(2) == [(1, 1)]
-    assert enumerate_splits(1) == []
 
 
 def test_remove_box():
@@ -260,3 +255,19 @@ def test_counts_without_enumerating():
     assert partition_count(100) == 190569292
     assert [d_label_count(n) for n in range(1, 13)] == [len(d_irr_labels(n)) for n in range(1, 13)]
     assert [d_label_count(n) for n in range(1, 11)] == [len(d_classes(n)) for n in range(1, 11)]
+
+
+def test_counts_extend_rank_by_rank(monkeypatch):
+    # from nothing counted, each rank extends the counts made before it
+    monkeypatch.setattr(partitions, "_counted", (1,))
+    assert [partition_count(n) for n in range(16)] == [len(enumerate_partitions(n)) for n in range(16)]
+    assert partition_counts(7) == tuple(len(enumerate_partitions(n)) for n in range(8))
+
+
+def test_budget_checks_decide_as_the_full_count():
+    # each count never falls from rank 1 on, so a rank is within a budget
+    # exactly when it is at most the last rank within it
+    for count in (partition_count, bipartition_count, d_label_count):
+        for budget in (1000, 10_000):
+            last = last_rank_within(count, budget)
+            assert [count(n) <= budget for n in range(1, 60)] == [n <= last for n in range(1, 60)]

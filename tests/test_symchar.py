@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from dweyl.partitions import enumerate_partitions, size
-from dweyl.symchar import border_strips, sym_centralizer_order, sym_char_value, sym_degree
+from dweyl.symchar import _moves, _shape, sym_centralizer_order, sym_char_value, sym_degree
 
 
 def count_syt(shape):
@@ -81,6 +81,17 @@ def test_row_orthogonality():
                     for mu in lams
                 )
                 assert s == (order if lam == mu2 else 0)
+
+
+def border_strips(shape, k):
+    """All removals of a k-box border strip from shape, as (smaller shape,
+    sign) pairs with sign (-1)**(rows of the strip - 1): a partition-level
+    view of the abacus walk's removal move."""
+    out = []
+    for sub, sign in _moves(_shape(shape)[0], -k):
+        beads = [b for b in range(sub.bit_length()) if sub >> b & 1]
+        out.append((tuple(b - i for i, b in enumerate(beads))[::-1], sign))
+    return out
 
 
 def test_border_strips_leave_partitions():

@@ -155,14 +155,17 @@ B3, D3 = BClassType((2,), (1,)), DClassType((2, 1), (), None)
 def test_labels_are_counted_from_a_class_second_value_on(module, counter, first, second, monkeypatch):
     """Whether a class's column is walked depends on the number of labels
     of its rank, which a class's first value, a backward walk, never
-    needs: a lone value at a large rank counts no partitions."""
+    needs: a lone value at a large rank counts no partitions.  A second
+    value counts the ranks from 2 up to the first whose labels pass
+    COLUMN_LABELS, and no further, whatever its own rank."""
     clear_memos()
     counted, count = [], getattr(module, counter)
     monkeypatch.setattr(module, counter, lambda n: counted.append(n) or count(n))
     first()
     assert counted == []
     second()
-    assert counted == [3]
+    assert counted == list(range(2, counted[-1] + 1))
+    assert count(counted[-1]) > COLUMN_LABELS >= count(counted[-2])
 
 
 # Bad labels: each is rejected the same way whether its class has no
@@ -422,3 +425,21 @@ def test_past_column_labels_every_label_walks_back(monkeypatch):
         d_char_value(d_irr_labels(10)[0], identity)
         d_char_value(d_irr_labels(10)[1], identity)
     assert walks == [identity[:2]]
+
+
+@pytest.mark.parametrize(
+    "view, first, second, cls",
+    [
+        (sym_char_value, (80000,), (79999, 1), (80000,)),
+        (b_char_value, ((40000,), ()), ((39999, 1), ()), BClassType((40000,), ())),
+    ],
+    ids=["S_80000", "B_40000"],
+)
+def test_second_value_far_past_column_labels_answers_fast(view, first, second, cls):
+    """Deciding that a rank is past COLUMN_LABELS counts no rank past the
+    budget's, so a second value at a huge rank costs one backward walk."""
+    clear_memos()
+    assert view(first, cls) == 1
+    start = time.perf_counter()
+    assert view(second, cls) == -1
+    assert time.perf_counter() - start < 0.1
