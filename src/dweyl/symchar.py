@@ -345,8 +345,9 @@ def first_request(memo: dict, cls, label, count, n: int, single, whole) -> int:
     column whole(), which memo keeps, unless the rank has more than
     COLUMN_LABELS labels (by count, counted without enumerating them,
     only up to the first rank past the budget, and only once the class
-    holds a value); then single() answers every label.  The views pass single and whole as partial objects, not
-    closures, so that their lookups make no cells."""
+    holds a value); then single() answers every label.  The views pass
+    single and whole as partial objects, not closures, so that their
+    lookups make no cells."""
     column = memo.get(cls)
     if column and n <= last_rank_within(count, COLUMN_LABELS):
         memo[cls] = column = whole()
