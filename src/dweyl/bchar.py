@@ -23,8 +23,8 @@ recursion either way.  The forward walk keeps one state per orbit of
 is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5), and
 [alpha'; beta'] is it tensored with the sign of the underlying
 permutation, so a column reads each label through those signs.  The
-values asked are kept in ``b_memo``, {class: {label: value}}, and a
-class with other than two fields is refused before it is walked.
+values asked are kept in ``b_memo``, {class: {label: value}}; a class
+or label is checked on a miss, before it is walked or stored.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from functools import cache, partial
 from math import comb, factorial
 from typing import NamedTuple
 
-from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, format_partition, size
-from .symchar import _shape, backward, checked_rank, first_request, read_column, sym_centralizer_order, sym_degree
+from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
+from .symchar import _shape, backward, checked_rank, first_request, read_column, sym_centralizer_order, sym_degree, written
 
 
 class BClassType(NamedTuple):
@@ -70,27 +70,17 @@ b_memo: dict = {}
 """{class: {label: value at the class}}: the values asked of B_n."""
 
 
-_FIELDS = {"B": "two fields (positive, negative)", "D": "three fields (positive, negative, split)"}
-
-
-def _fields_error(c, group: str) -> ValueError:
-    """The refusal of a class c without the fields of a class of the
-    type-group view, B or D: its first two fields, however many it has."""
-    fields = ",".join(map(format_partition, c[:2]))
-    return ValueError(f"class ({fields}) is not a type {group} class: it needs {_FIELDS[group]}")
-
-
 def b_char_value(label: Bipartition, c: BClassType) -> int:
-    """Value of the irreducible character [alpha; beta] on class c.  A
-    class without the two fields of a class of this group, such as a
-    class of W(D_n), is refused on a miss; b_memo never holds one."""
+    """Value of the irreducible character [alpha; beta] on class c.  On a
+    miss, c is checked by check_class (a class of W(D_n) is refused), then
+    the label; b_memo never holds a bad one."""
     try:
         return b_memo[c][label]
-    except KeyError:
+    except (KeyError, TypeError):  # a miss, or an unhashable class or label
         pass
-    if len(c) != 2:
-        raise _fields_error(c, "B")
-    n = checked_rank(b_memo, c, c)
+    n = checked_rank(b_memo, c, c, "B")
+    if not isinstance(label, tuple) or len(label) != 2:
+        raise ValueError(f"label {written(label, None)} is not a type B label: it needs two fields (alpha, beta)")
     (first, a), (second, b) = _shape(label[0]), _shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")

@@ -39,8 +39,8 @@ table of the full group in between; only the degenerate labels then go
 through ``_restrict``, and the degenerate difference reads the
 symmetric group at pi the same way.  ``d_char_column`` reads a class's
 column whole, with no backward walk first.  The values asked are kept in
-``d_memo``, {class: {label: value}}, apart from those of the full group,
-and a class with other than three fields is refused before it is read.
+``d_memo``, {class: {label: value}}, apart from those of the full group;
+a class is checked, by ``symchar.check_class``, only on a miss.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .bchar import BClassType, _fields_error, b_centralizer_order, b_classes, b_degree
+from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
 from .partitions import (
     Bipartition,
     Partition,
@@ -202,14 +202,10 @@ def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
 
 
 def delta_value(gamma1: Partition, c: DClassType) -> int:
-    """Value of the degenerate difference character for [gamma1; gamma1].
-
-    Supported on split classes only:  on (2*pi, (), s) the value is
-    s * (-1)**(n/2) * 2**len(pi) * chi_gamma1(pi), with n = 2|gamma1|.
-    """
-    if len(c) != 3:
-        raise _fields_error(c, "D")
-    if 2 * _shape(gamma1)[1] != check_class(c):
+    """Value of the degenerate difference character for [gamma1; gamma1]
+    at c, which check_class checks: s * (-1)**(n/2) * 2**len(pi) *
+    chi_gamma1(pi) on a split class (2*pi, (), s), n = 2|gamma1|, else 0."""
+    if 2 * _shape(gamma1)[1] != check_class(c, "D"):
         raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
     return _delta(gamma1, c)
 
@@ -238,22 +234,17 @@ d_memo: dict = {}
 
 
 def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
-    """Value of the irreducible character chi on class c.  A class without
-    the three fields of a class of this group, such as a class of the
-    full group, is refused before d_memo is read."""
-    if len(c) != 3:
-        raise _fields_error(c, "D")
+    """Value of the irreducible character chi on class c.  On a miss, c is
+    checked by check_class (a class of the full group is refused), then
+    chi by check_label; d_memo never holds a bad one."""
     try:
         return d_memo[c][chi]
-    except KeyError:
+    except (KeyError, TypeError):  # a miss, or an unhashable class or label
         pass
-    except TypeError:  # unhashable: a bad label, which check_label names, or class
-        check_label(chi)
-        raise
-    n = checked_rank(d_memo, c, c)
+    n = checked_rank(d_memo, c, c, "D")
     try:
         state, size = _label_state(chi)
-    except TypeError:  # unhashable label, at a class with no values yet
+    except TypeError:  # unhashable label, which check_label names
         check_label(chi)
         raise
     if size != n:
@@ -280,10 +271,8 @@ def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], list, list, list]:
 def d_char_column(c: DClassType) -> list[int]:
     """Value at c of every label of its rank, in d_irr_labels order: the
     column that d_char_value reads from a class's second label on, kept
-    in the same store."""
-    if len(c) != 3:
-        raise _fields_error(c, "D")
-    n = checked_rank(d_memo, c, c)
+    in the same store.  c is checked by check_class unless d_memo has it."""
+    n = checked_rank(d_memo, c, c, "D")
     column = d_memo.get(c)
     if column is None or len(column) < d_label_count(n):
         d_memo[c] = column = _column(c, n)
@@ -333,5 +322,5 @@ def parse_class(text: str) -> DClassType:
     """Parse a class label: '([2,1,1],[])' or '([4],[],+)'."""
     (positive, negative), split = read_label(text, "D class")
     c = DClassType(positive, negative, split or None)
-    check_class(c)
+    check_class(c, "D")
     return c

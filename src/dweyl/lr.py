@@ -15,8 +15,10 @@ row right to left, rows top to bottom) is a ballot sequence.
   stay a ballot sequence (the Remmel-Whitney / Lascoux-Schutzenberger
   product rule, as in Buch's lrcalc).  Partial fillings that end in the
   same shape with the same row counts of the last letter have the same
-  futures and are merged, so the work follows the number of fillings
-  and never the number of partitions of n.
+  futures and are merged, so no partition of n is enumerated.  The work
+  is not that of the fillings, though: each merged state scans every
+  row of its shape once per letter, so [1^k] x [1^k], with k + 1
+  fillings, visits about k^2/2 states of about k rows each.
 
 Each rule is tested against the other, and the representation-theoretic
 definition is kept as a third check in the tests.  lr_coefficient

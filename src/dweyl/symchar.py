@@ -146,15 +146,29 @@ def splittable(positive: Partition, negative: Partition) -> bool:
     return not negative and all(part % 2 == 0 for part in positive)
 
 
-def check_class(cls) -> int:
-    """Rank of a class after checking it: (mu, None) of S_n, (positive,
-    negative) of B_n, or (positive, negative, split) of D_n, with an even
-    number of negative cycles and split 1 or -1 exactly when splittable."""
+def written(x, count: int | None) -> str:
+    """A class or label x, however malformed, for a refusal: its first
+    count fields (all for None), each a tuple as a partition, None as None
+    and anything else by its type and repr: none reads as a partition."""
+    one = lambda f: format_partition(f) if type(f) is tuple else "None" if f is None else f"{type(f).__name__} {f!r}"
+    return f"({','.join(map(one, x[:count]))})" if isinstance(x, tuple) else one(x)
+
+
+def check_class(cls, group: str) -> int:
+    """Rank of a class of the group view, S, B or D, after checking it:
+    (mu, None) of S_n, (positive, negative) of B_n, or (positive,
+    negative, split) of D_n, with an even number of negative cycles and
+    split 1 or -1 exactly when splittable.  A B or D class of any other
+    shape or type, or with unhashable fields, gets one ValueError."""
+    if group != "S":
+        count, fields = (2, "two fields (positive, negative), both tuples") if group == "B" else (3, "three fields (positive, negative, split): two tuples, then None, 1 or -1")
+        if not isinstance(cls, tuple) or len(cls) != count or type(cls[0]) is not tuple or type(cls[1]) is not tuple or cls[2:] not in ((), (None,), (1,), (-1,)):
+            raise ValueError(f"class {written(cls, count)} is not a type {group} class: it needs {fields}")
     positive, negative, *split = cls
     n = sum(as_partition(positive)) + (0 if negative is None else sum(as_partition(negative)))
     if split and len(negative) % 2:
         raise ValueError(f"class {format_class(cls)} has an odd number of negative cycles")
-    if split and (split[0] not in (None, 1, -1) or (split[0] is None) == splittable(positive, negative)):
+    if split and (split[0] is None) == splittable(positive, negative):
         raise ValueError(f"class {format_class(cls)} needs a +/- tag exactly when all its cycles are positive and even")
     return n
 
@@ -332,11 +346,16 @@ s_memo: dict = {}
 """{cycle type mu: {label: value at mu}}: the values asked of S_n."""
 
 
-def checked_rank(memo: dict, key, cls) -> int:
-    """Rank of the class cls, which memo keeps under key: checked by
-    check_class unless memo holds it, as it does only once checked."""
-    positive, negative, *_ = cls
-    return sum(positive) + sum(negative or ()) if key in memo else check_class(cls)
+def checked_rank(memo: dict, key, cls, group: str) -> int:
+    """Rank of the class cls of the group view, which memo keeps under
+    key once checked: by check_class unless memo holds it or key is
+    unhashable."""
+    try:
+        if key in memo:
+            return sum(cls[0]) + sum(cls[1] or ())
+    except TypeError:  # unhashable
+        pass
+    return check_class(cls, group)
 
 
 def first_request(memo: dict, cls, label, count, n: int, single, whole) -> int:
@@ -361,10 +380,10 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
     """Value of the irreducible character [lam] at cycle type mu."""
     try:
         return s_memo[mu][lam]
-    except KeyError:
+    except (KeyError, TypeError):  # a miss, or an unhashable mu or lam
         pass
     cls = mu, None
-    n = checked_rank(s_memo, mu, cls)
+    n = checked_rank(s_memo, mu, cls, "S")
     mask, size = _shape(lam)
     if size != n:
         raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")

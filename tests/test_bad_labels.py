@@ -32,12 +32,23 @@ PARTITIONS = [
     ("zero part", "[1,0]", (1, 0)),
 ]
 
-# (case, the class in the grammar, class)
+# (case, the class as the error shows it, class, its text form or None)
 CLASSES = [
-    ("tag on a class that does not split", "([3],[],+)", DClassType((3,), (), 1)),
-    ("no tag on a class that splits", "([4],[])", DClassType((4,), (), None)),
-    ("odd number of negative cycles", "([2],[1])", DClassType((2,), (1,), None)),
-    ("one field", "([2])", ((2,),)),
+    ("tag on a class that does not split", "([3],[],+)", DClassType((3,), (), 1), "([3],[],+)"),
+    ("no tag on a class that splits", "([4],[])", DClassType((4,), (), None), "([4],[])"),
+    ("odd number of negative cycles", "([2],[1])", DClassType((2,), (1,), None), "([2],[1])"),
+    ("one field", "([2])", ((2,),), "([2])"),
+    ("an int", "class int 3 is", 3, None),
+    ("a list", "class list [3] is", [3], None),
+    ("None", "class None is", None, None),
+    ("a string", "class str 'x' is", "x", None),
+    ("one int field", "class (int 3) is", (3,), None),
+    ("int positive, two fields", "class (int 3,[]) is", (3, ()), None),
+    ("int positive", "class (int 3,[],None) is", (3, (), None), None),
+    ("int negative", "class ([3],int 3,None) is", ((3,), 3, None), None),
+    ("list negative, two fields", "class ([3],list [1]) is", ((3,), [1]), None),
+    ("list negative", "class ([3],list [],None) is", ((3,), [], None), None),
+    ("four fields", "class ([3],[],None) is", ((3,), (), None, 0), None),
 ]
 
 
@@ -62,13 +73,14 @@ CALLS = [
     for name, call in label_calls(chi, takes_components).items()
 ] + [
     pytest.param(call, shown, id=f"{case}: {name}")
-    for case, shown, c in CLASSES
+    for case, shown, c, text in CLASSES
     for name, call in {
-        "d_char_value": lambda c=c: d_char_value(make_irr_label((sum(map(sum, c[:2])),), ()), c),
+        "d_char_value": lambda c=c: d_char_value(GOOD, c),
         "d_char_column": lambda c=c: d_char_column(c),
         "delta_value": lambda c=c: delta_value((1,), c),
-        "parse_class": lambda shown=shown: parse_class(shown),
+        "parse_class": lambda text=text: parse_class(text),
     }.items()
+    if text is not None or name != "parse_class"
 ] + [
     pytest.param(call, shown, id=f"{case}: {name}")
     for case, shown, p in PARTITIONS

@@ -1,6 +1,7 @@
 """Oracle-free properties past the exhaustive tests: the induced
-decomposition at ranks 7-40 (Frobenius reciprocity at ranks 7-14), and
-the LR expansion at sizes 11-20.
+decomposition at ranks 7-40 (Frobenius reciprocity at ranks 7-14, the
+induced character's values at sampled classes at ranks 15-40), and the
+LR expansion at sizes 11-20.
 
 The explicit group stops at rank 11 (``oracle.MAX_RANK``), so the checks are identities the
 answer must satisfy whatever it is, or a second rule for the same
@@ -8,15 +9,18 @@ numbers.
 """
 
 from collections import Counter
-from itertools import pairwise
+from fractions import Fraction
+from itertools import pairwise, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dweyl.dchar import DIrrLabel, d_degree, group_order_d, irr_label_key, make_irr_label
+from dweyl.dchar import DClassType, DIrrLabel, d_centralizer_order, d_char_value, d_degree, group_order_d, irr_label_key, make_irr_label
 from dweyl.decomp import InducedQuery, decompose_induced, induced_multiplicity
 from dweyl.lr import lr_coefficient, lr_expand
 from dweyl.partitions import enumerate_partitions
+from dweyl.symchar import splittable
+from explicit import fuse_class
 from test_decomp import restriction_multiplicity
 
 
@@ -114,6 +118,68 @@ def test_frobenius_reciprocity_sampled(case):
     expected = restriction_multiplicity(q.a, q.b, q.A, q.B, X)
     assert decompose_induced(q).multiplicities.get(X, 0) == expected
     assert induced_multiplicity(q, X) == expected
+
+
+@st.composite
+def induced_at_classes(draw):
+    """(query, c) at ranks 15-40.  Half the draws make A and B degenerate,
+    and, apart from that, half take c split, (2*pi, (), +-): only there
+    do the degenerate constituents differ."""
+    degenerate, split = draw(st.booleans()), draw(st.booleans())
+    n = 2 * draw(st.integers(8, 20)) if degenerate or split else draw(st.integers(15, 40))
+    if degenerate:
+        a = 2 * draw(st.integers(1, n // 2 - 1))
+        halves = draw(partitions_of(a // 2)), draw(partitions_of((n - a) // 2))
+        A, B = (DIrrLabel((half, half), draw(st.sampled_from((1, -1)))) for half in halves)
+    else:
+        a = draw(st.integers(1, n - 1))
+        A, B = draw(d_labels(a)), draw(d_labels(n - a))
+    if split:
+        c = DClassType(tuple(2 * k for k in draw(partitions_of(n // 2))), (), draw(st.sampled_from((1, -1))))
+    else:
+        s = draw(st.integers(0, n))
+        positive, negative = draw(partitions_of(n - s)), draw(partitions_of(s))
+        if len(negative) % 2:  # its smallest negative cycle turns positive
+            positive, negative = tuple(sorted(positive + negative[-1:], reverse=True)), negative[:-1]
+        c = DClassType(positive, negative, draw(st.sampled_from((1, -1))) if splittable(positive, negative) else None)
+    return InducedQuery(n, a, n - a, A, B), c
+
+
+def sub_multisets(parts):
+    """(taken, left) per sub-multiset of the parts of a partition, both
+    partitions."""
+    counts = sorted(Counter(parts).items(), reverse=True)
+    for picks in product(*(range(m + 1) for _, m in counts)):
+        taken = tuple(k for (k, _), j in zip(counts, picks) for _ in range(j))
+        left = tuple(k for (k, m), j in zip(counts, picks) for _ in range(m - j))
+        yield taken, left
+
+
+def block_class_pairs(c, a):
+    """The pairs of classes of the rank-a and rank-(n - a) blocks that
+    fuse_class maps onto c, from the sub-multisets of c's cycles."""
+    for pa, pb in sub_multisets(c.positive):
+        for na, nb in sub_multisets(c.negative):
+            if sum(pa) + sum(na) != a or len(na) % 2:
+                continue
+            for sa in (1, -1) if splittable(pa, na) else (None,):
+                for sb in (1, -1) if splittable(pb, nb) else (None,):
+                    ca, cb = DClassType(pa, na, sa), DClassType(pb, nb, sb)
+                    if fuse_class(ca, cb) == c:
+                        yield ca, cb
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(induced_at_classes())
+def test_induced_character_at_sampled_classes(case):
+    # sum of m_X X(c) over the answer against the induced character at c,
+    # |C(c)| * sum of A(ca) B(cb) / (|C(ca)| |C(cb)|) over the block classes
+    # inside c (Isaacs, Lemma 5.2), in exact arithmetic
+    q, c = case
+    induced = sum(m * d_char_value(X, c) for X, m in decompose_induced(q).multiplicities.items())
+    pairs = block_class_pairs(c, q.a)
+    block_sum = sum(Fraction(d_char_value(q.A, ca) * d_char_value(q.B, cb), d_centralizer_order(ca) * d_centralizer_order(cb)) for ca, cb in pairs)
+    assert induced == d_centralizer_order(c) * block_sum
 
 
 @st.composite

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dweyl import bchar, dchar, symchar
 from dweyl.bchar import BClassType, b_char_value, b_classes, b_memo
-from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, d_memo, make_irr_label
+from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, d_memo, delta_value, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, format_bipartition
 from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, read_column, s_memo, sym_char_value
 
@@ -34,8 +34,8 @@ def clear_memos():
 
 
 def memo_entries() -> int:
-    """Classes holding values, over the three views."""
-    return sum(map(len, MEMOS.values()))
+    """Values stored, over the three views."""
+    return sum(len(column) for memo in MEMOS.values() for column in memo.values())
 
 
 @contextmanager
@@ -191,6 +191,8 @@ BAD_LABELS = [
     (d_char_value, DIrrLabel(((2,), (2,)), 0), DClassType((4,), (), 1), [make_irr_label((4,), ())], "degenerate and needs a sign"),
     (sym_char_value, (2,), (1, 2), [], "[1,2] is not a partition"),
     (d_char_value, make_irr_label((3,), ()), DClassType((3,), (), 1), [], "+/- tag"),
+    (b_char_value, ((2, 1), (), 1), BClassType((1, 1, 1), ()), [((3,), ()), ((2, 1), ())], "label ([2,1],[],int 1) is not a type B label"),
+    (b_char_value, ((3,),), BClassType((1, 1, 1), ()), [((3,), ()), ((2, 1), ())], "label ([3]) is not a type B label"),
 ]
 
 
@@ -199,6 +201,7 @@ def test_bad_labels_rejected_in_both_directions(view, label, cls, warm, message)
     clear_memos()
     with pytest.raises(ValueError, match=re.escape(message)):
         view(label, cls)
+    assert memo_entries() == 0
     for good in warm:
         view(good, cls)
     entries = memo_entries()
@@ -262,6 +265,69 @@ def test_b_view_refuses_classes_without_two_fields(c):
         b_char_value(labels[0], BClassType((3,), ()))
         b_char_value(labels[1], BClassType((3,), ()))
         assert len(b_memo[BClassType((3,), ())]) == len(labels)
+
+
+# Malformed classes, each named by every view it is not a class of, with
+# no store entry, before and after the valid class of rank 3 has its column.
+
+MALFORMED_CLASSES = [
+    # (class, as the S, B and D views name it: None where it is a class of the view)
+    (3, "3 is not a partition", "class int 3", "class int 3"),
+    ([3], "[3] is not a partition", "class list [3]", "class list [3]"),
+    (None, "None is not a partition", "class None", "class None"),
+    ("x", "'x' is not a partition", "class str 'x'", "class str 'x'"),
+    ((3,), None, "class (int 3) is", "class (int 3) is"),
+    ((3, ()), "[3,()] is not", "class (int 3,[]) is", "class (int 3,[]) is"),
+    ((3, (), None), "[3,(),None] is not", "class (int 3,[]) is", "class (int 3,[],None) is"),
+    (((3,), 3, None), "[(3,),3,None] is not", "class ([3],int 3) is", "class ([3],int 3,None) is"),
+    (((3,), [1]), "[(3,),[1]] is not", "class ([3],list [1]) is", "class ([3],list [1]) is"),
+    (((3,), [], None), "[(3,),[],None] is not", "class ([3],list []) is", "class ([3],list [],None) is"),
+    (((3,), (), None, 0), "[(3,),(),None,0] is not", "class ([3],[]) is", "class ([3],[],None) is"),
+]
+
+
+def warm_s():
+    sym_char_value((3,), (3,))
+    sym_char_value((2, 1), (3,))
+
+
+def warm_b():
+    b_char_value(((3,), ()), BClassType((3,), ()))
+    b_char_value(((2, 1), ()), BClassType((3,), ()))
+
+
+def warm_d():
+    d_char_column(DClassType((3,), (), None))
+
+
+# view: (column of MALFORMED_CLASSES naming the class, the call, its warm-up)
+CLASS_VIEWS = {
+    "sym_char_value": (1, lambda c: sym_char_value((3,), c), warm_s),
+    "b_char_value": (2, lambda c: b_char_value(((3,), ()), c), warm_b),
+    "d_char_value": (3, lambda c: d_char_value(make_irr_label((3,), ()), c), warm_d),
+    "d_char_column": (3, d_char_column, warm_d),
+    "delta_value": (3, lambda c: delta_value((1,), c), warm_d),
+}
+
+
+@pytest.mark.parametrize(
+    "view, c, shown",
+    [
+        pytest.param(view, row[0], row[k], id=f"{view}: {row[0]!r}")
+        for view, (k, _, _) in CLASS_VIEWS.items()
+        for row in MALFORMED_CLASSES
+        if row[k] is not None
+    ],
+)
+def test_every_view_refuses_malformed_classes(view, c, shown):
+    _, call, warm = CLASS_VIEWS[view]
+    clear_memos()
+    for _ in range(2):  # on empty stores, then after the valid class has its column
+        entries = memo_entries()
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            call(c)
+        assert memo_entries() == entries
+        warm()
 
 
 # The folded column walk against the walk that keeps both orders of every
