@@ -23,8 +23,9 @@ recursion either way.  The forward walk keeps one state per orbit of
 is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5), and
 [alpha'; beta'] is it tensored with the sign of the underlying
 permutation, so a column reads each label through those signs.  The
-values asked are kept in ``b_memo``, {class: {label: value}}; a class
-or label is checked on a miss, before it is walked or stored.
+values asked are kept in ``b_memo``, {class: (index, values)} as
+``symchar`` keeps them; a class or label is checked on a miss, before it
+is walked or stored.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def b_centralizer_order(c: BClassType) -> int:
 
 
 b_memo: dict = {}
-"""{class: {label: value at the class}}: the values asked of B_n."""
+"""{class: (index, values)}: the values asked of B_n, the value at the
+class of label being values[index[label]]."""
 
 
 def b_char_value(label: Bipartition, c: BClassType) -> int:
@@ -75,7 +77,8 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     miss, c is checked by check_class (a class of W(D_n) is refused), then
     the label; b_memo never holds a bad one."""
     try:
-        return b_memo[c][label]
+        index, column = b_memo[c]
+        return column[index[label]]
     except (KeyError, TypeError):  # a miss, or an unhashable class or label
         pass
     n = checked_rank(b_memo, c, c, "B")

@@ -39,8 +39,12 @@ table of the full group in between; only the degenerate labels then go
 through ``_restrict``, and the degenerate difference reads the
 symmetric group at pi the same way.  ``d_char_column`` reads a class's
 column whole, with no backward walk first.  The values asked are kept in
-``d_memo``, {class: {label: value}}, apart from those of the full group;
-a class is checked, by ``symchar.check_class``, only on a miss.
+``d_memo``, {class: (index, values)} as ``symchar`` keeps them, apart
+from those of the full group: a walked column is a list in
+``d_irr_labels`` order under the one index of its rank, and a split
+type's two columns differ only at the degenerate slots.  A class is
+checked, by ``symchar.check_class``, and a label, by ``check_label``,
+only on a miss.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .partitions import (
     read_label,
     size,
 )
-from .symchar import _fold, _orbit, _shape, backward, check_class, checked_rank, first_request, splittable, sym_char_value
+from .symchar import _fold, _orbit, _shape, backward, check_class, checked_rank, first_request, splittable, sym_char_value, written
 
 
 class DIrrLabel(NamedTuple):
@@ -111,7 +115,10 @@ def make_irr_label(first: Partition, second: Partition, eps: int = 0) -> DIrrLab
 
 def check_label(chi: DIrrLabel, n: Optional[int] = None) -> int:
     """Rank of chi (n if given) after checking it is as make_irr_label
-    builds it: partitions, the larger first, a sign exactly when equal."""
+    builds it: a pair (two partitions, the larger first) and a sign,
+    nonzero exactly when they are equal."""
+    if not isinstance(chi, tuple) or len(chi) != 2 or not isinstance(chi[0], tuple) or len(chi[0]) != 2:
+        raise ValueError(f"label {written(chi, None)} is not a type D label: it needs two fields, a pair of partitions and a sign")
     (first, second), eps = chi
     rank = size(as_partition(first)) + size(as_partition(second))
     if eps not in (-1, 0, 1):
@@ -230,7 +237,8 @@ def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
 
 
 d_memo: dict = {}
-"""{class: {label: value at the class}}: the values asked of D_n."""
+"""{class: (index, values)}: the values asked of D_n, the value at the
+class of chi being values[index[chi]]."""
 
 
 def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
@@ -238,7 +246,8 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
     checked by check_class (a class of the full group is refused), then
     chi by check_label; d_memo never holds a bad one."""
     try:
-        return d_memo[c][chi]
+        index, column = d_memo[c]
+        return column[index[chi]]
     except (KeyError, TypeError):  # a miss, or an unhashable class or label
         pass
     n = checked_rank(d_memo, c, c, "D")
@@ -258,47 +267,53 @@ def _first_value(chi: DIrrLabel, c: DClassType, state: tuple[int, int]) -> int:
 
 
 @cache
-def _column_keys(n: int) -> tuple[tuple[DIrrLabel, ...], list, list, list]:
-    """The labels of rank n; the state of each in the folded walk (that of
-    its bipartition); the sign of its value on that state at a class
-    where pi is -1; and the degenerate labels."""
+def _column_keys(n: int) -> tuple[dict, list, list, list]:
+    """The index of the columns of rank n, {label: slot} in d_irr_labels
+    order; the state of each label in the folded walk (that of its
+    bipartition); the sign of its value on that state at a class where pi
+    is -1; and (slot, label) of the degenerate labels."""
     labels = d_irr_labels(n)
     orbits = [_orbit(_shape(X.label[0])[0], _shape(X.label[1])[0]) for X in labels]
     keys = [(first, second) for first, second, _ in orbits]
-    return labels, keys, [-1 if via & 2 else 1 for *_, via in orbits], [X for X in labels if X.eps]
+    degenerate = [(i, X) for i, X in enumerate(labels) if X.eps]
+    return {X: i for i, X in enumerate(labels)}, keys, [-1 if via & 2 else 1 for *_, via in orbits], degenerate
 
 
 def d_char_column(c: DClassType) -> list[int]:
-    """Value at c of every label of its rank, in d_irr_labels order: the
-    column that d_char_value reads from a class's second label on, kept
-    in the same store.  c is checked by check_class unless d_memo has it."""
+    """Value at c of every label of its rank, in d_irr_labels order: a
+    copy of the column that d_char_value reads from a class's second label
+    on, kept in the same store.  c is checked by check_class unless d_memo
+    has it."""
     n = checked_rank(d_memo, c, c, "D")
-    column = d_memo.get(c)
-    if column is None or len(column) < d_label_count(n):
-        d_memo[c] = column = _column(c, n)
-    return list(map(column.__getitem__, d_irr_labels(n)))
+    entry = d_memo.get(c)
+    if entry is None or entry[0] is not _column_keys(n)[0]:  # none, or a private index
+        d_memo[c] = entry = _column(c, n)
+    return entry[1].copy()
 
 
-def _column(c: DClassType, n: int) -> dict:
-    """Value at c of every label of rank n, read straight from the folded
-    walk of c's type: c has an even number of negative cycles, so a label
-    and its swap have one value there, one lookup per label, times c's
-    sign where the conjugation carries the label to its state; only the
-    degenerate labels go through _restrict.  The other class of a split
-    type differs only there, and its store entry gets its whole column
-    too."""
-    labels, keys, conjugated, degenerate = _column_keys(n)
+def _column(c: DClassType, n: int) -> tuple[dict, list]:
+    """Value at c of every label of rank n, under the rank's shared index,
+    read straight from the folded walk of c's type: c has an even number
+    of negative cycles, so a label and its swap have one value there, one
+    lookup per label, times c's sign where the conjugation carries the
+    label to its state; only the degenerate labels go through _restrict.
+    The other class of a split type differs only there, and its store
+    entry gets its whole column too, a copy fixed at those slots."""
+    index, keys, conjugated, degenerate = _column_keys(n)
     positive, negative, split = c
     values = map(_fold((positive, negative)).get, keys, repeat(0))
     if (n - len(positive) - len(negative)) % 2:  # pi(c) = -1
         values = map(mul, values, conjugated)
-    col = dict(zip(labels, values))
+    column = list(values)
     if split:
         twin = DClassType(positive, negative, -split)
-        d_memo[twin] = col | {X: _restrict(X, twin, col[X]) for X in degenerate}
-    for X in degenerate:
-        col[X] = _restrict(X, c, col[X])
-    return col
+        other = column.copy()
+        for i, X in degenerate:
+            other[i] = _restrict(X, twin, column[i])
+        d_memo[twin] = index, other
+    for i, X in degenerate:
+        column[i] = _restrict(X, c, column[i])
+    return index, column
 
 
 def d_degree(chi: DIrrLabel) -> int:

@@ -22,9 +22,14 @@ states of a walk keeping every label, and a column is one lookup per
 label in its orbit's state, times the class's value of the character
 that carries the label there.  A class keeps only the values read from
 its walk, not the walk's states.  The values asked are kept in one
-plain dict per group type, {class: {label: value}} (``s_memo`` here,
-keyed by the cycle type itself; ``bchar.b_memo``, ``dchar.d_memo``), so
-a warm value is two lookups.
+plain dict per group type (``s_memo`` here, keyed by the cycle type
+itself; ``bchar.b_memo``, ``dchar.d_memo``), each class's entry a pair
+(index, values): values a plain list and index {label: its slot}.  A
+walked column is the list read from the walk in label order, under the
+one index of its rank and group type, built beside the walk's keys and
+shared by every column of that rank; a class's backward-walked values
+keep a private index of their own, so the shared one never grows.  A
+warm value is three lookups: the entry, the slot, the value.
 """
 
 from __future__ import annotations
@@ -148,10 +153,20 @@ def splittable(positive: Partition, negative: Partition) -> bool:
 
 def written(x, count: int | None) -> str:
     """A class or label x, however malformed, for a refusal: its first
-    count fields (all for None), each a tuple as a partition, None as None
-    and anything else by its type and repr: none reads as a partition."""
-    one = lambda f: format_partition(f) if type(f) is tuple else "None" if f is None else f"{type(f).__name__} {f!r}"
-    return f"({','.join(map(one, x[:count]))})" if isinstance(x, tuple) else one(x)
+    count fields (all for None), each a tuple as a partition, or field by
+    field if it holds a tuple or list, a list as one prefixed "list", None
+    as None and anything else by its type and repr: none reads as a
+    partition."""
+    return f"({','.join(map(_field, x[:count]))})" if isinstance(x, tuple) else _field(x)
+
+
+def _field(f) -> str:
+    """One field of written."""
+    if type(f) is list:
+        return f"list {_field(tuple(f))}"
+    if type(f) is tuple:
+        return written(f, None) if any(isinstance(g, (tuple, list)) for g in f) else format_partition(f)
+    return "None" if f is None else f"{type(f).__name__} {f!r}"
 
 
 def check_class(cls, group: str) -> int:
@@ -207,17 +222,18 @@ def _orbit(first: int, second: int) -> tuple[int, int, int]:
 
 
 @cache
-def _labels(n: int, pairs: bool) -> tuple[tuple, list, dict]:
-    """Partitions of n, or bipartitions with pairs; each one's state in
-    _fold (an S_n label (mask, 0) has state mask); and by (turn, pi), the
-    values at a class of the linear characters of the swap and of the
-    conjugation, the sign of the label's value on its state, unless both
-    are 1."""
+def _labels(n: int, pairs: bool) -> tuple[dict, list, dict]:
+    """The index of the columns of rank n, {label: slot} over the
+    partitions of n, or the bipartitions with pairs, in enumeration order;
+    each label's state in _fold (an S_n label (mask, 0) has state mask);
+    and by (turn, pi), the values at a class of the linear characters of
+    the swap and of the conjugation, the sign of the label's value on its
+    state, unless both are 1."""
     labels = enumerate_bipartitions(n) if pairs else enumerate_partitions(n)
     orbits = [_orbit(_shape(x[0])[0], _shape(x[1])[0]) if pairs else _orbit(_shape(x)[0], 0) for x in labels]
     keys = [(first, second) if pairs else first for first, second, _ in orbits]
     signs = {(turn, pi): [(1, turn, pi, turn * pi)[via] for *_, via in orbits] for turn, pi in ((-1, 1), (1, -1), (-1, -1))}
-    return labels, keys, signs
+    return {x: i for i, x in enumerate(labels)}, keys, signs
 
 
 def _fold(cls) -> dict:
@@ -326,16 +342,17 @@ def _fold(cls) -> dict:
     return states
 
 
-def read_column(cls) -> dict:
-    """Value at class cls of every label of its rank, by label."""
+def read_column(cls) -> tuple[dict, list]:
+    """Value at class cls of every label of its rank: the rank's shared
+    index and the values in its order."""
     positive, negative = cls
     n, cycles = sum(positive) + sum(negative or ()), len(positive) + len(negative or ())
-    labels, keys, signs = _labels(n, negative is not None)
+    index, keys, signs = _labels(n, negative is not None)
     values = map(_fold(cls).get, keys, repeat(0))
     turn, pi = -1 if negative and len(negative) % 2 else 1, -1 if (n - cycles) % 2 else 1
     if turn < 0 or pi < 0:
         values = map(mul, values, signs[turn, pi])
-    return dict(zip(labels, values))
+    return index, list(values)
 
 
 COLUMN_LABELS = 10_000
@@ -343,7 +360,8 @@ COLUMN_LABELS = 10_000
 whose columns are walked: B_n and D_n up to n = 17, S_n up to n = 32."""
 
 s_memo: dict = {}
-"""{cycle type mu: {label: value at mu}}: the values asked of S_n."""
+"""{cycle type mu: (index, values)}: the values asked of S_n, the value
+at mu of label lam being values[index[lam]]."""
 
 
 def checked_rank(memo: dict, key, cls, group: str) -> int:
@@ -360,26 +378,34 @@ def checked_rank(memo: dict, key, cls, group: str) -> int:
 
 def first_request(memo: dict, cls, label, count, n: int, single, whole) -> int:
     """A checked label's value missing from memo[cls], cls of rank n
-    checked too: single() for the class's first label, else from its
-    column whole(), which memo keeps, unless the rank has more than
-    COLUMN_LABELS labels (by count, counted without enumerating them,
-    only up to the first rank past the budget, and only once the class
-    holds a value); then single() answers every label.  The views pass
-    single and whole as partial objects, not closures, so that their
-    lookups make no cells."""
-    column = memo.get(cls)
-    if column and n <= last_rank_within(count, COLUMN_LABELS):
-        memo[cls] = column = whole()
-        return column[label]
+    checked too: single() for the class's first label, kept under a
+    private index ({label: 0}, [value]), else from its column whole(),
+    (index, values) under the rank's shared index, which memo keeps,
+    unless the rank has more than COLUMN_LABELS labels (by count, counted
+    without enumerating them, only up to the first rank past the budget,
+    and only once the class holds a value); then single() answers every
+    label, appended to the private pair.  The views pass single and whole
+    as partial objects, not closures, so that their lookups make no
+    cells."""
+    entry = memo.get(cls)
+    if entry and n <= last_rank_within(count, COLUMN_LABELS):
+        memo[cls] = (index, column) = whole()
+        return column[index[label]]
     value = single()
-    memo.setdefault(cls, {})[label] = value
+    if entry:  # past the budget: append to the class's private index
+        index, column = entry
+        index[label] = len(column)
+        column.append(value)
+    else:
+        memo[cls] = {label: 0}, [value]
     return value
 
 
 def sym_char_value(lam: Partition, mu: Partition) -> int:
     """Value of the irreducible character [lam] at cycle type mu."""
     try:
-        return s_memo[mu][lam]
+        index, column = s_memo[mu]
+        return column[index[lam]]
     except (KeyError, TypeError):  # a miss, or an unhashable mu or lam
         pass
     cls = mu, None

@@ -155,6 +155,42 @@ def test_sign_outside_plus_minus_one_is_refused(eps):
         d_char_value(chi, c)
 
 
+# (case, raw label that is not a (pair, sign) pair, the label as the error shows it)
+NOT_D_LABELS = [
+    ("an int", 3, "int 3"),
+    ("None", None, "None"),
+    ("one field", ((3,),), "([3])"),
+    ("three components", (((3,), (), ()), 0), "(([3],[],[]),int 0)"),
+    ("a list", [((2,), ()), 0], "list (([2],[]),int 0)"),
+]
+
+
+@pytest.mark.parametrize("chi, shown", [pytest.param(chi, shown, id=case) for case, chi, shown in NOT_D_LABELS])
+def test_label_without_pair_and_sign_is_refused_by_name(chi, shown):
+    """A D label that is not a pair of partitions and a sign gets one
+    ValueError naming it from every entry point that takes a label, at a
+    fresh class and again once the class holds its column."""
+    c = DClassType((1, 1), (), None)
+    calls = {
+        "d_char_value": lambda: d_char_value(chi, c),
+        "d_degree": lambda: d_degree(chi),
+        "decompose_induced A": lambda: decompose_induced(InducedQuery(4, 2, 2, chi, GOOD)),
+        "decompose_induced B": lambda: decompose_induced(InducedQuery(4, 2, 2, GOOD, chi)),
+        "branch_restriction X": lambda: branch_restriction(4, "left", chi, make_irr_label((3,), ())),
+        "branch_restriction B": lambda: branch_restriction(4, "left", make_irr_label((4,), ()), chi),
+    }
+    d_memo.pop(c, None)
+    for stored in (False, True):
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            message = str(exc.value)
+            assert f"label {shown} is not a type D label" in message, name
+            assert not re.search(r"\(\d|\d,\)|DIrrLabel", message), message
+        assert (c in d_memo) is stored
+        assert len(d_char_column(c)) == len(d_irr_labels(2))
+
+
 def test_branch_restriction_refuses_an_unknown_side():
     X, B = make_irr_label((3,), (1,)), make_irr_label((3,), ())
     with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'middle'"):

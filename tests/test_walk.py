@@ -33,9 +33,17 @@ def clear_memos():
         memo.clear()
 
 
+def labelled(entry) -> dict:
+    """A store entry (index, values) as {label: value}, after checking that
+    its index gives each value exactly one slot."""
+    index, values = entry
+    assert sorted(index.values()) == list(range(len(values)))
+    return {label: values[i] for label, i in index.items()}
+
+
 def memo_entries() -> int:
     """Values stored, over the three views."""
-    return sum(len(column) for memo in MEMOS.values() for column in memo.values())
+    return sum(len(labelled(entry)) for memo in MEMOS.values() for entry in memo.values())
 
 
 @contextmanager
@@ -70,7 +78,7 @@ def both_directions(view, label, other, cls, count):
         assert not walks
         whole = view(label, cls)
     assert walks.count(key) == 1
-    assert len(MEMOS[view][cls]) == count
+    assert len(labelled(MEMOS[view][cls])) == count
     return single, whole
 
 
@@ -246,7 +254,7 @@ def test_d_view_refuses_classes_of_the_full_group(chi, c):
         assert not d_memo
         b_char_value(labels[0], c)
         b_char_value(labels[1], c)
-        assert len(b_memo[c]) == len(labels)  # the B column is walked
+        assert len(labelled(b_memo[c])) == len(labels)  # the B column is walked
 
 
 # Nor does the B view take classes of W(D_n), or any class without two
@@ -264,7 +272,7 @@ def test_b_view_refuses_classes_without_two_fields(c):
         assert c not in b_memo
         b_char_value(labels[0], BClassType((3,), ()))
         b_char_value(labels[1], BClassType((3,), ()))
-        assert len(b_memo[BClassType((3,), ())]) == len(labels)
+        assert len(labelled(b_memo[BClassType((3,), ())])) == len(labels)
 
 
 # Malformed classes, each named by every view it is not a class of, with
@@ -358,10 +366,10 @@ def masks(label) -> tuple[int, int]:
 def test_folded_b_and_s_columns_equal_unfolded_walk(n):
     for c in b_classes(n):
         states = unfolded_walk(c)
-        assert read_column(c) == {label: states.get(masks(label), 0) for label in enumerate_bipartitions(n)}
+        assert labelled(read_column(c)) == {label: states.get(masks(label), 0) for label in enumerate_bipartitions(n)}
     for mu in enumerate_partitions(n + 4):
         states = unfolded_walk((mu, None))
-        assert read_column((mu, None)) == {lam: states.get((_shape(lam)[0], 0), 0) for lam in enumerate_partitions(n + 4)}
+        assert labelled(read_column((mu, None))) == {lam: states.get((_shape(lam)[0], 0), 0) for lam in enumerate_partitions(n + 4)}
 
 
 @pytest.mark.parametrize("n", list(range(1, 11)) + [pytest.param(12, marks=pytest.mark.slow)])
@@ -369,7 +377,7 @@ def test_folded_d_columns_equal_unfolded_walk(n):
     for c in d_classes(n):
         states = unfolded_walk(c[:2])
         expected = {X: dchar._restrict(X, c, states.get(masks(X.label), 0)) for X in d_irr_labels(n)}
-        assert dchar._column(c, n) == expected
+        assert labelled(dchar._column(c, n)) == expected
 
 
 def test_d_table_walks_each_type_once():
@@ -411,6 +419,19 @@ def test_d_column_reads_the_memo_of_the_per_value_view():
         assert walks == []
 
 
+def test_d_column_is_a_copy_of_the_store():
+    """The list d_char_column returns is the caller's: changing it changes
+    no value the store answers later, for either class of a split type."""
+    clear_memos()
+    labels = d_irr_labels(8)
+    for c in (DClassType((4, 4), (), 1), DClassType((4, 4), (), -1), DClassType((3, 2, 1, 1, 1), (), None)):
+        column = d_char_column(c)
+        expected = list(column)
+        column[:] = [None] * len(column)
+        assert [d_char_value(X, c) for X in labels] == expected
+        assert d_char_column(c) == expected
+
+
 def test_folded_walk_keeps_about_half_the_states():
     folded = sum(len(_fold(c[:2])) for c in d_classes(9))
     assert folded <= 0.55 * sum(len(unfolded_walk(c[:2])) for c in d_classes(9))
@@ -445,7 +466,7 @@ def test_swapped_label_is_delta_tensor(n, data):
     swapped = b_char_value((beta, alpha), c)
     clear_memos()
     assert swapped == (-1) ** len(c.negative) * b_char_value((alpha, beta), c)
-    assert len(b_memo[c]) == 1  # each value was its fresh class's first: a backward walk
+    assert len(labelled(b_memo[c])) == 1  # each value was its fresh class's first: a backward walk
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,7 +480,7 @@ def test_conjugate_label_is_sign_tensor(n, data):
     conjugated = sym_char_value(conjugate(lam), mu)
     clear_memos()
     assert conjugated == (-1) ** (n - len(mu)) * sym_char_value(lam, mu)
-    assert len(s_memo[mu]) == 1  # each value was its fresh class's first: a backward walk
+    assert len(labelled(s_memo[mu])) == 1  # each value was its fresh class's first: a backward walk
     n = min(n, 12)
     k, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
     alpha, beta = partitions_of(data, k), partitions_of(data, n - k)
@@ -468,7 +489,7 @@ def test_conjugate_label_is_sign_tensor(n, data):
     conjugated = b_char_value((conjugate(alpha), conjugate(beta)), c)
     clear_memos()
     assert conjugated == (-1) ** (n - len(c.positive) - len(c.negative)) * b_char_value((alpha, beta), c)
-    assert len(b_memo[c]) == 1
+    assert len(labelled(b_memo[c])) == 1
 
 
 def test_past_column_labels_every_label_walks_back(monkeypatch):
@@ -491,6 +512,29 @@ def test_past_column_labels_every_label_walks_back(monkeypatch):
         d_char_value(d_irr_labels(10)[0], identity)
         d_char_value(d_irr_labels(10)[1], identity)
     assert walks == [identity[:2]]
+
+
+def test_shared_index_never_grows():
+    """Every walked column of a rank shares one index, which holds exactly
+    that rank's labels after a whole D_10 table and after single values
+    past COLUMN_LABELS, which a class keeps under a private index."""
+    clear_memos()
+    labels, classes = d_irr_labels(10), d_classes(10)
+    for X in labels:
+        for c in classes:
+            d_char_value(X, c)
+    split = DClassType((2,) * 100, (), 1)
+    plus, minus = make_irr_label((100,), (100,), 1), make_irr_label((100,), (100,), -1)
+    values = [d_char_value(plus, split), d_char_value(minus, split)]
+    shared = dchar._column_keys(10)[0]
+    assert shared == {X: i for i, X in enumerate(labels)}
+    assert all(d_memo[c][0] is shared for c in classes)
+    assert d_memo[split] == ({plus: 0, minus: 1}, values)
+    # The S_5 columns of the degenerate labels' difference share theirs too.
+    walked = [mu for mu, (index, _) in s_memo.items() if sum(mu) == 5]
+    assert walked and all(s_memo[mu][0] is symchar._labels(5, False)[0] for mu in walked)
+    assert symchar._labels(5, False)[0] == {lam: i for i, lam in enumerate(enumerate_partitions(5))}
+    assert s_memo[(1,) * 100] == ({(100,): 0}, [1])
 
 
 @pytest.mark.parametrize(
