@@ -31,11 +31,11 @@ is walked or stored.
 from __future__ import annotations
 
 from functools import cache, partial
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
-from .symchar import _shape, backward, checked_rank, first_request, read_column, sym_centralizer_order, sym_degree, written
+from .symchar import _given_shape, backward, checked_rank, column_keys, first_request, read_column, sym_centralizer_order, sym_degree, written
 
 
 class BClassType(NamedTuple):
@@ -43,10 +43,6 @@ class BClassType(NamedTuple):
 
     positive: Partition
     negative: Partition
-
-
-def group_order_b(n: int) -> int:
-    return 2**n * factorial(n)
 
 
 @cache
@@ -67,6 +63,13 @@ def b_centralizer_order(c: BClassType) -> int:
     return twos * sym_centralizer_order(c.positive) * sym_centralizer_order(c.negative)
 
 
+@cache
+def _column_keys(n: int) -> tuple[dict, list, dict]:
+    """column_keys of the bipartitions of n, in enumeration order."""
+    labels = enumerate_bipartitions(n)
+    return column_keys(labels, labels)
+
+
 b_memo: dict = {}
 """{class: (index, values)}: the values asked of B_n, the value at the
 class of label being values[index[label]]."""
@@ -84,10 +87,10 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     n = checked_rank(b_memo, c, c, "B")
     if not isinstance(label, tuple) or len(label) != 2:
         raise ValueError(f"label {written(label, None)} is not a type B label: it needs two fields (alpha, beta)")
-    (first, a), (second, b) = _shape(label[0]), _shape(label[1])
+    (first, a), (second, b) = _given_shape(label[0]), _given_shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-    return first_request(b_memo, c, label, bipartition_count, n, partial(backward, c, (first, second)), partial(read_column, c))
+    return first_request(b_memo, c, label, bipartition_count, n, partial(backward, c, (first, second)), partial(read_column, c, _column_keys))
 
 
 def b_degree(label: Bipartition) -> int:

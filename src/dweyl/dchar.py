@@ -28,15 +28,15 @@ orthogonality tests:
 
 Values come from the abacus walk of ``dweyl.symchar``, with no
 recursion, under its first-request rule: a class's first value walks
-back from the label; a second label asked at the class reads every
-label's value from the folded forward walk of the full group at its
-cycle types, walked once for both classes of a split type.  That walk
-keeps one state per orbit of the swap and the conjugation; a class here
-has an even number of negative cycles, so the two orders of a pair have
-one value there and an unordered label is one lookup in its orbit's
-state, times the class's sign pi where the orbit conjugates it, with no
-table of the full group in between; only the degenerate labels then go
-through ``_restrict``, and the degenerate difference reads the
+back from the label; a second label asked at the class reads its whole
+column with ``symchar.read_column``, the column reader of the full group
+and of the symmetric groups too: the folded forward walk of the full
+group at the class's cycle types, walked once for both classes of a
+split type, read under the labels of this group.  A class here has an
+even number of negative cycles, so the two orders of a pair have one
+value there, and an unordered label reads the state of its bipartition,
+with no table of the full group in between; only the degenerate labels
+then go through ``_restrict``, and the degenerate difference reads the
 symmetric group at pi the same way.  ``d_char_column`` reads a class's
 column whole, with no backward walk first.  The values asked are kept in
 ``d_memo``, {class: (index, values)} as ``symchar`` keeps them, apart
@@ -50,9 +50,7 @@ only on a miss.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import repeat
 from math import factorial
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
@@ -71,7 +69,7 @@ from .partitions import (
     read_label,
     size,
 )
-from .symchar import _fold, _orbit, _shape, backward, check_class, checked_rank, first_request, splittable, sym_char_value, written
+from .symchar import _given_shape, _shape, backward, check_class, checked_rank, column_keys, first_request, read_column, splittable, sym_char_value, written
 
 
 class DIrrLabel(NamedTuple):
@@ -196,11 +194,6 @@ def d_centralizer_order(c: DClassType) -> int:
     return ambient if c.split is not None else ambient // 2
 
 
-def d_class_size(c: DClassType) -> int:
-    n = size(c.positive) + size(c.negative)
-    return group_order_d(n) // d_centralizer_order(c)
-
-
 @cache
 def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
     """Bead masks and rank of a character label, checked."""
@@ -212,7 +205,7 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
     """Value of the degenerate difference character for [gamma1; gamma1]
     at c, which check_class checks: s * (-1)**(n/2) * 2**len(pi) *
     chi_gamma1(pi) on a split class (2*pi, (), s), n = 2|gamma1|, else 0."""
-    if 2 * _shape(gamma1)[1] != check_class(c, "D"):
+    if 2 * _given_shape(gamma1)[1] != check_class(c, "D"):
         raise ValueError(f"size mismatch between gamma1={format_partition(gamma1)} and {format_class(c)}")
     return _delta(gamma1, c)
 
@@ -267,16 +260,16 @@ def _first_value(chi: DIrrLabel, c: DClassType, state: tuple[int, int]) -> int:
 
 
 @cache
-def _column_keys(n: int) -> tuple[dict, list, list, list]:
-    """The index of the columns of rank n, {label: slot} in d_irr_labels
-    order; the state of each label in the folded walk (that of its
-    bipartition); the sign of its value on that state at a class where pi
-    is -1; and (slot, label) of the degenerate labels."""
+def _column_keys(n: int) -> tuple[dict, list, dict]:
+    """column_keys of the labels of rank n, at their bipartitions' states."""
     labels = d_irr_labels(n)
-    orbits = [_orbit(_shape(X.label[0])[0], _shape(X.label[1])[0]) for X in labels]
-    keys = [(first, second) for first, second, _ in orbits]
-    degenerate = [(i, X) for i, X in enumerate(labels) if X.eps]
-    return {X: i for i, X in enumerate(labels)}, keys, [-1 if via & 2 else 1 for *_, via in orbits], degenerate
+    return column_keys(labels, [X.label for X in labels])
+
+
+@cache
+def _degenerate(n: int) -> tuple[tuple[int, DIrrLabel], ...]:
+    """(slot, label) of the degenerate labels of rank n."""
+    return tuple((i, X) for i, X in enumerate(d_irr_labels(n)) if X.eps)
 
 
 def d_char_column(c: DClassType) -> list[int]:
@@ -292,26 +285,21 @@ def d_char_column(c: DClassType) -> list[int]:
 
 
 def _column(c: DClassType, n: int) -> tuple[dict, list]:
-    """Value at c of every label of rank n, under the rank's shared index,
-    read straight from the folded walk of c's type: c has an even number
-    of negative cycles, so a label and its swap have one value there, one
-    lookup per label, times c's sign where the conjugation carries the
-    label to its state; only the degenerate labels go through _restrict.
-    The other class of a split type differs only there, and its store
-    entry gets its whole column too, a copy fixed at those slots."""
-    index, keys, conjugated, degenerate = _column_keys(n)
+    """Value at c of every label of rank n, under the rank's shared index:
+    symchar.read_column of c's type, as c has an even number of negative
+    cycles, so a label and its swap have one value there; only the
+    degenerate labels then go through _restrict.  The other class of a
+    split type differs only there, and its store entry gets its whole
+    column too, a copy fixed at those slots."""
     positive, negative, split = c
-    values = map(_fold((positive, negative)).get, keys, repeat(0))
-    if (n - len(positive) - len(negative)) % 2:  # pi(c) = -1
-        values = map(mul, values, conjugated)
-    column = list(values)
+    index, column = read_column((positive, negative), _column_keys)
     if split:
         twin = DClassType(positive, negative, -split)
         other = column.copy()
-        for i, X in degenerate:
+        for i, X in _degenerate(n):
             other[i] = _restrict(X, twin, column[i])
         d_memo[twin] = index, other
-    for i, X in degenerate:
+    for i, X in _degenerate(n):
         column[i] = _restrict(X, c, column[i])
     return index, column
 

@@ -77,9 +77,8 @@ the multiply-adds weighted by B(pb) give one integer whose slots are the
 exactly by |H|.  Each block character's values are read once per split.
 A numerator is a sum over H of character values, each bounded by its
 degree, so |H| * max deg A * max deg B * max deg X bounds it, each
-maximum found by an unchecked hook-length key and read by d_degree at
-the one label that attains it; a split whose bound reaches 2^63 is
-refused before anything is packed.  Under the cap above the bound stays
+maximum the largest d_degree over the labels of its rank; a split whose
+bound reaches 2^63 is refused before anything is packed.  Under the cap above the bound stays
 below 2^60, at (11, 1, 10); at n = 12 the splits with a block of rank 1
 or 2 pass 2^63.
 """
@@ -92,13 +91,13 @@ import sys
 from array import array
 from collections import defaultdict
 from functools import cache
-from math import comb, factorial
-from typing import NamedTuple
+from math import factorial
+from typing import NamedTuple, Sequence
 
 from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d
 from .decomp import DecompositionResult
 from .partitions import Partition, RangeError, enumerate_partitions
-from .symchar import _degree, _shape, sym_centralizer_order
+from .symchar import sym_centralizer_order
 
 MAX_RANK = 11  # verify_formula and oracle_induce
 
@@ -269,25 +268,13 @@ def _unpack(packed: int, count: int) -> list[int]:
     return list(map(operator.add, words, itertools.chain((False,), map((0).__gt__, words))))
 
 
-def _degree_key(X: DIrrLabel) -> int:
-    """d_degree of a label as d_irr_labels builds it, unchecked:
-    C(n, |alpha|) f(alpha) f(beta) by hook lengths, halved for a
-    degenerate label."""
-    (alpha, beta), eps = X
-    (first, a), (second, b) = _shape(alpha), _shape(beta)
-    degree = comb(a + b, a) * _degree(first)[1] * _degree(second)[1]
-    return degree // 2 if eps else degree
-
-
 def _slot_bound(n: int, a: int, b: int) -> int:
     """A bound on |sum over the subgroup of A x B times X| for all labels
     A, B, X of the split, as character values are bounded by degrees:
-    |H| * max deg A * max deg B * max deg X.  Each rank's largest degree
-    is found by _degree_key and read by d_degree from the one label that
-    attains it."""
+    |H| * max deg A * max deg B * max deg X."""
     bound = group_order_d(a) * group_order_d(b)
     for rank in (a, b, n):
-        bound *= d_degree(max(d_irr_labels(rank), key=_degree_key))
+        bound *= max(map(d_degree, d_irr_labels(rank)))
     return bound
 
 
@@ -318,21 +305,15 @@ def _packed(n: int, a: int, b: int) -> _Packed:
     return _Packed(d_irr_labels(n), types_a, types_b, by_b, group_order_d(a) * group_order_d(b))
 
 
-def _row(chi: DIrrLabel, types: tuple[DClassType, ...]) -> list[int]:
-    """chi's values at a block's types."""
-    return [d_char_value(chi, ty) for ty in types]
+def _partials(split: _Packed, row_a: Sequence[int]) -> list[int]:
+    """Per block-b type pb: sum over block-a types pa of A(pa), A's row
+    row_a at split.types_a, times the packed sums at (pa, pb)."""
+    return [sum(map(operator.mul, row_a, column)) for column in split.by_b]
 
 
-def _partials(split: _Packed, A: DIrrLabel) -> list[int]:
-    """Per block-b type pb: sum over block-a types pa of A(pa) times the
-    packed sums at (pa, pb)."""
-    row = _row(A, split.types_a)
-    return [sum(map(operator.mul, row, column)) for column in split.by_b]
-
-
-def _induce(split: _Packed, A: DIrrLabel, B: DIrrLabel, partials: list[int], row_b: list[int]) -> dict[DIrrLabel, int]:
+def _induce(split: _Packed, A: DIrrLabel, B: DIrrLabel, partials: list[int], row_b: Sequence[int]) -> dict[DIrrLabel, int]:
     """Multiplicities of the labels in A x B induced, in label order, from
-    A's partials and B's row, _row(B, split.types_b): one multiply-add
+    A's partials and B's row, its values at split.types_b: one multiply-add
     per block-b type, one decode, and an exact division per label."""
     nums = _unpack(sum(map(operator.mul, row_b, partials)), len(split.labels))
     mults: dict[DIrrLabel, int] = {}
@@ -359,5 +340,6 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     if a < 1 or b < 1 or a + b != n or n > MAX_RANK:
         raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK}, got a={a}, b={b}, n={n}")
     split = _packed(n, a, b)
-    return DecompositionResult(n, a, b, A, B, _induce(split, A, B, _partials(split, A), _row(B, split.types_b)), method="oracle")
+    partials = _partials(split, [d_char_value(A, ty) for ty in split.types_a])
+    return DecompositionResult(n, a, b, A, B, _induce(split, A, B, partials, [d_char_value(B, ty) for ty in split.types_b]), method="oracle")
 

@@ -20,13 +20,16 @@ underlying permutation.  The walk keeps one state per orbit of these
 label symmetries, about a half (S_n) or a quarter (B_n, D_n) of the
 states of a walk keeping every label, and a column is one lookup per
 label in its orbit's state, times the class's value of the character
-that carries the label there.  A class keeps only the values read from
-its walk, not the walk's states.  The values asked are kept in one
-plain dict per group type (``s_memo`` here, keyed by the cycle type
-itself; ``bchar.b_memo``, ``dchar.d_memo``), each class's entry a pair
-(index, values): values a plain list and index {label: its slot}.  A
-walked column is the list read from the walk in label order, under the
-one index of its rank and group type, built beside the walk's keys and
+that carries the label there: ``read_column``, for all three views,
+under the keys ``column_keys`` builds from a view's labels in its order
+(partitions, bipartitions, or the labels of W(D_n) at the states of
+their bipartitions).  A class keeps only the values read from its walk,
+not the walk's states.  The values asked are kept in one plain dict per
+group type (``s_memo`` here, keyed by the cycle type itself;
+``bchar.b_memo``, ``dchar.d_memo``), each class's entry a pair (index,
+values): values a plain list and index {label: its slot}.  A walked
+column is the list read from the walk in label order, under the one
+index of its rank and group type, built beside the walk's keys and
 shared by every column of that rank; a class's backward-walked values
 keep a private index of their own, so the shared one never grows.  A
 warm value is three lookups: the entry, the slot, the value.
@@ -43,7 +46,6 @@ from operator import mul
 from .partitions import (
     Partition,
     as_partition,
-    enumerate_bipartitions,
     enumerate_partitions,
     format_class,
     format_partition,
@@ -57,6 +59,15 @@ def _shape(p: Partition) -> tuple[int, int]:
     """Bead mask (bit 0 clear: one per shape) and size of a partition, checked."""
     as_partition(p)
     return sum(1 << (part + len(p) - 1 - i) for i, part in enumerate(p)), sum(p)
+
+
+def _given_shape(p) -> tuple[int, int]:
+    """_shape of a partition given to an entry point: an unhashable p
+    too is refused by as_partition, like any other non-partition."""
+    try:
+        return _shape(p)
+    except TypeError:
+        return _shape(as_partition(p))
 
 
 @cache
@@ -221,19 +232,27 @@ def _orbit(first: int, second: int) -> tuple[int, int, int]:
     return max((first, second, 0), (second, first, 1), (*conj, 2), (conj[1], conj[0], 3))
 
 
-@cache
-def _labels(n: int, pairs: bool) -> tuple[dict, list, dict]:
-    """The index of the columns of rank n, {label: slot} over the
-    partitions of n, or the bipartitions with pairs, in enumeration order;
-    each label's state in _fold (an S_n label (mask, 0) has state mask);
-    and by (turn, pi), the values at a class of the linear characters of
-    the swap and of the conjugation, the sign of the label's value on its
-    state, unless both are 1."""
-    labels = enumerate_bipartitions(n) if pairs else enumerate_partitions(n)
-    orbits = [_orbit(_shape(x[0])[0], _shape(x[1])[0]) if pairs else _orbit(_shape(x)[0], 0) for x in labels]
-    keys = [(first, second) if pairs else first for first, second, _ in orbits]
+def column_keys(labels, pairs) -> tuple[dict, list, dict]:
+    """The keys of a rank's columns: the index, {label: slot} over labels
+    in order; each label's state in _fold, that of its bipartition in
+    pairs or, pairs None, of the label itself, a partition; and by (turn,
+    pi), the values at a class of the linear characters of the swap and
+    of the conjugation, the sign of the label's value on its state,
+    unless both are 1."""
+    if pairs is None:
+        orbits = [_orbit(_shape(x)[0], 0) for x in labels]
+        keys = [first for first, _, _ in orbits]
+    else:
+        orbits = [_orbit(_shape(alpha)[0], _shape(beta)[0]) for alpha, beta in pairs]
+        keys = [(first, second) for first, second, _ in orbits]
     signs = {(turn, pi): [(1, turn, pi, turn * pi)[via] for *_, via in orbits] for turn, pi in ((-1, 1), (1, -1), (-1, -1))}
     return {x: i for i, x in enumerate(labels)}, keys, signs
+
+
+@cache
+def _labels(n: int) -> tuple[dict, list, dict]:
+    """column_keys of the partitions of n, in enumeration order."""
+    return column_keys(enumerate_partitions(n), None)
 
 
 def _fold(cls) -> dict:
@@ -242,7 +261,7 @@ def _fold(cls) -> dict:
     symmetries (see the module docstring), the orbit's largest member: a
     bead mask x >= x' for S_n, (x, y) with x >= x' and x >= y, y' for B_n.
     A label's value at cls is its orbit's coefficient times the class's
-    value of the linear character carrying the label there (_labels).
+    value of the linear character carrying the label there (column_keys).
 
     The coefficient of a state's image under the swap, the conjugation or
     both is its own times turn, pi or turn * pi, the products over the
@@ -342,12 +361,13 @@ def _fold(cls) -> dict:
     return states
 
 
-def read_column(cls) -> tuple[dict, list]:
-    """Value at class cls of every label of its rank: the rank's shared
-    index and the values in its order."""
+def read_column(cls, labels) -> tuple[dict, list]:
+    """Value at class cls of every label of its rank n, read from its
+    folded walk under labels(n), the rank's column_keys: the index and
+    the values in its order."""
     positive, negative = cls
     n, cycles = sum(positive) + sum(negative or ()), len(positive) + len(negative or ())
-    index, keys, signs = _labels(n, negative is not None)
+    index, keys, signs = labels(n)
     values = map(_fold(cls).get, keys, repeat(0))
     turn, pi = -1 if negative and len(negative) % 2 else 1, -1 if (n - cycles) % 2 else 1
     if turn < 0 or pi < 0:
@@ -410,10 +430,10 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
         pass
     cls = mu, None
     n = checked_rank(s_memo, mu, cls, "S")
-    mask, size = _shape(lam)
+    mask, size = _given_shape(lam)
     if size != n:
         raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
-    return first_request(s_memo, mu, lam, partition_count, n, partial(backward, cls, (mask, 0)), partial(read_column, cls))
+    return first_request(s_memo, mu, lam, partition_count, n, partial(backward, cls, (mask, 0)), partial(read_column, cls, _labels))
 
 
 def sym_centralizer_order(mu: Partition) -> int:
@@ -426,4 +446,4 @@ def sym_centralizer_order(mu: Partition) -> int:
 
 def sym_degree(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam."""
-    return _degree(_shape(lam)[0])[1]
+    return _degree(_given_shape(lam)[0])[1]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .dchar import d_char_column, d_irr_labels, irr_label_key
 from .decomp import InducedQuery, decompose_induced
-from .oracle import MAX_RANK, _induce, _packed, _partials, _row
+from .oracle import MAX_RANK, _induce, _packed, _partials
 from .partitions import RangeError
 
 
@@ -34,7 +34,8 @@ def check_verify_rank(n: int) -> None:
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     """Compare decompose_induced with oracle_induce for every (A, B),
     sharing each A's partial sums across every B, and each B's row
-    across every A.
+    across every A: each block's rows are d_char_column at its types,
+    transposed, one column per block type.
 
     pairs_checked counts every (A, B, X); a mismatch is (A, B, X,
     formula, oracle) for each X whose two multiplicities differ, 0 where
@@ -45,14 +46,10 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
         raise RangeError(f"need a, b >= 1 with a + b = n, got a={a}, b={b}, n={n}")
     mismatches = []
     split = _packed(n, a, b)
-    # every label is read at each block type: its column is walked whole
-    # at once, not after a first value walked back
-    for ty in split.types_a + split.types_b:
-        d_char_column(ty)
     labels_b = d_irr_labels(b)
-    rows_b = [_row(B, split.types_b) for B in labels_b]
-    for A in d_irr_labels(a):
-        partials = _partials(split, A)
+    rows_b = list(zip(*map(d_char_column, split.types_b)))
+    for A, row_a in zip(d_irr_labels(a), zip(*map(d_char_column, split.types_a))):
+        partials = _partials(split, row_a)
         for B, row_b in zip(labels_b, rows_b):
             explicit = _induce(split, A, B, partials, row_b)
             formula = decompose_induced(InducedQuery(n, a, b, A, B)).multiplicities

@@ -5,12 +5,12 @@ every element by its own cycle walk (not by dweyl.oracle's sign-mask
 codes, which the tests hold against them), the class of a single
 element, the block subgroup as a set of rank-n elements, induction by
 literal summation over elements and over subgroup classes, and
-independent formulas for single steps (centralizer orders, induced S_n
-characters, LR coefficients from characters, the class of a blockwise
-product from its block classes).  It lives with the tests, outside the
-installed package: nothing in dweyl, the CLI or verify_formula runs
-it; it checks that path from outside, and like dweyl.oracle it uses
-nothing from the formula.
+independent formulas for single steps (group, class and centralizer
+orders, induced S_n characters, LR coefficients from characters, the
+class of a blockwise product from its block classes).  It lives with
+the tests, outside the installed package: nothing in dweyl, the CLI or
+verify_formula runs it; it checks that path from outside, and like
+dweyl.oracle it uses nothing from the formula.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from math import factorial
 from typing import Callable
 
-from dweyl.dchar import DClassType, DIrrLabel, d_char_value, d_irr_labels, group_order_d
+from dweyl.dchar import DClassType, DIrrLabel, d_centralizer_order, d_char_value, d_irr_labels, group_order_d
 from dweyl.oracle import _class_type, _fused_counts
 from dweyl.partitions import Partition, RangeError, enumerate_partitions, format_class, size, union
 from dweyl.symchar import splittable, sym_centralizer_order, sym_char_value
@@ -283,6 +283,15 @@ def oracle_char_table(n: int) -> dict[tuple[DIrrLabel, int], int]:
 
 # ---------------------------------------------------------------------------
 # Independent formulas used to cross-check individual steps
+
+def group_order_b(n: int) -> int:
+    return 2**n * factorial(n)
+
+
+def d_class_size(c: DClassType) -> int:
+    n = size(c.positive) + size(c.negative)
+    return group_order_d(n) // d_centralizer_order(c)
+
 
 def fuse_class(ca: DClassType, cb: DClassType) -> DClassType:
     """Class of a blockwise product element from its block classes.

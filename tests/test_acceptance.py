@@ -14,13 +14,11 @@ from dweyl.bchar import (
     b_centralizer_order,
     b_char_value,
     b_classes,
-    group_order_b,
 )
 from dweyl.dchar import (
     DClassType,
     d_centralizer_order,
     d_char_value,
-    d_class_size,
     d_classes,
     d_irr_labels,
     delta_value,
@@ -38,7 +36,9 @@ from explicit import (
     build_group,
     centralizer_chain_values,
     classify_element,
+    d_class_size,
     flip_at,
+    group_order_b,
     induce_class_function,
     lr_coefficient_by_characters,
     plain_element,

@@ -6,10 +6,12 @@ import re
 
 import pytest
 
+from dweyl.bchar import BClassType, b_char_value, b_memo
 from dweyl.cli import main
 from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, delta_value, make_irr_label, parse_class
 from dweyl.decomp import InducedQuery, branch_restriction, decompose_induced, induced_multiplicity
 from dweyl.lr import lr_coefficient, lr_expand
+from dweyl.symchar import s_memo, sym_char_value
 
 GOOD = make_irr_label((2,), ())
 
@@ -189,6 +191,38 @@ def test_label_without_pair_and_sign_is_refused_by_name(chi, shown):
             assert not re.search(r"\(\d|\d,\)|DIrrLabel", message), message
         assert (c in d_memo) is stored
         assert len(d_char_column(c)) == len(d_irr_labels(2))
+
+
+# (case, view, its store, unhashable label, class, two good labels of the class)
+UNHASHABLE_S_AND_B = [
+    ("list partition", sym_char_value, s_memo, [3], (3,), [(3,), (2, 1)]),
+    ("list alpha", b_char_value, b_memo, ([3], ()), BClassType((3,), ()), [((3,), ()), ((2, 1), ())]),
+    ("list beta", b_char_value, b_memo, ((), [3]), BClassType((3,), ()), [((3,), ()), ((2, 1), ())]),
+]
+
+
+def stored(memo, c):
+    """A copy of the store entry of c, or None."""
+    entry = memo.get(c)
+    return entry and (dict(entry[0]), list(entry[1]))
+
+
+@pytest.mark.parametrize("view, memo, label, c, good", [pytest.param(*row[1:], id=row[0]) for row in UNHASHABLE_S_AND_B])
+def test_unhashable_s_and_b_labels_are_refused_by_name(view, memo, label, c, good):
+    """An S or B label with a list for a partition gets the ValueError of
+    any other non-partition, at a fresh class and again once the class
+    holds its column, and nothing is stored."""
+    memo.pop(c, None)
+    for warm in (False, True):
+        if warm:
+            for X in good:
+                view(X, c)
+            assert len(memo[c][1]) > len(good)  # the column is walked
+        entry = stored(memo, c)
+        with pytest.raises(ValueError) as exc:
+            view(label, c)
+        assert_grammar_message(str(exc.value), "[3] is not a partition")
+        assert stored(memo, c) == entry
 
 
 def test_branch_restriction_refuses_an_unknown_side():

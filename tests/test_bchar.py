@@ -9,10 +9,11 @@ from dweyl.bchar import (
     b_char_value,
     b_classes,
     b_degree,
-    group_order_b,
 )
 from dweyl.partitions import enumerate_bipartitions, length, size
 from dweyl.symchar import sym_degree
+
+from explicit import group_order_b
 
 
 def test_classes_counts():

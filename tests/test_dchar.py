@@ -7,11 +7,12 @@ from dweyl.dchar import (
     DClassType,
     DIrrLabel,
     d_centralizer_order,
+    d_char_column,
     d_char_value,
-    d_class_size,
     d_classes,
     d_degree,
     d_irr_labels,
+    d_memo,
     delta_value,
     format_class,
     format_irr_label,
@@ -23,7 +24,7 @@ from dweyl.dchar import (
 )
 from dweyl.partitions import enumerate_partitions
 
-from explicit import fuse_class
+from explicit import d_class_size, fuse_class
 
 
 def test_label_counts():
@@ -122,6 +123,27 @@ def test_component_swap_invariance_on_even_classes():
             for c in d_classes(n):
                 bc = BClassType(c.positive, c.negative)
                 assert b_char_value((first, second), bc) == b_char_value((second, first), bc)
+
+
+def test_d_restricts_b_at_every_class():
+    # a non-degenerate label is [alpha; beta] restricted, and a degenerate
+    # pair splits it (Geck-Pfeiffer 2000, 5.5-5.6): both for a value that
+    # is its class's first (a backward walk) and for the walked column
+    for n in range(1, 9):
+        labels = d_irr_labels(n)
+        for c in d_classes(n):
+            first = {}
+            for X in labels:
+                d_memo.pop(c, None)
+                first[X] = d_char_value(X, c)
+            column = dict(zip(labels, d_char_column(c)))
+            for X in labels:
+                ambient = b_char_value(X.label, BClassType(c.positive, c.negative))
+                if not X.eps:
+                    assert first[X] == column[X] == ambient, (X, c)
+                elif X.eps > 0:
+                    twin = X._replace(eps=-1)
+                    assert first[X] + first[twin] == column[X] + column[twin] == ambient, (X, c)
 
 
 def test_orthogonality():

@@ -5,7 +5,6 @@ import pytest
 from dweyl.dchar import (
     DIrrLabel,
     d_char_value,
-    d_class_size,
     d_classes,
     d_degree,
     d_irr_labels,
@@ -25,7 +24,7 @@ from dweyl.decomp import (
 from dweyl.lr import lr_coefficient
 from dweyl.partitions import ResourceLimit, enumerate_bipartitions, enumerate_partitions, size
 
-from explicit import fuse_class
+from explicit import d_class_size, fuse_class
 
 TRIV1 = DIrrLabel(((1,), ()), 0)
 

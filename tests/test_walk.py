@@ -49,8 +49,8 @@ def memo_entries() -> int:
 @contextmanager
 def counted_walks():
     """The class types of the forward column walks made in the block:
-    calls of _fold, which symchar makes for S_n and B_n columns and dchar
-    for D_n columns."""
+    calls of _fold, which symchar.read_column makes for the columns of
+    every view."""
     walks = []
 
     def counted(cls):
@@ -58,8 +58,7 @@ def counted_walks():
         return _fold(cls)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (symchar, dchar):
-            patch.setattr(module, "_fold", counted)
+        patch.setattr(symchar, "_fold", counted)
         yield walks
 
 
@@ -366,10 +365,10 @@ def masks(label) -> tuple[int, int]:
 def test_folded_b_and_s_columns_equal_unfolded_walk(n):
     for c in b_classes(n):
         states = unfolded_walk(c)
-        assert labelled(read_column(c)) == {label: states.get(masks(label), 0) for label in enumerate_bipartitions(n)}
+        assert labelled(read_column(c, bchar._column_keys)) == {label: states.get(masks(label), 0) for label in enumerate_bipartitions(n)}
     for mu in enumerate_partitions(n + 4):
         states = unfolded_walk((mu, None))
-        assert labelled(read_column((mu, None))) == {lam: states.get((_shape(lam)[0], 0), 0) for lam in enumerate_partitions(n + 4)}
+        assert labelled(read_column((mu, None), symchar._labels)) == {lam: states.get((_shape(lam)[0], 0), 0) for lam in enumerate_partitions(n + 4)}
 
 
 @pytest.mark.parametrize("n", list(range(1, 11)) + [pytest.param(12, marks=pytest.mark.slow)])
@@ -526,14 +525,15 @@ def test_shared_index_never_grows():
     split = DClassType((2,) * 100, (), 1)
     plus, minus = make_irr_label((100,), (100,), 1), make_irr_label((100,), (100,), -1)
     values = [d_char_value(plus, split), d_char_value(minus, split)]
-    shared = dchar._column_keys(10)[0]
+    shared, keys, signs = dchar._column_keys(10)
     assert shared == {X: i for i, X in enumerate(labels)}
+    assert len(keys) == len(labels) and all(len(column) == len(labels) for column in signs.values())
     assert all(d_memo[c][0] is shared for c in classes)
     assert d_memo[split] == ({plus: 0, minus: 1}, values)
     # The S_5 columns of the degenerate labels' difference share theirs too.
     walked = [mu for mu, (index, _) in s_memo.items() if sum(mu) == 5]
-    assert walked and all(s_memo[mu][0] is symchar._labels(5, False)[0] for mu in walked)
-    assert symchar._labels(5, False)[0] == {lam: i for i, lam in enumerate(enumerate_partitions(5))}
+    assert walked and all(s_memo[mu][0] is symchar._labels(5)[0] for mu in walked)
+    assert symchar._labels(5)[0] == {lam: i for i, lam in enumerate(enumerate_partitions(5))}
     assert s_memo[(1,) * 100] == ({(100,): 0}, [1])
 
 
