@@ -38,7 +38,8 @@ value there, and an unordered label reads the state of its bipartition,
 with no table of the full group in between; only the degenerate labels
 then go through ``_restrict``, and the degenerate difference reads the
 symmetric group at pi the same way.  ``d_char_column`` reads a class's
-column whole, with no backward walk first.  The values asked are kept in
+column whole, with no backward walk first, and ``_d_char_column`` reads
+one its caller built, with no class check.  The values asked are kept in
 ``d_memo``, {class: (index, values)} as ``symchar`` keeps them, apart
 from those of the full group: a walked column is a list in
 ``d_irr_labels`` order under the one index of its rank, and a split
@@ -119,8 +120,8 @@ def check_label(chi: DIrrLabel, n: Optional[int] = None) -> int:
         raise ValueError(f"label {written(chi, None)} is not a type D label: it needs two fields, a pair of partitions and a sign")
     (first, second), eps = chi
     rank = size(as_partition(first)) + size(as_partition(second))
-    if eps not in (-1, 0, 1):
-        raise ValueError(f"eps must be -1, 0 or +1, got {eps!r} for {format_bipartition((first, second))}")
+    if type(eps) is not int or eps not in (-1, 0, 1):
+        raise ValueError(f"eps must be -1, 0 or +1, got {written(eps, None)} for {format_bipartition((first, second))}")
     if first == second and not eps:
         raise ValueError(f"label {format_bipartition((first, second))} is degenerate and needs a sign")
     if first != second and eps:
@@ -248,7 +249,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
         state, size = _label_state(chi)
     except TypeError:  # unhashable label, which check_label names
         check_label(chi)
-        raise
+        raise ValueError(f"label {format_irr_label(chi)} is unhashable") from None
     if size != n:
         raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
     return first_request(d_memo, c, chi, bipartition_count, n, partial(_first_value, chi, c, state), partial(_column, c, n))
@@ -277,7 +278,12 @@ def d_char_column(c: DClassType) -> list[int]:
     copy of the column that d_char_value reads from a class's second label
     on, kept in the same store.  c is checked by check_class unless d_memo
     has it."""
-    n = checked_rank(d_memo, c, c, "D")
+    return _d_char_column(c, checked_rank(d_memo, c, c, "D"))
+
+
+def _d_char_column(c: DClassType, n: int) -> list[int]:
+    """d_char_column without the class check, for callers that built c,
+    of rank n."""
     entry = d_memo.get(c)
     if entry is None or entry[0] is not _column_keys(n)[0]:  # none, or a private index
         d_memo[c] = entry = _column(c, n)

@@ -21,7 +21,8 @@ come out in d_irr_labels order as they are formed, and none is formed
 past the DECOMPOSE_PAIRS budget.  induced_multiplicity answers a single
 X through lr_coefficient, the other LR rule; the tests check the two
 against each other for every query with n <= 8, and the verification
-engine checks decompose_induced against explicit induction.
+engine checks its core, _decompose, against explicit induction for
+every pair of labels of a split, which it checks once.
 
 Rank-1 blocks are allowed: the trivial group's single character is
 labelled (((1),()), 0) and the formula then reduces to the classical
@@ -133,6 +134,12 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
     ResourceLimit, before any pair is formed, past DECOMPOSE_PAIRS.
     """
     validate_query(q)
+    return DecompositionResult(q.n, q.a, q.b, q.A, q.B, _decompose(q), method="formula")
+
+
+def _decompose(q: InducedQuery) -> dict[DIrrLabel, int]:
+    """decompose_induced's multiplicities without the query checks, for
+    callers that made them."""
     (a1, a2), (b1, b2) = q.A.label, q.B.label
     orderings_a = [(a1, a2)] if a1 == a2 else [(a1, a2), (a2, a1)]
     orderings_b = [(b1, b2)] if b1 == b2 else [(b1, b2), (b2, b1)]
@@ -173,7 +180,7 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
                 raise _odd_total(q, DIrrLabel((g1, g2), eps))
             if doubled:
                 mults[DIrrLabel((g1, g2), eps)] = doubled // 2
-    return DecompositionResult(q.n, q.a, q.b, q.A, q.B, mults, method="formula")
+    return mults
 
 
 def branch_set(gamma: Bipartition) -> set[Bipartition]:

@@ -77,10 +77,10 @@ the multiply-adds weighted by B(pb) give one integer whose slots are the
 exactly by |H|.  Each block character's values are read once per split.
 A numerator is a sum over H of character values, each bounded by its
 degree, so |H| * max deg A * max deg B * max deg X bounds it, each
-maximum the largest d_degree over the labels of its rank; a split whose
-bound reaches 2^63 is refused before anything is packed.  Under the cap above the bound stays
-below 2^60, at (11, 1, 10); at n = 12 the splits with a block of rank 1
-or 2 pass 2^63.
+maximum the largest value in its rank's identity column, which the
+split reads anyway; a split whose bound reaches 2^63 is refused before
+anything is packed.  Under the cap above the bound stays below 2^60, at
+(11, 1, 10); at n = 12 the splits with a block of rank 1 or 2 pass 2^63.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, format_irr_label, group_order_d
+from .dchar import DClassType, DIrrLabel, _d_char_column, d_char_value, d_irr_labels, format_irr_label, group_order_d
 from .decomp import DecompositionResult
 from .partitions import Partition, RangeError, enumerate_partitions
 from .symchar import sym_centralizer_order
@@ -270,11 +270,11 @@ def _unpack(packed: int, count: int) -> list[int]:
 
 def _slot_bound(n: int, a: int, b: int) -> int:
     """A bound on |sum over the subgroup of A x B times X| for all labels
-    A, B, X of the split, as character values are bounded by degrees:
-    |H| * max deg A * max deg B * max deg X."""
+    A, B, X of the split, as character values are bounded by degrees (the
+    identity column): |H| * max deg A * max deg B * max deg X."""
     bound = group_order_d(a) * group_order_d(b)
     for rank in (a, b, n):
-        bound *= max(map(d_degree, d_irr_labels(rank)))
+        bound *= max(_d_char_column(DClassType((1,) * rank, (), None), rank))
     return bound
 
 
@@ -297,7 +297,7 @@ def _packed(n: int, a: int, b: int) -> _Packed:
         raise RangeError(f"the oracle's inner products at n={n}, a={a}, b={b} may reach {bound}, past {SLOT_BITS}-bit slots")
     sums: defaultdict[tuple[DClassType, DClassType], int] = defaultdict(int)
     for ty, counts in _fused_counts(n, a, b).items():
-        column = _pack(d_char_column(ty))
+        column = _pack(_d_char_column(ty, n))
         for pair, count in counts.items():
             sums[pair] += count * column
     types_a, types_b = tuple(dict.fromkeys(pa for pa, _ in sums)), tuple(dict.fromkeys(pb for _, pb in sums))

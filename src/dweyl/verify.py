@@ -4,15 +4,16 @@ verify_formula compares decomp.decompose_induced with the inner products
 of dweyl.oracle for every pair of block characters of one split.  This
 module is where the two meet: the oracle takes only the result type
 from decomp and none of the formula, and decomp nothing from the
-oracle.
+oracle.  The split is checked once, here: each pair goes to the core of
+decompose_induced, and each block row is read with no class check.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dchar import d_char_column, d_irr_labels, irr_label_key
-from .decomp import InducedQuery, decompose_induced
+from .dchar import _d_char_column, d_irr_labels, irr_label_key
+from .decomp import InducedQuery, _decompose
 from .oracle import MAX_RANK, _induce, _packed, _partials
 from .partitions import RangeError
 
@@ -34,7 +35,7 @@ def check_verify_rank(n: int) -> None:
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     """Compare decompose_induced with oracle_induce for every (A, B),
     sharing each A's partial sums across every B, and each B's row
-    across every A: each block's rows are d_char_column at its types,
+    across every A: each block's rows are its columns at its types,
     transposed, one column per block type.
 
     pairs_checked counts every (A, B, X); a mismatch is (A, B, X,
@@ -47,12 +48,12 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     mismatches = []
     split = _packed(n, a, b)
     labels_b = d_irr_labels(b)
-    rows_b = list(zip(*map(d_char_column, split.types_b)))
-    for A, row_a in zip(d_irr_labels(a), zip(*map(d_char_column, split.types_a))):
+    rows_b = list(zip(*(_d_char_column(pb, b) for pb in split.types_b)))
+    for A, row_a in zip(d_irr_labels(a), zip(*(_d_char_column(pa, a) for pa in split.types_a))):
         partials = _partials(split, row_a)
         for B, row_b in zip(labels_b, rows_b):
             explicit = _induce(split, A, B, partials, row_b)
-            formula = decompose_induced(InducedQuery(n, a, b, A, B)).multiplicities
+            formula = _decompose(InducedQuery(n, a, b, A, B))
             if formula != explicit:
                 for X in sorted(formula.keys() | explicit.keys(), key=irr_label_key):
                     pair = formula.get(X, 0), explicit.get(X, 0)

@@ -193,11 +193,24 @@ def test_label_without_pair_and_sign_is_refused_by_name(chi, shown):
         assert len(d_char_column(c)) == len(d_irr_labels(2))
 
 
-# (case, view, its store, unhashable label, class, two good labels of the class)
-UNHASHABLE_S_AND_B = [
-    ("list partition", sym_char_value, s_memo, [3], (3,), [(3,), (2, 1)]),
-    ("list alpha", b_char_value, b_memo, ([3], ()), BClassType((3,), ()), [((3,), ()), ((2, 1), ())]),
-    ("list beta", b_char_value, b_memo, ((), [3]), BClassType((3,), ()), [((3,), ()), ((2, 1), ())]),
+class UnhashableInt(int):
+    __hash__ = None
+
+
+class UnhashableTuple(tuple):
+    __hash__ = None
+
+
+THREE = [make_irr_label((3,), ()), make_irr_label((2, 1), ())]
+
+# (case, view, its store, unhashable label, class, two good labels of the
+# class, the start of its refusal)
+UNHASHABLE = [
+    ("list partition", sym_char_value, s_memo, [3], (3,), [(3,), (2, 1)], "[3] is not a partition"),
+    ("list alpha", b_char_value, b_memo, ([3], ()), BClassType((3,), ()), [((3,), ()), ((2, 1), ())], "[3] is not a partition"),
+    ("list beta", b_char_value, b_memo, ((), [3]), BClassType((3,), ()), [((3,), ()), ((2, 1), ())], "[3] is not a partition"),
+    ("D sign of an unhashable int type", d_char_value, d_memo, DIrrLabel(((3,), ()), UnhashableInt(0)), DClassType((1, 1, 1), (), None), THREE, "eps must be -1, 0 or +1, got UnhashableInt 0 for ([3],[])"),
+    ("D label of an unhashable tuple type", d_char_value, d_memo, UnhashableTuple((((3,), ()), 0)), DClassType((1, 1, 1), (), None), THREE, "label ([3],[]) is unhashable"),
 ]
 
 
@@ -207,11 +220,12 @@ def stored(memo, c):
     return entry and (dict(entry[0]), list(entry[1]))
 
 
-@pytest.mark.parametrize("view, memo, label, c, good", [pytest.param(*row[1:], id=row[0]) for row in UNHASHABLE_S_AND_B])
-def test_unhashable_s_and_b_labels_are_refused_by_name(view, memo, label, c, good):
-    """An S or B label with a list for a partition gets the ValueError of
-    any other non-partition, at a fresh class and again once the class
-    holds its column, and nothing is stored."""
+@pytest.mark.parametrize("view, memo, label, c, good, shown", [pytest.param(*row[1:], id=row[0]) for row in UNHASHABLE])
+def test_unhashable_labels_are_refused_by_name(view, memo, label, c, good, shown):
+    """An S, B or D label that cannot be hashed (an S or B one with a list
+    for a partition gets the ValueError of any other non-partition) is
+    refused by name, at a fresh class and again once the class holds its
+    column, and nothing is stored."""
     memo.pop(c, None)
     for warm in (False, True):
         if warm:
@@ -221,7 +235,7 @@ def test_unhashable_s_and_b_labels_are_refused_by_name(view, memo, label, c, goo
         entry = stored(memo, c)
         with pytest.raises(ValueError) as exc:
             view(label, c)
-        assert_grammar_message(str(exc.value), "[3] is not a partition")
+        assert_grammar_message(str(exc.value), shown)
         assert stored(memo, c) == entry
 
 

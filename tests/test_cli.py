@@ -71,6 +71,17 @@ def test_decompose_methods_agree(capsys):
     assert b["metadata"]["method"] == "oracle"
 
 
+def test_decompose_table_lists_the_json_multiplicities_in_order(capsys):
+    args = ["decompose", "--n", "6", "--a", "2", "--b", "4", "--A", "([1],[1])+", "--B", "([2,1],[1])"]
+    code, out_json, _ = run(capsys, *args)
+    assert code == 0
+    code, out_table, _ = run(capsys, *args, "--format", "table")
+    assert code == 0
+    multiplicities = json.loads(out_json)["multiplicities"]
+    assert len(multiplicities) > 1
+    assert out_table.splitlines() == [f"{X}  {m}" for X, m in multiplicities.items()]
+
+
 def test_decompose_over_budget_exits_three_fast(capsys):
     from dweyl.lr import _lr_expand
 

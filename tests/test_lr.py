@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from dweyl.lr import lr_coefficient, lr_expand
+from dweyl.lr import _horizontal_strips, lr_coefficient, lr_expand
 from dweyl.partitions import enumerate_partitions
 from dweyl.symchar import sym_degree
 
@@ -103,3 +103,10 @@ def test_lr_expand_checks_its_arguments_on_cache_hits():
     assert dict(lr_expand((2,), (1,))) == {(3,): 1, (2, 1): 1}
     with pytest.raises(ValueError, match=r"\[2\.0\] is not a partition"):
         lr_expand((2.0,), (1,))
+
+
+def test_horizontal_strips_with_no_room_yield_nothing():
+    # ballot: the two new letters fit only in the new row, and no more of
+    # them than the previous letters above it, one in (1,), two in (2,)
+    assert list(_horizontal_strips((2,), (1,), 2, True)) == []
+    assert list(_horizontal_strips((2,), (2,), 2, True)) == [(2, 2)]

@@ -1,6 +1,5 @@
 import json
 from collections import Counter, defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -23,7 +22,7 @@ from dweyl.dchar import (
     parse_irr_label,
 )
 from dweyl.cli import main
-from dweyl.decomp import InducedQuery, decompose_induced
+from dweyl.decomp import InducedQuery, decompose_induced, validate_query
 from dweyl.oracle import (
     MAX_RANK,
     _block_tally,
@@ -39,7 +38,7 @@ from dweyl.oracle import (
     oracle_induce,
 )
 from dweyl.partitions import RangeError, enumerate_partitions, partition_count
-from dweyl.symchar import sym_centralizer_order
+from dweyl.symchar import check_class, sym_centralizer_order
 from dweyl.verify import verify_formula
 
 from explicit import (
@@ -349,7 +348,7 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
         raise AssertionError(f"enumerated {args}")
 
     assert not hasattr(dweyl.oracle, "build_group")
-    for name in ("d_irr_labels", _point_codes.__name__, _even_codes.__name__, "d_char_value", "d_char_column"):
+    for name in ("d_irr_labels", _point_codes.__name__, _even_codes.__name__, "d_char_value", "_d_char_column"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A = B = make_irr_label((2,), ())
     for n, a, b in [(12, 6, 6), (12, 1, 11), (12, 11, 1), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
@@ -369,10 +368,9 @@ def test_verify_reports_each_label_a_wrong_formula_gets_wrong(monkeypatch, capsy
     del wrong[dropped]
 
     def corrupted(q):
-        result = decompose_induced(q)
-        return replace(result, multiplicities=wrong) if (q.A, q.B) == (A, B) else result
+        return wrong if (q.A, q.B) == (A, B) else decompose_induced(q).multiplicities
 
-    monkeypatch.setattr(dweyl.verify, "decompose_induced", corrupted)
+    monkeypatch.setattr(dweyl.verify, "_decompose", corrupted)
     report = verify_formula(5, 2, 3)
     assert report.mismatches == ((A, B, dropped, 0, 1), (A, B, bumped, 2, 1), (A, B, added, 4, 0))
     assert report.pairs_checked == 4 * 5 * 18 == len(d_irr_labels(2)) * len(d_irr_labels(3)) * len(d_irr_labels(5))
@@ -598,20 +596,59 @@ def test_verify_reads_each_block_value_once_per_split(monkeypatch):
 
     columns = []
 
-    def counted(c):
+    def counted(c, n):
         columns.append(c)
         return d_char_column(c)
 
     def refuse(chi, c):
         raise AssertionError(f"read {chi} at {c} value by value")
 
-    monkeypatch.setattr(dweyl.verify, "d_char_column", counted)
+    monkeypatch.setattr(dweyl.verify, "_d_char_column", counted)
     monkeypatch.setattr(dweyl.oracle, "d_char_value", refuse)
     for n, a, b in [(6, 3, 3), (6, 1, 5)]:
         split = _packed(n, a, b)
         columns.clear()
         assert verify_formula(n, a, b).mismatches == ()
         assert Counter(columns) == Counter(split.types_a + split.types_b), (n, a)
+
+
+@pytest.mark.parametrize("n, a, b", [(6, 2, 4), (6, 3, 3)])
+def test_verify_checks_nothing_its_split_built(monkeypatch, n, a, b):
+    # verify checks n, a and b itself: the formula's query check does not
+    # run per pair, the slot bound reads no d_degree, and no class type
+    # that _fused_counts built is checked again
+    import dweyl.dchar
+    import dweyl.decomp
+    import dweyl.oracle
+    import dweyl.symchar
+
+    record_tables(monkeypatch)
+    monkeypatch.setattr(dweyl.dchar, "d_memo", {})
+    queries, classes = [], []
+
+    def validated(q):
+        queries.append(q)
+        return validate_query(q)
+
+    def checked(cls, group):
+        classes.append(cls)
+        return check_class(cls, group)
+
+    def refuse(chi):
+        raise AssertionError(f"d_degree({chi})")
+
+    monkeypatch.setattr(dweyl.decomp, "validate_query", validated)
+    monkeypatch.setattr(dweyl.dchar, "d_degree", refuse)
+    monkeypatch.setattr(dweyl.oracle, "d_degree", refuse, raising=False)
+    monkeypatch.setattr(dweyl.symchar, "check_class", checked)
+    monkeypatch.setattr(dweyl.dchar, "check_class", checked)
+    report = verify_formula(n, a, b)
+    assert report.mismatches == ()
+    assert len(queries) <= 1 < len(d_irr_labels(a)) * len(d_irr_labels(b))
+    counts = _fused_counts(n, a, b)
+    built = {*counts, *(c for pairs in counts.values() for pair in pairs for c in pair)}
+    assert len(built) > 10
+    assert not built.intersection(classes)
 
 
 def test_over_bound_split_is_refused_before_packing(monkeypatch):
@@ -622,8 +659,13 @@ def test_over_bound_split_is_refused_before_packing(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"packed {args}")
 
-    monkeypatch.setattr(dweyl.oracle, "d_degree", lambda X: 1 << 21)  # bound = |H| * 2**63
-    for name in ("_fused_counts", "d_char_column", "d_char_value"):
+    def identity_only(c, n):  # every degree 2**21: bound = |H| * 2**63
+        if c != DClassType((1,) * n, (), None):
+            refuse(c, n)
+        return [1 << 21]
+
+    monkeypatch.setattr(dweyl.oracle, "_d_char_column", identity_only)
+    for name in ("_fused_counts", "d_char_value"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A, B = make_irr_label((2,), ()), make_irr_label((3,), ())
     with pytest.raises(RangeError, match="may reach 885443715538058477568, past 64-bit slots"):
