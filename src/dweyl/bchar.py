@@ -23,6 +23,10 @@ recursion either way.  The forward walk keeps one state per orbit of
 is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5), and
 [alpha'; beta'] is it tensored with the sign of the underlying
 permutation, so a column reads each label through those signs.  The
+column of a class with an odd cycle is walked once for two classes: that
+of w(-1), each odd cycle's sign flipped, is the walked one times each
+label's central character at -1, (-1)**|beta|, since -1 is central
+(``symchar.central_partner``).  The
 values asked are kept in ``b_memo``, {class: (index, values)} as
 ``symchar`` keeps them; a class or label is checked on a miss, before it
 is walked or stored.
@@ -32,10 +36,11 @@ from __future__ import annotations
 
 from functools import cache, partial
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
-from .symchar import _given_shape, backward, checked_rank, column_keys, first_request, read_column, sym_centralizer_order, sym_degree, written
+from .symchar import _given_shape, backward, central_partner, checked_rank, column_keys, first_request, read_column, sym_centralizer_order, sym_degree, written
 
 
 class BClassType(NamedTuple):
@@ -90,7 +95,18 @@ def b_char_value(label: Bipartition, c: BClassType) -> int:
     (first, a), (second, b) = _given_shape(label[0]), _given_shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-    return first_request(b_memo, c, label, bipartition_count, n, partial(backward, c, (first, second)), partial(read_column, c, _column_keys))
+    return first_request(b_memo, c, label, bipartition_count, n, partial(backward, c, (first, second)), partial(_column, c, n))
+
+
+def _column(c: BClassType, n: int) -> tuple[dict, list]:
+    """Value at c of every label of rank n, read_column of c; b_memo gets
+    the column of the class of w(-1), w in c, too, when that is another
+    class: c's times each label's central character at -1."""
+    index, column = read_column(c, _column_keys)
+    partner = central_partner(c)
+    if partner:
+        b_memo[BClassType(*partner)] = index, list(map(mul, column, _column_keys(n)[2]["central"]))
+    return index, column
 
 
 def b_degree(label: Bipartition) -> int:

@@ -36,10 +36,17 @@ split type, read under the labels of this group.  A class here has an
 even number of negative cycles, so the two orders of a pair have one
 value there, and an unordered label reads the state of its bipartition,
 with no table of the full group in between; only the degenerate labels
-then go through ``_restrict``, and the degenerate difference reads the
-symmetric group at pi the same way.  ``d_char_column`` reads a class's
-column whole, with no backward walk first, and ``_d_char_column`` reads
-one its caller built, with no class check.  The values asked are kept in
+then change, halved, and at a split type corrected by the degenerate
+difference, read from the whole column of the symmetric group at pi.  At
+even n, -1 lies in this group, and the column walked at a class with an
+odd cycle gives that of the class of w(-1) too, each odd cycle's sign
+flipped: a label's value there is its value at w times its central
+character at -1, (-1)**|beta| (``symchar.central_partner``).  A split
+type has no odd cycle, so its classes have no such partner.  A class's
+first value (``_first_value``) walks back, through ``_restrict``.
+``d_char_column`` reads a class's column whole, with no backward walk
+first, and ``_d_char_column`` reads one its caller built, with no class
+check.  The values asked are kept in
 ``d_memo``, {class: (index, values)} as ``symchar`` keeps them, apart
 from those of the full group: a walked column is a list in
 ``d_irr_labels`` order under the one index of its rank, and a split
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 from functools import cache, partial
 from math import factorial
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
@@ -67,10 +75,11 @@ from .partitions import (
     format_partition,
     length,
     partition_count,
+    partition_counts,
     read_label,
     size,
 )
-from .symchar import _given_shape, _shape, backward, check_class, checked_rank, column_keys, first_request, read_column, splittable, sym_char_value, written
+from .symchar import _given_shape, _labels, _shape, backward, central_partner, check_class, checked_rank, column_keys, first_request, read_column, s_memo, splittable, sym_char_value, written
 
 
 class DIrrLabel(NamedTuple):
@@ -139,8 +148,8 @@ def irr_label_key(chi: DIrrLabel) -> tuple:
     That order is |first| descending, then first and second each in
     partition enumeration order (descending tuples), then + before -.
     """
-    first, second = chi.label
-    return (-size(first), tuple(-x for x in first), tuple(-x for x in second), -chi.eps)
+    (first, second), eps = chi
+    return (-size(first), tuple(-x for x in first), tuple(-x for x in second), -eps)
 
 
 @cache
@@ -152,13 +161,20 @@ def d_irr_labels(n: int) -> tuple[DIrrLabel, ...]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = []
-    for first, second in enumerate_bipartitions(n):
-        if first == second:
-            out.append(DIrrLabel((first, second), 1))
-            out.append(DIrrLabel((first, second), -1))
-        elif _part_key(first) > _part_key(second):
-            out.append(DIrrLabel((first, second), 0))
+    # The bipartitions come |first| descending, p(k) p(n - k) of each size
+    # k of first: those with k > n - k are labels as they stand, those
+    # with k = n - k only when first >= second (twice, signed, when
+    # equal), and the rest are the swaps of labels.
+    p, pairs = partition_counts(n), enumerate_bipartitions(n)
+    larger = sum(p[k] * p[n - k] for k in range(n, n // 2, -1))
+    out = [DIrrLabel(pair, 0) for pair in pairs[:larger]]
+    if n % 2 == 0:
+        for pair in pairs[larger : larger + p[n // 2] ** 2]:
+            first, second = pair
+            if first == second:
+                out += DIrrLabel(pair, 1), DIrrLabel(pair, -1)
+            elif first > second:
+                out.append(DIrrLabel(pair, 0))
     return tuple(out)
 
 
@@ -199,7 +215,8 @@ def d_centralizer_order(c: DClassType) -> int:
 def _label_state(chi: DIrrLabel) -> tuple[tuple[int, int], int]:
     """Bead masks and rank of a character label, checked."""
     n = check_label(chi)
-    return (_shape(chi.label[0])[0], _shape(chi.label[1])[0]), n
+    (first, second), _ = chi
+    return (_shape(first)[0], _shape(second)[0]), n
 
 
 def delta_value(gamma1: Partition, c: DClassType) -> int:
@@ -220,11 +237,14 @@ def _delta(gamma1: Partition, c: DClassType) -> int:
 
 
 def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:
-    """chi's value at c from the value there of [chi.label] of the full
-    group."""
-    if chi.eps == 0:
-        return ambient
-    total = ambient + chi.eps * _delta(chi.label[0], c)
+    """chi's value at c from the value there of its pair's character of
+    the full group."""
+    (gamma, _), eps = chi
+    return _halve(chi, c, ambient + eps * _delta(gamma, c)) if eps else ambient
+
+
+def _halve(chi: DIrrLabel, c: DClassType, total: int) -> int:
+    """A degenerate chi's value at c from total, twice that value."""
     if total % 2:
         raise ArithmeticError(f"non-integral degenerate value for {format_irr_label(chi)} at {format_class(c)}")
     return total // 2
@@ -294,28 +314,46 @@ def _column(c: DClassType, n: int) -> tuple[dict, list]:
     """Value at c of every label of rank n, under the rank's shared index:
     symchar.read_column of c's type, as c has an even number of negative
     cycles, so a label and its swap have one value there; only the
-    degenerate labels then go through _restrict.  The other class of a
-    split type differs only there, and its store entry gets its whole
-    column too, a copy fixed at those slots."""
+    degenerate labels then change, by halving, and at a split type by the
+    difference character too, read from the whole S_{n/2} column at pi.
+    The other class of a split type differs only there, and its store
+    entry gets its whole column too.  At even n, the class of w(-1), w in
+    c, gets its column when it is another class: c's times each label's
+    central character at -1 (symchar.central_partner)."""
     positive, negative, split = c
     index, column = read_column((positive, negative), _column_keys)
     if split:
         twin = DClassType(positive, negative, -split)
         other = column.copy()
+        pi = tuple(part // 2 for part in positive)
+        s_index, s_values = _sym_column(pi, n // 2)
+        scale = split * (-1) ** (n // 2) * 2 ** len(pi)
         for i, X in _degenerate(n):
-            other[i] = _restrict(X, twin, column[i])
+            delta = X.eps * scale * s_values[s_index[X.label[0]]]
+            column[i], other[i] = _halve(X, c, column[i] + delta), _halve(X, twin, column[i] - delta)
         d_memo[twin] = index, other
+        return index, column
     for i, X in _degenerate(n):
-        column[i] = _restrict(X, c, column[i])
+        column[i] = _halve(X, c, column[i])
+    if not n % 2 and (partner := central_partner((positive, negative))):
+        d_memo[DClassType(*partner, None)] = index, list(map(mul, column, _column_keys(n)[2]["central"]))
     return index, column
+
+
+def _sym_column(pi: Partition, m: int) -> tuple[dict, list]:
+    """s_memo's entry of pi, of rank m, walked into it unless it holds the
+    value of every partition of m under the rank's shared index."""
+    entry = s_memo.get(pi)
+    if entry is None or entry[0] is not _labels(m)[0]:  # none, or a private index
+        s_memo[pi] = entry = read_column((pi, None), _labels)
+    return entry
 
 
 def d_degree(chi: DIrrLabel) -> int:
     check_label(chi)
-    deg = b_degree(chi.label)
-    if chi.eps == 0:
-        return deg
-    return deg // 2
+    pair, eps = chi
+    deg = b_degree(pair)
+    return deg // 2 if eps else deg
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,14 @@ def induced_multiplicity(q: InducedQuery, X: DIrrLabel) -> int:
     """Multiplicity of X in the character induced from A x B."""
     validate_query(q)
     check_label(X, q.n)
-    coeff = a_coefficient(q.A.label, q.B.label, X.label)
-    if X.eps == 0:
+    (pair_a, eps_a), (pair_b, eps_b), (pair_x, eps_x) = q.A, q.B, X
+    coeff = a_coefficient(pair_a, pair_b, pair_x)
+    if eps_x == 0:
         return coeff
-    e = q.A.eps * q.B.eps * X.eps
+    e = eps_a * eps_b * eps_x
     total = coeff
     if e:
-        total += e * lr_coefficient(q.A.label[0], q.B.label[0], X.label[0])
+        total += e * lr_coefficient(pair_a[0], pair_b[0], pair_x[0])
     if total % 2:
         raise _odd_total(q, X)
     return total // 2
@@ -140,7 +141,7 @@ def decompose_induced(q: InducedQuery) -> DecompositionResult:
 def _decompose(q: InducedQuery) -> dict[DIrrLabel, int]:
     """decompose_induced's multiplicities without the query checks, for
     callers that made them."""
-    (a1, a2), (b1, b2) = q.A.label, q.B.label
+    ((a1, a2), eps_a), ((b1, b2), eps_b) = q.A, q.B
     orderings_a = [(a1, a2)] if a1 == a2 else [(a1, a2), (a2, a1)]
     orderings_b = [(b1, b2)] if b1 == b2 else [(b1, b2), (b2, b1)]
     blocks = []
@@ -167,7 +168,7 @@ def _decompose(q: InducedQuery) -> dict[DIrrLabel, int]:
     items = totals.items()
     if len({s1 for s1, _, _ in blocks}) < len(blocks):
         items = sorted(items, reverse=True)
-    e = q.A.eps * q.B.eps
+    e = eps_a * eps_b
     diagonal = _lr_expand(a1, b1) if e else {}
     mults: dict[DIrrLabel, int] = {}
     for (_, g1, g2), total in items:
@@ -216,5 +217,4 @@ def branch_restriction(n: int, side: str, X: DIrrLabel, B: DIrrLabel) -> int:
         raise ValueError(f"branching rule requires n >= 4, got n={n}")
     check_label(X, n)
     check_label(B, n - 1)
-    z = branch_set(X.label)
-    return 1 if B.label in z else 0
+    return 1 if B[0] in branch_set(X[0]) else 0

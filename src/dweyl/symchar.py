@@ -24,10 +24,22 @@ that carries the label there: ``read_column``, for all three views,
 under the keys ``column_keys`` builds from a view's labels in its order
 (partitions, bipartitions, or the labels of W(D_n) at the states of
 their bipartitions).  A class keeps only the values read from its walk,
-not the walk's states.  The values asked are kept in one plain dict per
-group type (``s_memo`` here, keyed by the cycle type itself;
-``bchar.b_memo``, ``dchar.d_memo``), each class's entry a pair (index,
-values): values a plain list and index {label: its slot}.  A walked
+not the walk's states.
+
+Some columns need no walk at all.  The central element -1 of B_n (and
+of D_n for even n) negates every point, so w(-1) has the cycles of w
+with each odd one's sign flipped (``central_partner``), and as -1 acts
+on an irreducible module by a scalar, its central character (-1)**|beta|
+for [alpha; beta] (Geck-Pfeiffer 2000), a label's value at w(-1) is its
+value at w times that sign.  So the B and D views, having walked the
+column of a class with an odd cycle, store that of its partner class
+too, its values times the signs ``column_keys`` keeps under "central";
+a class with no odd cycle is its own partner.  S_n has no such element.
+
+The values asked are kept in one plain dict per group type (``s_memo``
+here, keyed by the cycle type itself; ``bchar.b_memo``,
+``dchar.d_memo``), each class's entry a pair (index, values): values a
+plain list and index {label: its slot}.  A walked
 column is the list read from the walk in label order, under the one
 index of its rank and group type, built beside the walk's keys and
 shared by every column of that rank; a class's backward-walked values
@@ -37,11 +49,10 @@ warm value is three lookups: the entry, the slot, the value.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, partial
 from itertools import repeat
 from math import comb, factorial, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .partitions import (
     Partition,
@@ -235,18 +246,42 @@ def _orbit(first: int, second: int) -> tuple[int, int, int]:
 def column_keys(labels, pairs) -> tuple[dict, list, dict]:
     """The keys of a rank's columns: the index, {label: slot} over labels
     in order; each label's state in _fold, that of its bipartition in
-    pairs or, pairs None, of the label itself, a partition; and by (turn,
-    pi), the values at a class of the linear characters of the swap and
-    of the conjugation, the sign of the label's value on its state,
-    unless both are 1."""
+    pairs or, pairs None, of the label itself, a partition; and signs: by
+    (turn, pi), the values at a class of the linear characters of the
+    swap and of the conjugation, the sign of the label's value on its
+    state, unless both are 1; with pairs, under "central" too, each
+    label's central character at -1, (-1)**|beta| for (alpha, beta) its
+    pair, which carries a column to that of its central_partner."""
     if pairs is None:
         orbits = [_orbit(_shape(x)[0], 0) for x in labels]
         keys = [first for first, _, _ in orbits]
+        signs = {}
     else:
-        orbits = [_orbit(_shape(alpha)[0], _shape(beta)[0]) for alpha, beta in pairs]
+        betas = [_shape(beta) for _, beta in pairs]
+        orbits = [_orbit(_shape(alpha)[0], beta) for (alpha, _), (beta, _) in zip(pairs, betas)]
         keys = [(first, second) for first, second, _ in orbits]
-    signs = {(turn, pi): [(1, turn, pi, turn * pi)[via] for *_, via in orbits] for turn, pi in ((-1, 1), (1, -1), (-1, -1))}
+        signs = {"central": [-1 if size % 2 else 1 for _, size in betas]}
+    vias = list(map(itemgetter(2), orbits))
+    for turn, pi in ((-1, 1), (1, -1), (-1, -1)):
+        signs[turn, pi] = list(map((1, turn, pi, turn * pi).__getitem__, vias))
     return {x: i for i, x in enumerate(labels)}, keys, signs
+
+
+def central_partner(cls) -> tuple | None:
+    """The type (positive, negative) of w(-1), w of signed cycle type cls
+    = (positive, negative), -1 the central element negating every point:
+    each odd cycle of w changes sign, each even one keeps it.  None when
+    that is cls again, as when w has no odd cycle.  A label's value at
+    w(-1) is its value at w times its central character at -1
+    (Geck-Pfeiffer 2000), which column_keys keeps under "central"."""
+    positive, negative = cls
+    odd_positive, odd_negative = [k for k in positive if k % 2], [k for k in negative if k % 2]
+    if odd_positive == odd_negative:
+        return None
+    return (
+        tuple(sorted([k for k in positive if not k % 2] + odd_negative, reverse=True)),
+        tuple(sorted([k for k in negative if not k % 2] + odd_positive, reverse=True)),
+    )
 
 
 @cache
@@ -437,10 +472,16 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
 
 
 def sym_centralizer_order(mu: Partition) -> int:
-    """Centralizer order of a permutation of cycle type mu: prod i^m_i m_i!."""
+    """Centralizer order of a permutation of cycle type mu: prod i^m_i m_i!,
+    one factor i * j for the j-th part equal to i.  The parts are counted
+    in a plain dict, not a Counter: the first Counter of a process checks
+    its argument against the Mapping ABC, which alone cost a forked
+    child 0.3 ms, more than the rest of this function's first call."""
+    counts: dict = {}
     out = 1
-    for i, m in Counter(mu).items():
-        out *= i**m * factorial(m)
+    for i in mu:
+        counts[i] = j = counts.get(i, 0) + 1
+        out *= i * j
     return out
 
 

@@ -243,3 +243,27 @@ def test_branch_restriction_refuses_an_unknown_side():
     X, B = make_irr_label((3,), (1,)), make_irr_label((3,), ())
     with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'middle'"):
         branch_restriction(4, "middle", X, B)
+
+
+# (entry point, a call of it taking a D label, given as a DIrrLabel or as
+# the equal plain tuple)
+PLAIN_TUPLE_CALLS = {
+    "d_degree": lambda make: d_degree(make(((3,), ()), 0)),
+    "decompose_induced A": lambda make: decompose_induced(InducedQuery(5, 3, 2, make(((3,), ()), 0), make(((2,), ()), 0))).multiplicities,
+    "decompose_induced B": lambda make: decompose_induced(InducedQuery(6, 2, 4, make(((1,), (1,)), 1), make(((2,), (2,)), -1))).multiplicities,
+    "induced_multiplicity": lambda make: induced_multiplicity(InducedQuery(6, 2, 4, make(((1,), (1,)), 1), make(((2,), (2,)), -1)), make(((3,), (3,)), -1)),
+    "branch_restriction X": lambda make: branch_restriction(4, "left", make(((4,), ()), 0), make(((3,), ()), 0)),
+    "branch_restriction B": lambda make: branch_restriction(4, "left", make(((2,), (2,)), 1), make(((2,), (1,)), 0)),
+    "d_char_value": lambda make: [d_char_value(make(((2,), (2,)), eps), DClassType((4,), (), 1)) for eps in (1, -1)],
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_TUPLE_CALLS)
+def test_plain_tuple_labels_answer_as_their_labels(name):
+    """A plain tuple (pair, sign) that check_label passes is answered
+    exactly as the equal DIrrLabel, on empty stores and warm."""
+    call = PLAIN_TUPLE_CALLS[name]
+    for memo in (s_memo, b_memo, d_memo):
+        memo.clear()
+    plain = call(lambda pair, eps: (pair, eps))
+    assert plain == call(DIrrLabel) == call(lambda pair, eps: (pair, eps))

@@ -156,10 +156,13 @@ def test_chartable_over_budget_exits_three_before_enumerating(capsys, monkeypatc
 
 
 # SHA-256 of each table's JSON output, pinned before the column walk was
-# folded by conjugation.
+# folded by conjugation; D_12, the largest even-rank D table, and B_10
+# before the columns at w(-1) were read from those at w.
 LARGE_TABLE_DIGESTS = {
     ("D", "10"): "a53d9e171092b4fad4a4ec111feddd1b0c2722ad0359d6ae212be95c4d032813",
+    ("D", "12"): "327bc53b5c546db9f172577adf80ae89dff8d107c835ad99415ba1479762498b",
     ("D", "13"): "3e69bc402e3bf87fae732c270906b324069c4135c729a39c4462fc1166742189",
+    ("B", "10"): "41e4f21edcbfdf7102698e1c276269eab3e833d220bb9281f43abdbb2542f198",
     ("B", "11"): "7795a75fe4c9d036212bf5744323dacb60902996fcf3da994a42c981ae7448c0",
     ("A", "21"): "d9aafcb88fe68ef231ca2507d0e3479998322e96d55a4df97b67d1f10afd27ca",
 }
@@ -167,7 +170,8 @@ LARGE_TABLE_DIGESTS = {
 
 @pytest.mark.parametrize(
     "kind, n, count",
-    [("D", "10", 251)] + [pytest.param(*largest, marks=pytest.mark.slow) for largest in (("D", "13", 885), ("B", "11", 752), ("A", "21", 792))],
+    [("D", "10", 251)]
+    + [pytest.param(*large, marks=pytest.mark.slow) for large in (("D", "12", 599), ("D", "13", 885), ("B", "10", 481), ("B", "11", 752), ("A", "21", 792))],
 )
 def test_chartable_under_budget_answers(capsys, kind, n, count):
     code, out, _ = run(capsys, "chartable", "--type", kind, "--n", n)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dweyl import bchar, dchar, symchar
-from dweyl.bchar import BClassType, b_char_value, b_classes, b_memo
+from dweyl.bchar import BClassType, b_char_value, b_classes, b_degree, b_memo
 from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, d_memo, delta_value, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, format_bipartition
 from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, read_column, s_memo, sym_char_value
@@ -379,25 +379,58 @@ def test_folded_d_columns_equal_unfolded_walk(n):
         assert labelled(dchar._column(c, n)) == expected
 
 
-def test_d_table_walks_each_type_once():
-    """A split class's column walk fills the memo of the other class of
-    its type, with that class's own values."""
-    classes, labels = d_classes(8), d_irr_labels(8)
+def times_minus_one(cls):
+    """The signed cycle type of w(-1), w of type cls = (positive, negative):
+    negating every point flips the sign of each odd cycle of w."""
+    positive, negative = cls
+    moved = [(k, k % 2 == 0) for k in positive] + [(k, k % 2 == 1) for k in negative]
+    return tuple(sorted((k for k, stays in moved if stays), reverse=True)), tuple(sorted((k for k, stays in moved if not stays), reverse=True))
+
+
+def pairs_of(types) -> set:
+    """The pairs {w, w(-1)} of a set of signed cycle types."""
+    return {frozenset((t, times_minus_one(t))) for t in types}
+
+
+def check_table_walks(kind, n, walked):
+    """A whole table walks walked columns, one per pair {w, w(-1)} of
+    class types and, for D_n, the S_{n/2} columns of the degenerate
+    labels: a column walk fills the memo of the class of w(-1) (at odd n
+    a class of D_n has no such partner) and, at a split type, of the
+    other class of the type, each with that class's own values."""
+    view, labels_of, classes_of = VIEWS[kind]
+    classes, labels = classes_of(n), labels_of(n)
     clear_memos()
     with counted_walks() as walks:
-        table = [[d_char_value(X, c) for X in labels] for c in classes]
-    types = [w for w in walks if w[1] is not None]  # not the S_4 walks of delta_value
-    assert len(types) == len(set(types)) < len(classes)
-    assert set(types) == {c[:2] for c in classes}
+        table = [[view(X, c) for X in labels] for c in classes]
+    assert len(walks) == walked
+    types = [w for w in walks if w[1] is not None]  # not the S_{n/2} walks
+    expected = {c[:2] for c in classes}
+    assert len(types) == len(set(types)) == (len(pairs_of(expected)) if kind == "B" or n % 2 == 0 else len(expected))
+    assert {t for w in types for t in (w, times_minus_one(w))} >= expected >= set(types)
     for c, values in zip(classes, table):
         clear_memos()
-        assert [d_char_value(X, c) for X in labels] == values
+        assert [view(X, c) for X in labels] == values
+
+
+def test_d_table_walks_each_type_once():
+    """The D_8 table walks 64 columns for its 100 classes: 59 of its 95
+    class types and 5 of S_4."""
+    check_table_walks("D", 8, 64)
+
+
+@pytest.mark.parametrize("kind, n, walked", [("B", 6, 42), ("B", 7, 55), ("D", 7, 55), ("D", 9, 150)])
+def test_table_walks_one_column_per_pair_of_types(kind, n, walked):
+    """B_6 and B_7 walk 42 and 55 columns for their 65 and 110 classes;
+    D_7 and D_9, where -1 is not in the group, one per class."""
+    check_table_walks(kind, n, walked)
 
 
 def test_d_column_reads_the_memo_of_the_per_value_view():
     """d_char_column walks a fresh class's column with no backward walk
-    first, each type once, and leaves the memo that d_char_value then
-    reads; a column d_char_value already walked is read, not walked."""
+    first, one type per pair {w, w(-1)} once, and leaves the memo that
+    d_char_value then reads; a column d_char_value already walked is
+    read, not walked."""
 
     def refuse(*args):
         raise AssertionError(f"backward walk {args}")
@@ -411,8 +444,9 @@ def test_d_column_reads_the_memo_of_the_per_value_view():
             patch.setattr(dchar, "backward", refuse)
             assert [d_char_column(c) for c in classes] == table
             assert [[d_char_value(X, c) for X in labels] for c in classes] == table
-        types = [w for w in walks if w[1] is not None]  # not the S_n/2 walks of delta_value
-        assert sorted(types) == sorted({c[:2] for c in classes})
+        types = [w for w in walks if w[1] is not None]  # not the S_n/2 walks of the degenerate labels
+        assert len(types) == len(set(types)) == len(pairs_of({c[:2] for c in classes}))
+        assert {t for w in types for t in (w, times_minus_one(w))} >= {c[:2] for c in classes} >= set(types)
         with counted_walks() as walks:
             assert [d_char_column(c) for c in classes] == table
         assert walks == []
@@ -429,6 +463,35 @@ def test_d_column_is_a_copy_of_the_store():
         column[:] = [None] * len(column)
         assert [d_char_value(X, c) for X in labels] == expected
         assert d_char_column(c) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_columns_at_w_and_minus_w_differ_by_the_central_character(n):
+    """At a class of B_n with an odd cycle, the reference walk's column at
+    w(-1) is its column at w times (-1)**|beta|, the central character at
+    -1 of [alpha; beta]; at the class of -1 itself it is that sign times
+    the degree.  The columns the views store at w(-1), after walking w,
+    equal the reference walk there: for B_n, and for D_n at even n, where
+    -1 lies in D_n."""
+    labels, d_labels = enumerate_bipartitions(n), d_irr_labels(n)
+    for c in b_classes(n):
+        partner = times_minus_one(c)
+        if partner == tuple(c):
+            continue
+        at_w, at_partner = unfolded_walk(c), unfolded_walk(partner)
+        for label in labels:
+            assert at_partner.get(masks(label), 0) == (-1) ** sum(label[1]) * at_w.get(masks(label), 0)
+        clear_memos()
+        for label in labels[:2]:
+            b_char_value(label, c)  # the second label walks c's column
+        assert labelled(b_memo[partner]) == {label: at_partner.get(masks(label), 0) for label in labels}
+        if n % 2 == 0 and len(c.negative) % 2 == 0:
+            d = DClassType(*c, None)
+            clear_memos()
+            d_char_column(d)
+            assert labelled(d_memo[partner + (None,)]) == {X: dchar._restrict(X, d, at_partner.get(masks(X.label), 0)) for X in d_labels}
+    minus_one = unfolded_walk(((), (1,) * n))
+    assert {label: minus_one.get(masks(label), 0) for label in labels} == {label: (-1) ** sum(label[1]) * b_degree(label) for label in labels}
 
 
 def test_folded_walk_keeps_about_half_the_states():
