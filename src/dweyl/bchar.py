@@ -40,7 +40,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
-from .symchar import _given_shape, backward, central_partner, checked_rank, column_keys, first_request, read_column, sym_centralizer_order, sym_degree, written
+from .symchar import _given_shape, backward, central_partner, check_class, checked_rank, column_keys, first_request, read_column, sym_centralizer_order, sym_degree, written
 
 
 class BClassType(NamedTuple):
@@ -63,9 +63,11 @@ def b_classes(n: int) -> tuple[BClassType, ...]:
 
 
 def b_centralizer_order(c: BClassType) -> int:
-    """Centralizer order: 2**(l(positive) + l(negative)) z(positive) z(negative)."""
-    twos = 2 ** (len(c.positive) + len(c.negative))
-    return twos * sym_centralizer_order(c.positive) * sym_centralizer_order(c.negative)
+    """Centralizer order: 2**(l(positive) + l(negative)) z(positive)
+    z(negative), c checked by check_class."""
+    check_class(c, "B")
+    positive, negative = c
+    return 2 ** (len(positive) + len(negative)) * sym_centralizer_order(positive) * sym_centralizer_order(negative)
 
 
 @cache

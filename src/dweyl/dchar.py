@@ -24,7 +24,10 @@ orthogonality tests:
   split class (2*pi, (), s) and 0 elsewhere; the + constituent is the
   one adding this difference with a plus sign.
 * Classes of a product of two such groups acting on disjoint blocks
-  fuse by concatenating cycle types; split tags multiply.
+  fuse by the union of their positive and of their negative cycle
+  types, and split tags multiply: a conjugator onto the sign-free
+  representative can be taken block by block, and sign changes add
+  (``oracle._fused_counts``).
 
 Values come from the abacus walk of ``dweyl.symchar``, with no
 recursion, under its first-request rule: a class's first value walks
@@ -62,7 +65,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .bchar import BClassType, b_centralizer_order, b_classes, b_degree
+from .bchar import b_centralizer_order, b_classes, b_degree
 from .partitions import (
     Bipartition,
     Partition,
@@ -201,14 +204,17 @@ def d_classes(n: int) -> tuple[DClassType, ...]:
 
 
 def d_centralizer_order(c: DClassType) -> int:
-    """Centralizer order inside the even-signed group.
+    """Centralizer order inside the even-signed group, c checked by
+    check_class.
 
     Split classes keep the ambient centralizer (the ambient class
     halves); non-split classes halve it (the ambient class is a single
     class of the subgroup).
     """
-    ambient = b_centralizer_order(BClassType(c.positive, c.negative))
-    return ambient if c.split is not None else ambient // 2
+    check_class(c, "D")
+    positive, negative, split = c
+    ambient = b_centralizer_order((positive, negative))
+    return ambient if split is not None else ambient // 2
 
 
 @cache
@@ -230,10 +236,11 @@ def delta_value(gamma1: Partition, c: DClassType) -> int:
 
 def _delta(gamma1: Partition, c: DClassType) -> int:
     """delta_value with gamma1 and c already checked."""
-    if c.split is None:
+    positive, _, split = c
+    if split is None:
         return 0
-    pi = tuple(part // 2 for part in c.positive)
-    return c.split * (-1) ** sum(gamma1) * 2 ** len(pi) * sym_char_value(gamma1, pi)
+    pi = tuple(part // 2 for part in positive)
+    return split * (-1) ** sum(gamma1) * 2 ** len(pi) * sym_char_value(gamma1, pi)
 
 
 def _restrict(chi: DIrrLabel, c: DClassType, ambient: int) -> int:

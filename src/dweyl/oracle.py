@@ -40,15 +40,12 @@ So one walk per unsigned permutation gives each point a code (a bit per
 cycle, plus the flip bit), the code of a sign mask is the XOR of the
 codes of its points, and each element's class type is one lookup in
 the code table of its cycle lengths.  The cycles are numbered longest
-first, so the lengths of a permutation come out sorted and a block has
-one code table per cycle type; an element of the block subgroup is read
-from the table of its blocks' lengths joined smaller tuple first, one
-table per pair of block cycle types that mirror splits share.  The
-codes are spanned by doubling over the even masks only, the ones that
-are read.
+first, so the lengths of a permutation come out sorted and each cycle
+type has one code table.  The codes are spanned by doubling over the
+even masks only, the ones that are read.
 
 The block subgroup is enumerated as pairs of block elements, each
-classified by its own signed cycle type, and each block's codes are
+classified by its own signed cycle type, and each block's classes are
 tallied once per rank, a tally that every split reading a block of that
 rank shares.  The tally of one permutation depends only on its cycle
 type lambda: the j-th longest cycle, of length L, gives L points the
@@ -65,6 +62,15 @@ permutations of that type.  oracle_induce, and so verify_formula, is
 capped at n = 11, the largest rank at which every split fits the
 64-bit slots below.  The formula side of the package has no such
 bound.
+
+A pair of block classes fuses by one union rule: the element's positive
+and negative cycle types are the unions of its blocks', and a split
+type's tag is the product of theirs.  Its signed cycles are its blocks',
+so at a split type both blocks are split, and a conjugator onto the
+sign-free representative can be taken block by block, each block's onto
+its own sign-free element, then a sign-free one: sign changes add, so
+tags multiply.  test_union_rule_matches_the_whole_walk_at_block_even_masks
+and test_fused_counts_match_scan_over_the_group hold the rule.
 
 The inner products with every label of the rank-n group come at once,
 by Kronecker substitution: the column of a class type, in d_irr_labels
@@ -96,7 +102,7 @@ from typing import NamedTuple, Sequence
 
 from .dchar import DClassType, DIrrLabel, _d_char_column, d_char_value, d_irr_labels, format_irr_label, group_order_d
 from .decomp import DecompositionResult
-from .partitions import Partition, RangeError, enumerate_partitions
+from .partitions import Partition, RangeError, enumerate_partitions, union
 from .symchar import sym_centralizer_order
 
 MAX_RANK = 11  # verify_formula and oracle_induce
@@ -159,14 +165,14 @@ def _even_codes(point_codes: list[int]) -> list[int]:
 
 @cache
 def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
-    """Class label of each code of _point_codes, for cycle lengths in the
-    order of its bits; None for a code with an odd number of negative
-    cycles, which belongs to no even-signed element."""
+    """Class label of each code of _point_codes, for cycle lengths
+    longest first, as it numbers them; None for a code with an odd number
+    of negative cycles, which belongs to no even-signed element."""
     def signed(signs, j, sign):  # each of signs with cycle j added, positive (0) or negative (1)
         bit, plus, minus = (1 << j, (), (lengths[j],)) if sign else (0, (lengths[j],), ())
         return [(negs | bit, positive + plus, negative + minus) for negs, positive, negative in signs]
     out: list[DClassType | None] = [None] * (2 << len(lengths))
-    *cycles, last = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    *cycles, last = range(len(lengths))
     even, odd = [(0, (), ())], []  # (negs, positive, negative) by the parity of negs, as _even_codes
     for j in cycles:
         even, odd = signed(even, j, 0) + signed(odd, j, 1), signed(odd, j, 0) + signed(even, j, 1)
@@ -178,11 +184,6 @@ def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
 
 # ---------------------------------------------------------------------------
 # The block subgroup and explicit induction
-
-def _moved(code: int, cycles: int) -> int:
-    """A block code with its cycles numbered after that many others."""
-    return code & 1 ^ code >> 1 << cycles + 1
-
 
 def _cycle_perm(lam: Partition) -> tuple[int, ...]:
     """A permutation of cycle type lam: its cycles on consecutive points,
@@ -196,53 +197,32 @@ def _cycle_perm(lam: Partition) -> tuple[int, ...]:
 
 
 @cache
-def _block_tally(k: int) -> dict[tuple[int, ...], dict[int, int]]:
-    """Per cycle lengths of the rank-k group: code -> how many of its
-    elements.  One permutation per cycle type is walked and its code
-    counts weighted by the k!/z_lambda permutations of that type, which
-    all have the same tally (see the module docstring)."""
-    tally: dict[tuple[int, ...], dict[int, int]] = {}
+def _block_tally(k: int) -> dict[DClassType, int]:
+    """Class of the rank-k group -> how many of its elements: one walk per
+    cycle type, each element classified by its own code, weighted by the
+    k!/z_lambda permutations of the type, which share its tally."""
+    tally: dict[DClassType, int] = {}
     for lam in enumerate_partitions(k):
         lengths, point_codes = _point_codes(_cycle_perm(lam))
         weight = factorial(k) // sym_centralizer_order(lam)
-        tally[lengths] = counts = {}
-        for code in _even_codes(point_codes):
-            counts[code] = counts.get(code, 0) + weight
+        for ty in map(_code_types(lengths).__getitem__, _even_codes(point_codes)):
+            tally[ty] = tally.get(ty, 0) + weight
     return tally
 
 
 @cache
 def _fused_counts(n: int, a: int, b: int) -> dict[DClassType, dict[tuple[DClassType, DClassType], int]]:
     """Per class type of the rank-n group meeting the block subgroup: how
-    many subgroup elements of each block-type pair it contains.
-
-    The subgroup is enumerated as pairs of block elements, each one
-    classified by its own signed cycle type: both blocks' codes are
-    tallied by _block_tally, by cycle lengths, one tally per rank that
-    mirror splits share.  A pair of codes x, y is decoded once: the
-    element's type is read from the code table of the two blocks' cycle
-    lengths joined smaller tuple first, one table per pair of cycle
-    types that mirror splits share too, at the codes joined in that
-    order; each block's type at its own code.
-    """
+    many subgroup elements of each block-class pair it contains, the
+    blocks' classes tallied by _block_tally, which mirror splits share,
+    and fused by the union rule (see the module docstring)."""
     if a + b != n:
         raise ValueError(f"blocks {a}+{b} do not fill {n}")
-    tally_b = _block_tally(b)
     counts: defaultdict[DClassType, dict] = defaultdict(dict)
-    for lengths_a, xs in _block_tally(a).items():
-        types_a = _code_types(lengths_a)
-        for lengths_b, ys in tally_b.items():
-            if lengths_a <= lengths_b:
-                types, after_a, after_b = _code_types(lengths_a + lengths_b), 0, len(lengths_a)
-            else:
-                types, after_a, after_b = _code_types(lengths_b + lengths_a), len(lengths_b), 0
-            types_b = _code_types(lengths_b)
-            moved_b = [(_moved(y, after_b), types_b[y], ny) for y, ny in ys.items()]
-            for x, nx in xs.items():
-                code_a, pa = _moved(x, after_a), types_a[x]
-                for code_b, pb, ny in moved_b:
-                    pairs = counts[types[code_a ^ code_b]]
-                    pairs[pa, pb] = pairs.get((pa, pb), 0) + nx * ny
+    for pa, na in _block_tally(a).items():
+        for pb, nb in _block_tally(b).items():
+            ty = _class_type(union(pa.positive, pb.positive), union(pa.negative, pb.negative), pa.split != pb.split)
+            counts[ty][pa, pb] = na * nb
     return dict(counts)
 
 

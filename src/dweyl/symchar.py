@@ -476,7 +476,9 @@ def sym_centralizer_order(mu: Partition) -> int:
     one factor i * j for the j-th part equal to i.  The parts are counted
     in a plain dict, not a Counter: the first Counter of a process checks
     its argument against the Mapping ABC, which alone cost a forked
-    child 0.3 ms, more than the rest of this function's first call."""
+    child 0.3 ms, more than the rest of this function's first call.  mu
+    is checked by check_class."""
+    check_class((mu, None), "S")
     counts: dict = {}
     out = 1
     for i in mu:

@@ -288,7 +288,10 @@ def group_order_b(n: int) -> int:
     return 2**n * factorial(n)
 
 
+@cache
 def d_class_size(c: DClassType) -> int:
+    """|class| = |group| / |centralizer|, kept per class: the reference
+    sums call it once per pair of block classes and label."""
     n = size(c.positive) + size(c.negative)
     return group_order_d(n) // d_centralizer_order(c)
 
@@ -296,9 +299,11 @@ def d_class_size(c: DClassType) -> int:
 def fuse_class(ca: DClassType, cb: DClassType) -> DClassType:
     """Class of a blockwise product element from its block classes.
 
-    Cycle types concatenate.  The fused type can split only when both
-    block classes are split (a non-split block contributes an odd
-    positive part or a negative cycle), and then the tags multiply.
+    Cycle types unite, positive with positive and negative with
+    negative: the union rule of oracle._fused_counts.  The fused type
+    can split only when both block classes are split (a non-split block
+    contributes an odd positive part or a negative cycle), and then the
+    tags multiply.
     """
     positive = union(ca.positive, cb.positive)
     negative = union(ca.negative, cb.negative)

@@ -6,12 +6,12 @@ import re
 
 import pytest
 
-from dweyl.bchar import BClassType, b_char_value, b_memo
+from dweyl.bchar import BClassType, b_centralizer_order, b_char_value, b_memo
 from dweyl.cli import main
-from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, delta_value, make_irr_label, parse_class
+from dweyl.dchar import DClassType, DIrrLabel, d_centralizer_order, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, delta_value, make_irr_label, parse_class
 from dweyl.decomp import InducedQuery, branch_restriction, decompose_induced, induced_multiplicity
 from dweyl.lr import lr_coefficient, lr_expand
-from dweyl.symchar import s_memo, sym_char_value
+from dweyl.symchar import s_memo, sym_centralizer_order, sym_char_value
 
 GOOD = make_irr_label((2,), ())
 
@@ -80,6 +80,7 @@ CALLS = [
         "d_char_value": lambda c=c: d_char_value(GOOD, c),
         "d_char_column": lambda c=c: d_char_column(c),
         "delta_value": lambda c=c: delta_value((1,), c),
+        "d_centralizer_order": lambda c=c: d_centralizer_order(c),
         "parse_class": lambda text=text: parse_class(text),
     }.items()
     if text is not None or name != "parse_class"
@@ -92,6 +93,9 @@ CALLS = [
         "lr_coefficient gamma": lambda p=p: lr_coefficient((2,), (1,), p),
         "lr_expand alpha": lambda p=p: lr_expand(p, (1,)),
         "lr_expand beta": lambda p=p: lr_expand((1,), p),
+        "sym_centralizer_order": lambda p=p: sym_centralizer_order(p),
+        "b_centralizer_order positive": lambda p=p: b_centralizer_order(BClassType(p, ())),
+        "b_centralizer_order negative": lambda p=p: b_centralizer_order(BClassType((1,), p)),
     }.items()
 ]
 
@@ -267,3 +271,26 @@ def test_plain_tuple_labels_answer_as_their_labels(name):
         memo.clear()
     plain = call(lambda pair, eps: (pair, eps))
     assert plain == call(DIrrLabel) == call(lambda pair, eps: (pair, eps))
+
+
+# (entry point, a call of it taking a class, given as a DClassType or
+# BClassType or as the equal plain tuple, and that named tuple type)
+PLAIN_TUPLE_CLASS_CALLS = {
+    "d_char_value": (lambda make: [d_char_value(make_irr_label((1,), (1,), eps), make((2,), (), s)) for s in (1, -1) for eps in (1, -1)], DClassType),
+    "d_char_column": (lambda make: [d_char_column(make((2, 2), (), s)) for s in (1, -1)], DClassType),
+    "delta_value": (lambda make: [delta_value((1,), make((2,), (), s)) for s in (1, -1)], DClassType),
+    "d_centralizer_order": (lambda make: [d_centralizer_order(make((2,), (), 1)), d_centralizer_order(make((2,), (1, 1), None))], DClassType),
+    "b_char_value": (lambda make: [b_char_value(((1,), (1,)), make((2,), ())), b_char_value(((1,), (1,)), make((1,), (1,)))], BClassType),
+    "b_centralizer_order": (lambda make: b_centralizer_order(make((2,), (1,))), BClassType),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_TUPLE_CLASS_CALLS)
+def test_plain_tuple_classes_answer_as_their_classes(name):
+    """A plain tuple that check_class passes is answered exactly as the
+    equal DClassType or BClassType, on empty stores and warm."""
+    call, named = PLAIN_TUPLE_CLASS_CALLS[name]
+    for memo in (s_memo, b_memo, d_memo):
+        memo.clear()
+    plain = call(lambda *fields: fields)
+    assert plain == call(named) == call(lambda *fields: fields)

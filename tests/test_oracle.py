@@ -29,7 +29,6 @@ from dweyl.oracle import (
     _code_types,
     _even_codes,
     _fused_counts,
-    _moved,
     _pack,
     _packed,
     _point_codes,
@@ -37,7 +36,7 @@ from dweyl.oracle import (
     _unpack,
     oracle_induce,
 )
-from dweyl.partitions import RangeError, enumerate_partitions, partition_count
+from dweyl.partitions import RangeError, enumerate_partitions, partition_count, union
 from dweyl.symchar import check_class, sym_centralizer_order
 from dweyl.verify import verify_formula
 
@@ -49,6 +48,7 @@ from explicit import (
     centralizer_chain_values,
     classify_element,
     flip_at,
+    fuse_class,
     induce_class_function,
     induced_value_elementwise,
     induced_value_from_subgroup_classes,
@@ -189,19 +189,19 @@ def test_table_walks_match_the_full_span():
 
 
 def reference_block_tally(k):
-    """Reference _block_tally: the codes of every one of the k!
-    permutations, by cycle lengths."""
-    tally = defaultdict(Counter)
+    """Reference _block_tally: the class of every element of the rank-k
+    group, each of the k! permutations walked."""
+    tally = Counter()
     for perm in permutations(range(1, k + 1)):
         lengths, point_codes = _point_codes(perm)
-        tally[lengths].update(_even_codes(point_codes))
+        tally.update(_code_types(lengths)[code] for code in _even_codes(point_codes))
     return tally
 
 
 def test_block_tally_walks_one_permutation_per_cycle_type(monkeypatch):
-    # every permutation of one cycle type has the same code tally, so one
-    # walk per type, weighted by the k!/z_lambda permutations of the type,
-    # gives the tally of all k! walks
+    # every permutation of one cycle type has the same class tally, so
+    # one walk per type, weighted by the k!/z_lambda permutations of the
+    # type, gives the tally of all k! walks
     import dweyl.oracle
 
     walked = Counter()
@@ -216,19 +216,27 @@ def test_block_tally_walks_one_permutation_per_cycle_type(monkeypatch):
         tally = _block_tally(k)
         assert tally == reference_block_tally(k), k
         assert walked[k] == partition_count(k)
-        weights = {lengths: sum(codes.values()) >> k - 1 for lengths, codes in tally.items()}
+        per_type = Counter()
+        for ty, elements in tally.items():
+            per_type[union(ty.positive, ty.negative)] += elements
+        weights = {lam: elements >> k - 1 for lam, elements in per_type.items()}
         assert weights == {lam: factorial(k) // sym_centralizer_order(lam) for lam in enumerate_partitions(k)}
         assert sum(weights.values()) == factorial(k)
     _block_tally.cache_clear()
 
 
-def test_block_codes_match_the_full_span_at_block_even_masks():
-    """_fused_counts walks each block on its own, cycles longest first,
-    and joins block a's code x with block b's code y, whose cycles it
-    numbers after block a's (so the joined lengths need not be sorted).
-    At every pair of block-even masks the joined code must classify the
-    element as the rank-n walk of its whole permutation does, over the
-    same cycle lengths."""
+def test_block_tally_counts_each_class_by_its_centralizer():
+    # |class| = |group| / |centralizer|, with no group table: up to rank
+    # 10, past the full-group scans, which stop at rank 7
+    for k in range(1, 11):
+        assert _block_tally(k) == {c: group_order_d(k) // d_centralizer_order(c) for c in d_classes(k)}, k
+
+
+def test_union_rule_matches_the_whole_walk_at_block_even_masks():
+    """_fused_counts classifies each block element by its own walk and
+    fuses the two blocks' classes by the union rule, written out in
+    fuse_class.  At every pair of block-even masks the fused class must
+    be the one that the rank-n walk of the whole permutation gives."""
     for n in range(2, 8):
         for a in range(1, n):
             b = n - a
@@ -236,23 +244,27 @@ def test_block_codes_match_the_full_span_at_block_even_masks():
             even_b = [m for m in range(1 << b) if bin(m).count("1") % 2 == 0]
             for perm_a in permutations(range(1, a + 1)):
                 lengths_a, point_codes_a = _point_codes(perm_a)
-                codes_a = _even_codes(point_codes_a)
+                types_a = [_code_types(lengths_a)[x] for x in _even_codes(point_codes_a)]
                 for perm_b in permutations(range(1, b + 1)):
                     lengths_b, point_codes_b = _point_codes(perm_b)
-                    codes_b = _even_codes(point_codes_b)
+                    types_b = [_code_types(lengths_b)[y] for y in _even_codes(point_codes_b)]
                     lengths, point_codes = _point_codes(perm_a + tuple(x + a for x in perm_b))
                     assert list(lengths) == sorted(lengths_a + lengths_b, reverse=True)
                     reference = all_mask_codes(point_codes)
                     whole = [_code_types(lengths)[reference[ma | mb << a]] for ma in even_a for mb in even_b]
-                    joined = [x ^ _moved(y, len(lengths_a)) for x in codes_a for y in codes_b]
-                    types = _code_types(lengths_a + lengths_b)
-                    assert [types[code] for code in joined] == whole, (perm_a, perm_b)
+                    assert [fuse_class(pa, pb) for pa in types_a for pb in types_b] == whole, (perm_a, perm_b)
 
 
 def test_fused_counts_match_scan_over_the_group():
     for n in range(2, 7):
         for a in range(1, n):
             assert _fused_counts(n, a, n - a) == scan_fused_counts(n, a, n - a), (n, a)
+
+
+@pytest.mark.slow
+def test_fused_counts_match_scan_over_the_group_at_rank_7():
+    for a in range(1, 7):
+        assert _fused_counts(7, a, 7 - a) == scan_fused_counts(7, a, 7 - a), a
 
 
 def test_mirror_splits_fuse_to_swapped_pairs():
