@@ -65,7 +65,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .bchar import b_centralizer_order, b_classes, b_degree
+from .bchar import _b_centralizer_order, b_classes, b_degree
 from .partitions import (
     Bipartition,
     Partition,
@@ -205,15 +205,17 @@ def d_classes(n: int) -> tuple[DClassType, ...]:
 
 def d_centralizer_order(c: DClassType) -> int:
     """Centralizer order inside the even-signed group, c checked by
-    check_class.
-
-    Split classes keep the ambient centralizer (the ambient class
-    halves); non-split classes halve it (the ambient class is a single
-    class of the subgroup).
-    """
+    check_class."""
     check_class(c, "D")
+    return _d_centralizer_order(c)
+
+
+def _d_centralizer_order(c: DClassType) -> int:
+    """d_centralizer_order of c, unchecked.  Split classes keep the
+    ambient centralizer (the ambient class halves); non-split classes
+    halve it (the ambient class is a single class of the subgroup)."""
     positive, negative, split = c
-    ambient = b_centralizer_order((positive, negative))
+    ambient = _b_centralizer_order(positive, negative)
     return ambient if split is not None else ambient // 2
 
 

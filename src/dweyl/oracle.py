@@ -2,8 +2,8 @@
 
 The closed formula of decomp is checked against this independent
 computation: conjugacy classes come from each element's signed cycle
-type, and induced characters from explicit summation over the elements
-of the block subgroup.  Nothing here uses the formula;
+type, and induced characters from explicit summation over the block
+subgroup, class by class.  Nothing here uses the formula;
 dweyl.verify.verify_formula compares the two for every pair of block
 characters.  The tests hold it against their own explicit-element
 toolkit (reference group tables that classify every element by its own
@@ -13,8 +13,7 @@ part of the package.
 A signed permutation of {1..n} is a tuple w of length n whose entry
 w[i] = +j or -j says that point i+1 maps to point j with that sign.
 An element lies in the even-signed (type D) group exactly when the
-number of negative entries is even.  Its sign mask m has bit i-1 set
-when w(i) is negative.
+number of negative entries is even.
 
 A signed cycle type with a negative cycle or an odd positive cycle is a
 single class of the even-signed group.  Any other type (all cycles
@@ -25,43 +24,22 @@ conjugating it onto that representative has an even number of sign
 changes.  This is well defined because such an element's centralizer
 in the full signed permutation group lies inside the even-signed group.
 
-The elements sharing one unsigned permutation share its cycles; only
-the signs differ, and what the class needs of them are parities of the
-sign mask, which are linear over GF(2):
-
-* a cycle with point mask c is negative exactly when popcount(m & c)
-  is odd;
-* the parity of the conjugator's sign changes is popcount(m & F) mod 2
-  for one flip mask F of the permutation: along a cycle
-  i_0 -> i_1 -> ... -> i_(L-1) the sign of w(i_l) is carried to the
-  L-1-l points after i_l, so F holds the points i_l with L-1-l odd.
-
-So one walk per unsigned permutation gives each point a code (a bit per
-cycle, plus the flip bit), the code of a sign mask is the XOR of the
-codes of its points, and each element's class type is one lookup in
-the code table of its cycle lengths.  The cycles are numbered longest
-first, so the lengths of a permutation come out sorted and each cycle
-type has one code table.  The codes are spanned by doubling over the
-even masks only, the ones that are read.
-
-The block subgroup is enumerated as pairs of block elements, each
-classified by its own signed cycle type, and each block's classes are
-tallied once per rank, a tally that every split reading a block of that
-rank shares.  The tally of one permutation depends only on its cycle
-type lambda: the j-th longest cycle, of length L, gives L points the
-code bit j+1, and floor(L/2) of them the flip bit as well, whatever the
-permutation, and the even masks are the even-sized sets of points, so a
-bijection of the points that keeps their codes carries the even masks
-onto each other with their codes.  (In group terms: relabelling the points is
-conjugation by a sign-free permutation, which keeps every signed cycle
-type and so every class of W(B_n) and W(D_n); Geck and Pfeiffer,
-Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2000.)
-So a rank-k tally walks one permutation per cycle type, p(k) walks of
-2^(k-1) codes instead of k!, and weights its counts by the k!/z_lambda
-permutations of that type.  oracle_induce, and so verify_formula, is
-capped at n = 11, the largest rank at which every split fits the
-64-bit slots below.  The formula side of the package has no such
-bound.
+The block subgroup is the product of the even-signed groups of its two
+blocks, so its elements are the pairs of block elements.  Each block's
+classes are counted once per rank, a count that every split reading a
+block of that rank shares: a class c of the rank-k group holds
+|W(D_k)| / |C(c)| elements, the orbit of one of them under
+conjugation.  The centralizer order is exact in closed form: in the
+full signed permutation group a cycle of length L commutes with its 2L
+signed powers and equal cycles are permuted among themselves, so
+|C| = 2^(l(positive) + l(negative)) z(positive) z(negative); a split
+class keeps it, as the ambient class halves, and any other class halves
+it, as the ambient class is one class of the subgroup (Geck and
+Pfeiffer, Characters of finite Coxeter groups and Iwahori-Hecke
+algebras, 2000).  The tests hold the counts against the explicit group
+tables up to rank 7.  oracle_induce, and so verify_formula, is capped
+at n = 11, the largest rank at which every split fits the 64-bit slots
+below.  The formula side of the package has no such bound.
 
 A pair of block classes fuses by one union rule: the element's positive
 and negative cycle types are the unions of its blocks', and a split
@@ -69,7 +47,7 @@ type's tag is the product of theirs.  Its signed cycles are its blocks',
 so at a split type both blocks are split, and a conjugator onto the
 sign-free representative can be taken block by block, each block's onto
 its own sign-free element, then a sign-free one: sign changes add, so
-tags multiply.  test_union_rule_matches_the_whole_walk_at_block_even_masks
+tags multiply.  test_union_rule_matches_the_walk_of_the_joined_element
 and test_fused_counts_match_scan_over_the_group hold the rule.
 
 The inner products with every label of the rank-n group come at once,
@@ -97,117 +75,31 @@ import sys
 from array import array
 from collections import defaultdict
 from functools import cache
-from math import factorial
 from typing import NamedTuple, Sequence
 
-from .dchar import DClassType, DIrrLabel, _d_char_column, d_char_value, d_irr_labels, format_irr_label, group_order_d
+from .dchar import DClassType, DIrrLabel, _d_centralizer_order, _d_char_column, check_label, d_char_value, d_classes, d_irr_labels, format_irr_label, group_order_d
 from .decomp import DecompositionResult
-from .partitions import Partition, RangeError, enumerate_partitions, union
-from .symchar import sym_centralizer_order
+from .partitions import Partition, RangeError, union
 
 MAX_RANK = 11  # verify_formula and oracle_induce
 
 
 # ---------------------------------------------------------------------------
-# Signed cycle types by sign-mask codes
+# The block subgroup, class by class
 
 def _class_type(positive: Partition, negative: Partition, flips: int) -> DClassType:
-    """Class label from the cycle types and the conjugator's parity of
-    an element, or from the parts of a code (see the module docstring)."""
+    """Class label from the cycle types of an element and the parity of
+    a conjugator's sign changes (see the module docstring)."""
     if negative or any(part % 2 for part in positive):
         return DClassType(positive, negative, None)
     return DClassType(positive, negative, -1 if flips else 1)
 
 
-def _point_codes(perm: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """Cycle lengths of an unsigned permutation and the code of each of
-    its points (see the module docstring).
-
-    Cycles are walked from their smallest point, in point order, and
-    numbered longest first, ties in walk order.  Bit 0 of a
-    code holds the parity of the conjugator's sign changes, and bit j+1
-    is set when cycle j is negative: a point of cycle j has bit j+1, and
-    bit 0 when it is in the flip mask.
-    """
-    cycles: list[list[int]] = []
-    point_codes = [0] * len(perm)
-    for start in range(len(perm)):
-        if point_codes[start]:
-            continue
-        points = []
-        i = start
-        while not point_codes[i]:
-            point_codes[i] = 1  # seen
-            points.append(i)
-            i = perm[i] - 1
-        cycles.append(points)
-    cycles.sort(key=len, reverse=True)
-    for j, points in enumerate(cycles):
-        for i in points:
-            point_codes[i] = 2 << j
-        for i in points[-2::-2]:  # the points i_l with L-1-l odd
-            point_codes[i] |= 1
-    return tuple(map(len, cycles)), point_codes
-
-
-def _even_codes(point_codes: list[int]) -> list[int]:
-    """Codes of the sign masks with an even number of set bits over
-    these points (bit i for point i), in ascending mask order.
-
-    Doubling over the points keeps the even and the odd masks apart; the
-    last point only turns odd masks into even ones.
-    """
-    even, odd = [0], []
-    for p in point_codes[:-1]:
-        even, odd = even + [c ^ p for c in odd], odd + [c ^ p for c in even]
-    return even + [c ^ point_codes[-1] for c in odd]
-
-
-@cache
-def _code_types(lengths: tuple[int, ...]) -> tuple[DClassType | None, ...]:
-    """Class label of each code of _point_codes, for cycle lengths
-    longest first, as it numbers them; None for a code with an odd number
-    of negative cycles, which belongs to no even-signed element."""
-    def signed(signs, j, sign):  # each of signs with cycle j added, positive (0) or negative (1)
-        bit, plus, minus = (1 << j, (), (lengths[j],)) if sign else (0, (lengths[j],), ())
-        return [(negs | bit, positive + plus, negative + minus) for negs, positive, negative in signs]
-    out: list[DClassType | None] = [None] * (2 << len(lengths))
-    *cycles, last = range(len(lengths))
-    even, odd = [(0, (), ())], []  # (negs, positive, negative) by the parity of negs, as _even_codes
-    for j in cycles:
-        even, odd = signed(even, j, 0) + signed(odd, j, 1), signed(odd, j, 0) + signed(even, j, 1)
-    for negs, positive, negative in signed(even, last, 0) + signed(odd, last, 1):
-        out[negs << 1] = ty = _class_type(positive, negative, 0)
-        out[negs << 1 | 1] = ty if ty.split is None else _class_type(positive, negative, 1)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# The block subgroup and explicit induction
-
-def _cycle_perm(lam: Partition) -> tuple[int, ...]:
-    """A permutation of cycle type lam: its cycles on consecutive points,
-    each mapping a point to the next and its last point to its first."""
-    perm: list[int] = []
-    for part in lam:
-        start = len(perm) + 1
-        perm.extend(range(start + 1, start + part))
-        perm.append(start)
-    return tuple(perm)
-
-
 @cache
 def _block_tally(k: int) -> dict[DClassType, int]:
-    """Class of the rank-k group -> how many of its elements: one walk per
-    cycle type, each element classified by its own code, weighted by the
-    k!/z_lambda permutations of the type, which share its tally."""
-    tally: dict[DClassType, int] = {}
-    for lam in enumerate_partitions(k):
-        lengths, point_codes = _point_codes(_cycle_perm(lam))
-        weight = factorial(k) // sym_centralizer_order(lam)
-        for ty in map(_code_types(lengths).__getitem__, _even_codes(point_codes)):
-            tally[ty] = tally.get(ty, 0) + weight
-    return tally
+    """Class of the rank-k group -> how many of its elements:
+    |W(D_k)| / |C(c)| (see the module docstring)."""
+    return {c: group_order_d(k) // _d_centralizer_order(c) for c in d_classes(k)}
 
 
 @cache
@@ -319,6 +211,8 @@ def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> Decompo
     """
     if a < 1 or b < 1 or a + b != n or n > MAX_RANK:
         raise RangeError(f"the oracle needs a, b >= 1 with a + b = n <= {MAX_RANK}, got a={a}, b={b}, n={n}")
+    check_label(A, a)
+    check_label(B, b)
     split = _packed(n, a, b)
     partials = _partials(split, [d_char_value(A, ty) for ty in split.types_a])
     return DecompositionResult(n, a, b, A, B, _induce(split, A, B, partials, [d_char_value(B, ty) for ty in split.types_b]), method="oracle")

@@ -472,13 +472,18 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
 
 
 def sym_centralizer_order(mu: Partition) -> int:
-    """Centralizer order of a permutation of cycle type mu: prod i^m_i m_i!,
-    one factor i * j for the j-th part equal to i.  The parts are counted
-    in a plain dict, not a Counter: the first Counter of a process checks
-    its argument against the Mapping ABC, which alone cost a forked
-    child 0.3 ms, more than the rest of this function's first call.  mu
-    is checked by check_class."""
+    """Centralizer order of a permutation of cycle type mu, checked by
+    check_class."""
     check_class((mu, None), "S")
+    return _z(mu)
+
+
+def _z(mu: Partition) -> int:
+    """sym_centralizer_order of mu, unchecked: prod i^m_i m_i!, one factor
+    i * j for the j-th part equal to i.  The parts are counted in a plain
+    dict, not a Counter: the first Counter of a process checks its
+    argument against the Mapping ABC, which alone cost a forked child
+    0.3 ms, more than the rest of this function's first call."""
     counts: dict = {}
     out = 1
     for i in mu:

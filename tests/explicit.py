@@ -1,13 +1,14 @@
 """Explicit-element toolkit for the tests of the verification engine.
 
 Signed permutation arithmetic, group tables up to rank 7 that classify
-every element by its own cycle walk (not by dweyl.oracle's sign-mask
-codes, which the tests hold against them), the class of a single
-element, the block subgroup as a set of rank-n elements, induction by
-literal summation over elements and over subgroup classes, and
-independent formulas for single steps (group, class and centralizer
-orders, induced S_n characters, LR coefficients from characters, the
-class of a blockwise product from its block classes).  It lives with
+every element by its own cycle walk (dweyl.oracle walks no element: the
+tests hold its class counts, from centralizer orders, against these
+tables), the class of a single element, the block subgroup as a set of
+rank-n elements, induction by literal summation over elements and over
+subgroup classes, and independent formulas for single steps (group,
+class and centralizer orders, induced S_n characters, LR coefficients
+from characters, the class of a blockwise product from its block
+classes).  It lives with
 the tests, outside the installed package: nothing in dweyl, the CLI or
 verify_formula runs it; it checks that path from outside, and like
 dweyl.oracle it uses nothing from the formula.

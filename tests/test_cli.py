@@ -310,7 +310,7 @@ def test_decompose_oracle_out_of_range_fails_fast(capsys, monkeypatch):
         raise AssertionError(f"enumerated {args}")
 
     assert not hasattr(dweyl.oracle, "build_group")
-    for name in (dweyl.oracle._point_codes.__name__, dweyl.oracle._even_codes.__name__, "d_irr_labels"):
+    for name in (dweyl.oracle._block_tally.__name__, "d_irr_labels"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     for n, a, b in [("12", "6", "6"), ("12", "1", "11"), ("12", "11", "1"), ("6", "2", "3")]:
         code, out, err = run(capsys, "decompose", "--n", n, "--a", a, "--b", b,

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from dweyl.bchar import BClassType, b_char_value
+from dweyl.bchar import BClassType, b_centralizer_order, b_char_value
 from dweyl.dchar import (
     DClassType,
     DIrrLabel,
@@ -23,6 +23,7 @@ from dweyl.dchar import (
     parse_irr_label,
 )
 from dweyl.partitions import enumerate_partitions
+from dweyl.symchar import check_class, sym_centralizer_order
 
 from explicit import d_class_size, fuse_class
 
@@ -59,6 +60,30 @@ def test_centralizer_orders():
     assert d_centralizer_order(DClassType((2, 2), (), 1)) == 32
     assert d_centralizer_order(DClassType((1, 1, 1, 1), (), None)) == 192
     assert d_centralizer_order(DClassType((2, 1, 1), (), None)) == 16
+
+
+def test_centralizer_orders_check_a_class_once(monkeypatch):
+    import dweyl.bchar
+    import dweyl.dchar
+    import dweyl.symchar
+
+    checked = []
+
+    def check(cls, group):
+        checked.append(group)
+        return check_class(cls, group)
+
+    for module in (dweyl.symchar, dweyl.bchar, dweyl.dchar):
+        monkeypatch.setattr(module, "check_class", check)
+    for call, c, order in [
+        (sym_centralizer_order, (2, 2, 1), 8),
+        (b_centralizer_order, BClassType((2, 1), (1, 1)), 64),
+        (d_centralizer_order, DClassType((2, 2), (), 1), 32),
+        (d_centralizer_order, DClassType((2, 1, 1), (), None), 16),
+    ]:
+        checked.clear()
+        assert call(c) == order
+        assert len(checked) == 1, (call.__name__, checked)
 
 
 def test_class_size_sums():

@@ -1,8 +1,6 @@
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -26,24 +24,25 @@ from dweyl.decomp import InducedQuery, decompose_induced, validate_query
 from dweyl.oracle import (
     MAX_RANK,
     _block_tally,
-    _code_types,
-    _even_codes,
+    _class_type,
     _fused_counts,
     _pack,
     _packed,
-    _point_codes,
     _slot_bound,
     _unpack,
     oracle_induce,
 )
-from dweyl.partitions import RangeError, enumerate_partitions, partition_count, union
+from dweyl.partitions import RangeError, enumerate_partitions
 from dweyl.symchar import check_class, sym_centralizer_order
 from dweyl.verify import verify_formula
 
 from explicit import (
     _block_parts,
     _class_sums,
+    _cycle_walk,
+    _embed_blocks,
     _in_block_subgroup,
+    _signed_perms,
     build_group,
     centralizer_chain_values,
     classify_element,
@@ -166,93 +165,29 @@ def scan_fused_counts(n, a, b):
     return {ty: dict(c) for ty, c in counts.items()}
 
 
-def all_mask_codes(point_codes):
-    """Reference span: the code of every sign mask m < 2^n, by doubling
-    over all the points."""
-    codes = [0]
-    for point_code in point_codes:
-        codes += [code ^ point_code for code in codes]
-    return codes
-
-
-def test_table_walks_match_the_full_span():
-    for n in range(1, 8):
-        t = build_group(n)
-        even = [m for m in range(1 << n) if bin(m).count("1") % 2 == 0]
-        assert factorial(n) * len(even) == len(t.class_of)
-        for i, perm in enumerate(permutations(range(1, n + 1))):
-            lengths, point_codes = _point_codes(perm)
-            reference = all_mask_codes(point_codes)
-            assert _even_codes(point_codes) == [reference[m] for m in even]
-            types = [t.class_types[cid] for cid in t.class_of[i * len(even):(i + 1) * len(even)]]
-            assert types == [_code_types(lengths)[reference[m]] for m in even]
-
-
-def reference_block_tally(k):
-    """Reference _block_tally: the class of every element of the rank-k
-    group, each of the k! permutations walked."""
-    tally = Counter()
-    for perm in permutations(range(1, k + 1)):
-        lengths, point_codes = _point_codes(perm)
-        tally.update(_code_types(lengths)[code] for code in _even_codes(point_codes))
-    return tally
-
-
-def test_block_tally_walks_one_permutation_per_cycle_type(monkeypatch):
-    # every permutation of one cycle type has the same class tally, so
-    # one walk per type, weighted by the k!/z_lambda permutations of the
-    # type, gives the tally of all k! walks
-    import dweyl.oracle
-
-    walked = Counter()
-
-    def count(perm):
-        walked[len(perm)] += 1
-        return _point_codes(perm)
-
-    monkeypatch.setattr(dweyl.oracle, _point_codes.__name__, count)
-    _block_tally.cache_clear()
+def test_block_tally_counts_the_classes_of_the_group_tables():
+    # |W(D_k)| / |C(c)| per class, against the classes of the explicit
+    # tables as far as they go, and summing to the group order up to the
+    # oracle's cap
     for k in range(1, 8):
-        tally = _block_tally(k)
-        assert tally == reference_block_tally(k), k
-        assert walked[k] == partition_count(k)
-        per_type = Counter()
-        for ty, elements in tally.items():
-            per_type[union(ty.positive, ty.negative)] += elements
-        weights = {lam: elements >> k - 1 for lam, elements in per_type.items()}
-        assert weights == {lam: factorial(k) // sym_centralizer_order(lam) for lam in enumerate_partitions(k)}
-        assert sum(weights.values()) == factorial(k)
-    _block_tally.cache_clear()
+        t = build_group(k)
+        assert _block_tally(k) == {ty: t.class_size(cid) for cid, ty in enumerate(t.class_types)}, k
+    for k in range(1, MAX_RANK + 1):
+        assert sum(_block_tally(k).values()) == group_order_d(k), k
 
 
-def test_block_tally_counts_each_class_by_its_centralizer():
-    # |class| = |group| / |centralizer|, with no group table: up to rank
-    # 10, past the full-group scans, which stop at rank 7
-    for k in range(1, 11):
-        assert _block_tally(k) == {c: group_order_d(k) // d_centralizer_order(c) for c in d_classes(k)}, k
-
-
-def test_union_rule_matches_the_whole_walk_at_block_even_masks():
-    """_fused_counts classifies each block element by its own walk and
-    fuses the two blocks' classes by the union rule, written out in
-    fuse_class.  At every pair of block-even masks the fused class must
-    be the one that the rank-n walk of the whole permutation gives."""
+def test_union_rule_matches_the_walk_of_the_joined_element():
+    """_fused_counts fuses the two blocks' classes by the union rule,
+    written out in fuse_class.  At every pair of block elements the fused
+    class must be the one that the cycle walk of the joined rank-n
+    element gives."""
     for n in range(2, 8):
         for a in range(1, n):
-            b = n - a
-            even_a = [m for m in range(1 << a) if bin(m).count("1") % 2 == 0]
-            even_b = [m for m in range(1 << b) if bin(m).count("1") % 2 == 0]
-            for perm_a in permutations(range(1, a + 1)):
-                lengths_a, point_codes_a = _point_codes(perm_a)
-                types_a = [_code_types(lengths_a)[x] for x in _even_codes(point_codes_a)]
-                for perm_b in permutations(range(1, b + 1)):
-                    lengths_b, point_codes_b = _point_codes(perm_b)
-                    types_b = [_code_types(lengths_b)[y] for y in _even_codes(point_codes_b)]
-                    lengths, point_codes = _point_codes(perm_a + tuple(x + a for x in perm_b))
-                    assert list(lengths) == sorted(lengths_a + lengths_b, reverse=True)
-                    reference = all_mask_codes(point_codes)
-                    whole = [_code_types(lengths)[reference[ma | mb << a]] for ma in even_a for mb in even_b]
-                    assert [fuse_class(pa, pb) for pa in types_a for pb in types_b] == whole, (perm_a, perm_b)
+            block_b = [(wb, _class_type(*_cycle_walk(wb))) for wb in _signed_perms(n - a, even=True)]
+            for wa in _signed_perms(a, even=True):
+                pa = _class_type(*_cycle_walk(wa))
+                for wb, pb in block_b:
+                    assert fuse_class(pa, pb) == _class_type(*_cycle_walk(_embed_blocks(wa, wb))), (wa, wb)
 
 
 def test_fused_counts_match_scan_over_the_group():
@@ -315,22 +250,13 @@ def test_verify_formula_builds_no_ambient_element_list(monkeypatch):
     assert built == []
 
 
-def test_mirror_splits_share_the_larger_block_walk(monkeypatch):
-    # (9, 1, 8) and (9, 8, 1) read one tally of the rank-8 block, walked
-    # once per cycle type
-    import dweyl.oracle
-
+def test_mirror_splits_share_the_larger_block_tally(monkeypatch):
+    # (9, 1, 8) and (9, 8, 1) read one tally of the rank-8 block: one
+    # _block_tally miss per block rank
     record_tables(monkeypatch)
-    walked = Counter()
-
-    def count(perm):
-        walked[len(perm)] += 1
-        return _point_codes(perm)
-
-    monkeypatch.setattr(dweyl.oracle, _point_codes.__name__, count)
     assert verify_formula(9, 1, 8).mismatches == ()
     assert verify_formula(9, 8, 1).mismatches == ()
-    assert walked == {8: partition_count(8), 1: partition_count(1)}
+    assert _block_tally.cache_info().misses == 2
 
 
 def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
@@ -341,7 +267,7 @@ def test_verify_formula_rejects_ranks_before_enumerating(monkeypatch):
         raise AssertionError(f"enumerated {args}")
 
     assert not hasattr(dweyl.oracle, "build_group")
-    for name in ("d_irr_labels", _point_codes.__name__, _even_codes.__name__):
+    for name in ("d_irr_labels", _block_tally.__name__):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     for name in ("d_irr_labels", _packed.__name__):
         monkeypatch.setattr(dweyl.verify, name, refuse)
@@ -360,12 +286,30 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
         raise AssertionError(f"enumerated {args}")
 
     assert not hasattr(dweyl.oracle, "build_group")
-    for name in ("d_irr_labels", _point_codes.__name__, _even_codes.__name__, "d_char_value", "_d_char_column"):
+    for name in ("d_irr_labels", _block_tally.__name__, "d_char_value", "_d_char_column"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A = B = make_irr_label((2,), ())
     for n, a, b in [(12, 6, 6), (12, 1, 11), (12, 11, 1), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
         with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 11, got"):
             oracle_induce(n, a, b, A, B)
+
+
+def test_oracle_induce_refuses_a_wrong_rank_label_before_packing(monkeypatch):
+    # the message is the formula's, and no split is built
+    import dweyl.oracle
+
+    def refuse(*args):
+        raise AssertionError(f"packed {args}")
+
+    monkeypatch.setattr(dweyl.oracle, _packed.__name__, refuse)
+    A, B = parse_irr_label("([5],[])"), parse_irr_label("([6],[])")
+    wrong = parse_irr_label("([9],[])")
+    for q in (InducedQuery(11, 5, 6, wrong, B), InducedQuery(11, 5, 6, A, wrong)):
+        with pytest.raises(ValueError) as formula:
+            decompose_induced(q)
+        with pytest.raises(ValueError) as oracle:
+            oracle_induce(q.n, q.a, q.b, q.A, q.B)
+        assert str(oracle.value) == str(formula.value) == "label ([9],[]) has size 9, expected " + str(q.a if q.A == wrong else q.b)
 
 
 def test_verify_reports_each_label_a_wrong_formula_gets_wrong(monkeypatch, capsys):
