@@ -3,9 +3,12 @@
 Computes, in exact integer arithmetic, the decomposition into
 irreducibles of characters induced from maximal reflection subgroups of
 type D_a x D_b inside W(D_n), via Littlewood-Richardson combinatorics,
-and verifies the closed formula against a brute-force engine built on
-explicit signed permutations at small rank.
+and verifies the closed formula against a class-fusion engine at small
+rank: classes of the block subgroup counted as |W(D_k)| / |C(c)|, inner
+products taken by Kronecker substitution, and no LR coefficient.
 """
+
+import sys
 
 from .bchar import BClassType, b_centralizer_order, b_char_value, b_classes, b_degree
 from .dchar import (
@@ -50,7 +53,23 @@ from .partitions import (
     size,
     union,
 )
+from . import symchar
 from .symchar import sym_centralizer_order, sym_char_value, sym_degree
 from .verify import verify_formula
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every value store, the walk's tables and every functools
+    cache under dweyl, in place: later calls compute their values again."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.partition(".")[0] == "dweyl":
+            for value in vars(module).values():
+                if isinstance(value, symchar.Store):
+                    value.entries.clear()
+                elif hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    symchar._grown.clear()
+    symchar._conjugates.clear()
+    symchar._conjugates[0] = 0  # the empty shape, which _fold reads

@@ -14,10 +14,8 @@ by a table fixture in the test suite:
 Values follow the wreath-product Murnaghan-Nakayama rule, run by the
 abacus walk of ``dweyl.symchar`` on pairs of bead masks: a k-cycle is a
 k-box border strip on either component, with sign (-1)**height, and a
-*negative* cycle on the second component takes an extra factor -1.  As
-there, a class's first value walks back from the label and a second
-label asked at the class walks its whole column forward, with no
-recursion either way.  The forward walk keeps one state per orbit of
+*negative* cycle on the second component takes an extra factor -1.  The
+forward walk keeps one state per orbit of
 {(alpha, beta), (beta, alpha), (alpha', beta'), (beta', alpha')}:
 [beta; alpha] is [alpha; beta] tensored with the linear character that
 is -1 on each negative cycle (Geck-Pfeiffer 2000, 5.5), and
@@ -26,10 +24,8 @@ permutation, so a column reads each label through those signs.  The
 column of a class with an odd cycle is walked once for two classes: that
 of w(-1), each odd cycle's sign flipped, is the walked one times each
 label's central character at -1, (-1)**|beta|, since -1 is central
-(``symchar.central_partner``).  The
-values asked are kept in ``b_memo``, {class: (index, values)} as
-``symchar`` keeps them; a class or label is checked on a miss, before it
-is walked or stored.
+(``symchar.central_partner``).  The values asked are kept in
+``b_store``, a ``symchar.Store``.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .partitions import Bipartition, Partition, bipartition_count, enumerate_bipartitions, format_bipartition, size
-from .symchar import _given_shape, _z, backward, central_partner, check_class, checked_rank, column_keys, first_request, read_column, sym_degree, written
+from .symchar import Store, _given_shape, _z, backward, central_partner, check_class, column_keys, read_column, sym_degree, written
 
 
 class BClassType(NamedTuple):
@@ -81,38 +77,36 @@ def _column_keys(n: int) -> tuple[dict, list, dict]:
     return column_keys(labels, labels)
 
 
-b_memo: dict = {}
-"""{class: (index, values)}: the values asked of B_n, the value at the
-class of label being values[index[label]]."""
-
-
 def b_char_value(label: Bipartition, c: BClassType) -> int:
     """Value of the irreducible character [alpha; beta] on class c.  On a
     miss, c is checked by check_class (a class of W(D_n) is refused), then
-    the label; b_memo never holds a bad one."""
+    the label; b_store never holds a bad one."""
     try:
         index, column = b_memo[c]
         return column[index[label]]
     except (KeyError, TypeError):  # a miss, or an unhashable class or label
         pass
-    n = checked_rank(b_memo, c, c, "B")
+    n = b_store.rank(c)
     if not isinstance(label, tuple) or len(label) != 2:
         raise ValueError(f"label {written(label, None)} is not a type B label: it needs two fields (alpha, beta)")
     (first, a), (second, b) = _given_shape(label[0]), _given_shape(label[1])
     if a + b != n:
         raise ValueError(f"size mismatch between {format_bipartition(label)} and {format_bipartition(c)}")
-    return first_request(b_memo, c, label, bipartition_count, n, partial(backward, c, (first, second)), partial(_column, c, n))
+    return b_store.value(c, label, n, partial(backward, c, (first, second)))
 
 
-def _column(c: BClassType, n: int) -> tuple[dict, list]:
-    """Value at c of every label of rank n, read_column of c; b_memo gets
-    the column of the class of w(-1), w in c, too, when that is another
-    class: c's times each label's central character at -1."""
-    index, column = read_column(c, _column_keys)
+def _columns(c: BClassType, n: int) -> tuple:
+    """The walk of b_store: the column at c and, when the class of w(-1),
+    w in c, is another, its column, c's times the central characters."""
+    column = read_column(c, _column_keys)[1]
     partner = central_partner(c)
     if partner:
-        b_memo[BClassType(*partner)] = index, list(map(mul, column, _column_keys(n)[2]["central"]))
-    return index, column
+        return (c, column), (BClassType(*partner), list(map(mul, column, _column_keys(n)[2]["central"])))
+    return ((c, column),)
+
+
+b_store = Store("B", bipartition_count, _column_keys, _columns)
+b_memo = b_store.entries
 
 
 def b_degree(label: Bipartition) -> int:

@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", required=True)
     p.set_defaults(func=cmd_branch)
 
-    p = sub.add_parser("verify", help="compare the formula against the explicit oracle")
+    p = sub.add_parser("verify", help="compare the formula against the class-fusion oracle")
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)

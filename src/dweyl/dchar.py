@@ -30,30 +30,23 @@ orthogonality tests:
   (``oracle._fused_counts``).
 
 Values come from the abacus walk of ``dweyl.symchar``, with no
-recursion, under its first-request rule: a class's first value walks
-back from the label; a second label asked at the class reads its whole
-column with ``symchar.read_column``, the column reader of the full group
-and of the symmetric groups too: the folded forward walk of the full
-group at the class's cycle types, walked once for both classes of a
-split type, read under the labels of this group.  A class here has an
-even number of negative cycles, so the two orders of a pair have one
-value there, and an unordered label reads the state of its bipartition,
-with no table of the full group in between; only the degenerate labels
-then change, halved, and at a split type corrected by the degenerate
-difference, read from the whole column of the symmetric group at pi.  At
-even n, -1 lies in this group, and the column walked at a class with an
-odd cycle gives that of the class of w(-1) too, each odd cycle's sign
-flipped: a label's value there is its value at w times its central
-character at -1, (-1)**|beta| (``symchar.central_partner``).  A split
-type has no odd cycle, so its classes have no such partner.  A class's
-first value (``_first_value``) walks back, through ``_restrict``.
-``d_char_column`` reads a class's column whole, with no backward walk
-first, and ``_d_char_column`` reads one its caller built, with no class
-check.  The values asked are kept in
-``d_memo``, {class: (index, values)} as ``symchar`` keeps them, apart
-from those of the full group: a walked column is a list in
-``d_irr_labels`` order under the one index of its rank, and a split
-type's two columns differ only at the degenerate slots.  A class is
+recursion.  A class's first value (``_first_value``) walks back, through
+``_restrict``; its whole column is read with ``symchar.read_column``,
+the column reader of the full group and of the symmetric groups too: the
+folded forward walk of the full group at the class's cycle types, walked
+once for both classes of a split type, read under the labels of this
+group.  A class here has an even number of negative cycles, so the two
+orders of a pair have one value there, and an unordered label reads the
+state of its bipartition, with no table of the full group in between;
+only the degenerate labels then change, halved, and at a split type
+corrected by the degenerate difference, read from the whole column of
+the symmetric group at pi.  At even n, -1 lies in this group, and the
+column walked at a class with an odd cycle gives that of the class of
+w(-1) too, each odd cycle's sign flipped: a label's value there is its
+value at w times its central character at -1, (-1)**|beta|
+(``symchar.central_partner``).  A split type has no odd cycle, so its
+classes have no such partner.  The values asked are kept in
+``d_store``, a ``symchar.Store``, in ``d_irr_labels`` order; a class is
 checked, by ``symchar.check_class``, and a label, by ``check_label``,
 only on a miss.
 """
@@ -82,7 +75,7 @@ from .partitions import (
     read_label,
     size,
 )
-from .symchar import _given_shape, _labels, _shape, backward, central_partner, check_class, checked_rank, column_keys, first_request, read_column, s_memo, splittable, sym_char_value, written
+from .symchar import Store, _given_shape, _shape, backward, central_partner, check_class, column_keys, read_column, s_store, splittable, sym_char_value, written
 
 
 class DIrrLabel(NamedTuple):
@@ -259,21 +252,16 @@ def _halve(chi: DIrrLabel, c: DClassType, total: int) -> int:
     return total // 2
 
 
-d_memo: dict = {}
-"""{class: (index, values)}: the values asked of D_n, the value at the
-class of chi being values[index[chi]]."""
-
-
 def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
     """Value of the irreducible character chi on class c.  On a miss, c is
     checked by check_class (a class of the full group is refused), then
-    chi by check_label; d_memo never holds a bad one."""
+    chi by check_label; d_store never holds a bad one."""
     try:
         index, column = d_memo[c]
         return column[index[chi]]
     except (KeyError, TypeError):  # a miss, or an unhashable class or label
         pass
-    n = checked_rank(d_memo, c, c, "D")
+    n = d_store.rank(c)
     try:
         state, size = _label_state(chi)
     except TypeError:  # unhashable label, which check_label names
@@ -281,7 +269,7 @@ def d_char_value(chi: DIrrLabel, c: DClassType) -> int:
         raise ValueError(f"label {format_irr_label(chi)} is unhashable") from None
     if size != n:
         raise ValueError(f"size mismatch between {format_irr_label(chi)} and {format_class(c)}")
-    return first_request(d_memo, c, chi, bipartition_count, n, partial(_first_value, chi, c, state), partial(_column, c, n))
+    return d_store.value(c, chi, n, partial(_first_value, chi, c, state))
 
 
 def _first_value(chi: DIrrLabel, c: DClassType, state: tuple[int, int]) -> int:
@@ -304,58 +292,39 @@ def _degenerate(n: int) -> tuple[tuple[int, DIrrLabel], ...]:
 
 def d_char_column(c: DClassType) -> list[int]:
     """Value at c of every label of its rank, in d_irr_labels order: a
-    copy of the column that d_char_value reads from a class's second label
-    on, kept in the same store.  c is checked by check_class unless d_memo
-    has it."""
-    return _d_char_column(c, checked_rank(d_memo, c, c, "D"))
+    copy of the column that d_char_value reads, checked by check_class
+    unless d_store has it."""
+    return d_store.column(c, d_store.rank(c)).copy()
 
 
-def _d_char_column(c: DClassType, n: int) -> list[int]:
-    """d_char_column without the class check, for callers that built c,
-    of rank n."""
-    entry = d_memo.get(c)
-    if entry is None or entry[0] is not _column_keys(n)[0]:  # none, or a private index
-        d_memo[c] = entry = _column(c, n)
-    return entry[1].copy()
-
-
-def _column(c: DClassType, n: int) -> tuple[dict, list]:
-    """Value at c of every label of rank n, under the rank's shared index:
-    symchar.read_column of c's type, as c has an even number of negative
-    cycles, so a label and its swap have one value there; only the
-    degenerate labels then change, by halving, and at a split type by the
-    difference character too, read from the whole S_{n/2} column at pi.
-    The other class of a split type differs only there, and its store
-    entry gets its whole column too.  At even n, the class of w(-1), w in
-    c, gets its column when it is another class: c's times each label's
-    central character at -1 (symchar.central_partner)."""
+def _columns(c: DClassType, n: int) -> tuple:
+    """The walk of d_store: the column at c, read_column of c's type, as a
+    label and its swap have one value there; only the degenerate labels
+    change, halved, and at a split type corrected by the difference
+    character, read from the S_{n/2} column at pi.  The twin of a split
+    type differs only there; at even n, the class of w(-1), w in c, when
+    another, takes c's column times the central characters at -1."""
     positive, negative, split = c
-    index, column = read_column((positive, negative), _column_keys)
+    column = read_column((positive, negative), _column_keys)[1]
     if split:
         twin = DClassType(positive, negative, -split)
         other = column.copy()
         pi = tuple(part // 2 for part in positive)
-        s_index, s_values = _sym_column(pi, n // 2)
+        s_index, s_values = s_store.keys(n // 2)[0], s_store.column(pi, n // 2)
         scale = split * (-1) ** (n // 2) * 2 ** len(pi)
         for i, X in _degenerate(n):
             delta = X.eps * scale * s_values[s_index[X.label[0]]]
             column[i], other[i] = _halve(X, c, column[i] + delta), _halve(X, twin, column[i] - delta)
-        d_memo[twin] = index, other
-        return index, column
+        return (c, column), (twin, other)
     for i, X in _degenerate(n):
         column[i] = _halve(X, c, column[i])
     if not n % 2 and (partner := central_partner((positive, negative))):
-        d_memo[DClassType(*partner, None)] = index, list(map(mul, column, _column_keys(n)[2]["central"]))
-    return index, column
+        return (c, column), (DClassType(*partner, None), list(map(mul, column, _column_keys(n)[2]["central"])))
+    return ((c, column),)
 
 
-def _sym_column(pi: Partition, m: int) -> tuple[dict, list]:
-    """s_memo's entry of pi, of rank m, walked into it unless it holds the
-    value of every partition of m under the rank's shared index."""
-    entry = s_memo.get(pi)
-    if entry is None or entry[0] is not _labels(m)[0]:  # none, or a private index
-        s_memo[pi] = entry = read_column((pi, None), _labels)
-    return entry
+d_store = Store("D", bipartition_count, _column_keys, _columns)
+d_memo = d_store.entries
 
 
 def d_degree(chi: DIrrLabel) -> int:

@@ -1,19 +1,16 @@
-"""Brute-force verification engine on explicit signed permutations.
+"""Class-fusion verification engine for the induction formula.
 
 The closed formula of decomp is checked against this independent
-computation: conjugacy classes come from each element's signed cycle
-type, and induced characters from explicit summation over the block
-subgroup, class by class.  Nothing here uses the formula;
+computation: the classes of the block subgroup are counted as
+|W(D_k)| / |C(c)| and fused into classes of the rank-n group, and the
+inner products of the induced characters are taken by Kronecker
+substitution.  It shares d_irr_labels, check_label and the D columns
+with the formula, and no LR coefficient;
 dweyl.verify.verify_formula compares the two for every pair of block
 characters.  The tests hold it against their own explicit-element
 toolkit (reference group tables that classify every element by its own
 cycle walk, element arithmetic, elementwise induction), which is not
 part of the package.
-
-A signed permutation of {1..n} is a tuple w of length n whose entry
-w[i] = +j or -j says that point i+1 maps to point j with that sign.
-An element lies in the even-signed (type D) group exactly when the
-number of negative entries is even.
 
 A signed cycle type with a negative cycle or an odd positive cycle is a
 single class of the even-signed group.  Any other type (all cycles
@@ -77,7 +74,7 @@ from collections import defaultdict
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .dchar import DClassType, DIrrLabel, _d_centralizer_order, _d_char_column, check_label, d_char_value, d_classes, d_irr_labels, format_irr_label, group_order_d
+from .dchar import DClassType, DIrrLabel, _d_centralizer_order, check_label, d_char_value, d_classes, d_irr_labels, d_store, format_irr_label, group_order_d
 from .decomp import DecompositionResult
 from .partitions import Partition, RangeError, union
 
@@ -146,7 +143,7 @@ def _slot_bound(n: int, a: int, b: int) -> int:
     identity column): |H| * max deg A * max deg B * max deg X."""
     bound = group_order_d(a) * group_order_d(b)
     for rank in (a, b, n):
-        bound *= max(_d_char_column(DClassType((1,) * rank, (), None), rank))
+        bound *= max(d_store.column(DClassType((1,) * rank, (), None), rank))
     return bound
 
 
@@ -169,7 +166,7 @@ def _packed(n: int, a: int, b: int) -> _Packed:
         raise RangeError(f"the oracle's inner products at n={n}, a={a}, b={b} may reach {bound}, past {SLOT_BITS}-bit slots")
     sums: defaultdict[tuple[DClassType, DClassType], int] = defaultdict(int)
     for ty, counts in _fused_counts(n, a, b).items():
-        column = _pack(_d_char_column(ty, n))
+        column = _pack(d_store.column(ty, n))
         for pair, count in counts.items():
             sums[pair] += count * column
     types_a, types_b = tuple(dict.fromkeys(pa for pa, _ in sums)), tuple(dict.fromkeys(pb for _, pb in sums))
@@ -202,7 +199,7 @@ def _induce(split: _Packed, A: DIrrLabel, B: DIrrLabel, partials: list[int], row
 
 
 def oracle_induce(n: int, a: int, b: int, A: DIrrLabel, B: DIrrLabel) -> DecompositionResult:
-    """Decompose the induced character of A x B by explicit summation.
+    """Decompose the induced character of A x B by class sums over the block subgroup.
 
     The inner product of the induced character with X over the rank-n
     group, |class| * |centralizer| = |group| cancelled, is

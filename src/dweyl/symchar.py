@@ -7,10 +7,7 @@ exact integers from the Murnaghan-Nakayama rule on the abacus
 shared with ``dweyl.bchar`` and ``dweyl.dchar``.  It runs with no
 recursion, as a loop over layers of {bead masks: coefficient}, one per
 cycle: backward from a label for one value, or forward from the empty
-shape for a class's whole column.  A class's first value is a backward
-walk; a different label asked there walks the column, which answers
-every later request, unless the rank has more than ``COLUMN_LABELS``
-labels (counted, not enumerated): then every label walks back.
+shape for a class's whole column.
 
 The forward walk is folded by the linear characters that permute the
 labels: [lambda'] = sgn [lambda] (James-Kerber 2.1.8) for S_n, and for
@@ -36,15 +33,16 @@ column of a class with an odd cycle, store that of its partner class
 too, its values times the signs ``column_keys`` keeps under "central";
 a class with no odd cycle is its own partner.  S_n has no such element.
 
-The values asked are kept in one plain dict per group type (``s_memo``
-here, keyed by the cycle type itself; ``bchar.b_memo``,
-``dchar.d_memo``), each class's entry a pair (index, values): values a
-plain list and index {label: its slot}.  A walked
-column is the list read from the walk in label order, under the one
-index of its rank and group type, built beside the walk's keys and
-shared by every column of that rank; a class's backward-walked values
-keep a private index of their own, so the shared one never grows.  A
-warm value is three lookups: the entry, the slot, the value.
+The values asked of each view are kept in its ``Store`` (``s_store``
+here, keyed by the cycle type itself; ``bchar.b_store``,
+``dchar.d_store``), the only code that writes them: a plain dict of
+entries {class: (index, values)}, values a list and index {label: its
+slot}, bound by the view at import (``s_memo``, ``b_memo``, ``d_memo``)
+so that a warm value is two dict subscripts.  A class's first value is
+walked back and kept under a private index; a second label walks the
+column, stored with those the walk fills beside it under the one index
+of its rank, so the shared one never grows.  ``dweyl.clear_caches``
+empties every store.
 """
 
 from __future__ import annotations
@@ -193,16 +191,17 @@ def _field(f) -> str:
 
 def check_class(cls, group: str) -> int:
     """Rank of a class of the group view, S, B or D, after checking it:
-    (mu, None) of S_n, (positive, negative) of B_n, or (positive,
+    a partition mu of S_n, (positive, negative) of B_n, or (positive,
     negative, split) of D_n, with an even number of negative cycles and
     split 1 or -1 exactly when splittable.  A B or D class of any other
     shape or type, or with unhashable fields, gets one ValueError."""
-    if group != "S":
-        count, fields = (2, "two fields (positive, negative), both tuples") if group == "B" else (3, "three fields (positive, negative, split): two tuples, then None, 1 or -1")
-        if not isinstance(cls, tuple) or len(cls) != count or type(cls[0]) is not tuple or type(cls[1]) is not tuple or cls[2:] not in ((), (None,), (1,), (-1,)):
-            raise ValueError(f"class {written(cls, count)} is not a type {group} class: it needs {fields}")
+    if group == "S":
+        return sum(as_partition(cls))
+    count, fields = (2, "two fields (positive, negative), both tuples") if group == "B" else (3, "three fields (positive, negative, split): two tuples, then None, 1 or -1")
+    if not isinstance(cls, tuple) or len(cls) != count or type(cls[0]) is not tuple or type(cls[1]) is not tuple or cls[2:] not in ((), (None,), (1,), (-1,)):
+        raise ValueError(f"class {written(cls, count)} is not a type {group} class: it needs {fields}")
     positive, negative, *split = cls
-    n = sum(as_partition(positive)) + (0 if negative is None else sum(as_partition(negative)))
+    n = sum(as_partition(positive)) + sum(as_partition(negative))
     if split and len(negative) % 2:
         raise ValueError(f"class {format_class(cls)} has an odd number of negative cycles")
     if split and (split[0] is None) == splittable(positive, negative):
@@ -414,46 +413,69 @@ COLUMN_LABELS = 10_000
 """Most labels (partitions, or bipartitions for B_n and D_n) of a rank
 whose columns are walked: B_n and D_n up to n = 17, S_n up to n = 32."""
 
-s_memo: dict = {}
-"""{cycle type mu: (index, values)}: the values asked of S_n, the value
-at mu of label lam being values[index[lam]]."""
+
+class Store:
+    """The values asked of the view of a group letter, S, B or D: entries
+    by class, filled by walk(cls, n), the (class, column) pairs a walk at
+    cls fills, cls's first, each under keys(n)[0], its rank's index;
+    count(n) is the number of labels of rank n."""
+
+    def __init__(self, group: str, count, keys, walk):
+        self.group, self.count, self.keys, self.walk = group, count, keys, walk
+        self.entries: dict = {}
+
+    def rank(self, cls) -> int:
+        """Rank of the class cls, checked by check_class unless held; an
+        unhashable class that passes is refused by name."""
+        try:
+            if cls in self.entries:
+                return sum(cls) if self.group == "S" else sum(cls[0]) + sum(cls[1])
+        except TypeError:
+            check_class(cls, self.group)
+            raise ValueError(f"class {written(cls, None)} is unhashable") from None
+        return check_class(cls, self.group)
+
+    def value(self, cls, label, n: int, single) -> int:
+        """A checked label's value missing at cls, of rank n, checked too:
+        single() for the class's first label, under a private index, else
+        its column's, unless the rank has more than COLUMN_LABELS labels
+        (counted only once the class holds a value): then single() again,
+        appended.  single is a partial object, so lookups make no cells."""
+        if type(label).__hash__ is None:  # checked fields, but a type that cannot key an index
+            raise ValueError(f"label {written(label, None)} is unhashable")
+        entry = self.entries.get(cls)
+        if entry and n <= last_rank_within(self.count, COLUMN_LABELS):
+            return self._walked(cls, n)[self.keys(n)[0][label]]
+        value = single()
+        if entry:  # past the budget: append to the class's private index
+            entry[0][label] = len(entry[1])
+            entry[1].append(value)
+        else:
+            self.entries[cls] = {label: 0}, [value]
+        return value
+
+    def column(self, cls, n: int) -> list:
+        """The column at cls, of rank n, walked unless held under its rank's index."""
+        entry = self.entries.get(cls)
+        if entry is None or entry[0] is not self.keys(n)[0]:
+            return self._walked(cls, n)
+        return entry[1]
+
+    def _walked(self, cls, n: int) -> list:
+        """Store the columns of the walk at cls; return cls's."""
+        columns, index = self.walk(cls, n), self.keys(n)[0]
+        for key, values in columns:
+            self.entries[key] = index, values
+        return columns[0][1]
 
 
-def checked_rank(memo: dict, key, cls, group: str) -> int:
-    """Rank of the class cls of the group view, which memo keeps under
-    key once checked: by check_class unless memo holds it or key is
-    unhashable."""
-    try:
-        if key in memo:
-            return sum(cls[0]) + sum(cls[1] or ())
-    except TypeError:  # unhashable
-        pass
-    return check_class(cls, group)
+def _columns(mu: Partition, n: int) -> tuple:
+    """The walk of s_store: mu's column."""
+    return ((mu, read_column((mu, None), _labels)[1]),)
 
 
-def first_request(memo: dict, cls, label, count, n: int, single, whole) -> int:
-    """A checked label's value missing from memo[cls], cls of rank n
-    checked too: single() for the class's first label, kept under a
-    private index ({label: 0}, [value]), else from its column whole(),
-    (index, values) under the rank's shared index, which memo keeps,
-    unless the rank has more than COLUMN_LABELS labels (by count, counted
-    without enumerating them, only up to the first rank past the budget,
-    and only once the class holds a value); then single() answers every
-    label, appended to the private pair.  The views pass single and whole
-    as partial objects, not closures, so that their lookups make no
-    cells."""
-    entry = memo.get(cls)
-    if entry and n <= last_rank_within(count, COLUMN_LABELS):
-        memo[cls] = (index, column) = whole()
-        return column[index[label]]
-    value = single()
-    if entry:  # past the budget: append to the class's private index
-        index, column = entry
-        index[label] = len(column)
-        column.append(value)
-    else:
-        memo[cls] = {label: 0}, [value]
-    return value
+s_store = Store("S", partition_count, _labels, _columns)
+s_memo = s_store.entries
 
 
 def sym_char_value(lam: Partition, mu: Partition) -> int:
@@ -463,18 +485,16 @@ def sym_char_value(lam: Partition, mu: Partition) -> int:
         return column[index[lam]]
     except (KeyError, TypeError):  # a miss, or an unhashable mu or lam
         pass
-    cls = mu, None
-    n = checked_rank(s_memo, mu, cls, "S")
+    n = s_store.rank(mu)
     mask, size = _given_shape(lam)
     if size != n:
         raise ValueError(f"size mismatch: |{format_partition(lam)}| != |{format_partition(mu)}|")
-    return first_request(s_memo, mu, lam, partition_count, n, partial(backward, cls, (mask, 0)), partial(read_column, cls, _labels))
+    return s_store.value(mu, lam, n, partial(backward, (mu, None), (mask, 0)))
 
 
 def sym_centralizer_order(mu: Partition) -> int:
-    """Centralizer order of a permutation of cycle type mu, checked by
-    check_class."""
-    check_class((mu, None), "S")
+    """Centralizer order of a permutation of cycle type mu, checked."""
+    check_class(mu, "S")
     return _z(mu)
 
 

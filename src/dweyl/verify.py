@@ -1,4 +1,4 @@
-"""The closed formula against the explicit-group oracle.
+"""The closed formula against the class-fusion oracle.
 
 verify_formula compares decomp.decompose_induced with the inner products
 of dweyl.oracle for every pair of block characters of one split.  This
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dchar import _d_char_column, d_irr_labels, irr_label_key
+from .dchar import d_irr_labels, d_store, irr_label_key
 from .decomp import InducedQuery, _decompose
 from .oracle import MAX_RANK, _induce, _packed, _partials
 from .partitions import RangeError
@@ -29,7 +29,7 @@ class VerificationReport(NamedTuple):
 def check_verify_rank(n: int) -> None:
     """Reject a rank that verification cannot run at, before any work."""
     if not 4 <= n <= MAX_RANK:
-        raise RangeError(f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 and the explicit oracle is capped at n = {MAX_RANK}")
+        raise RangeError(f"verify needs 4 <= n <= {MAX_RANK}, got n = {n}: the formula starts at n = 4 and the class-fusion oracle is capped at n = {MAX_RANK}")
 
 
 def verify_formula(n: int, a: int, b: int) -> VerificationReport:
@@ -48,8 +48,8 @@ def verify_formula(n: int, a: int, b: int) -> VerificationReport:
     mismatches = []
     split = _packed(n, a, b)
     labels_b = d_irr_labels(b)
-    rows_b = list(zip(*(_d_char_column(pb, b) for pb in split.types_b)))
-    for A, row_a in zip(d_irr_labels(a), zip(*(_d_char_column(pa, a) for pa in split.types_a))):
+    rows_b = list(zip(*(d_store.column(pb, b) for pb in split.types_b)))
+    for A, row_a in zip(d_irr_labels(a), zip(*(d_store.column(pa, a) for pa in split.types_a))):
         partials = _partials(split, row_a)
         for B, row_b in zip(labels_b, rows_b):
             explicit = _induce(split, A, B, partials, row_b)

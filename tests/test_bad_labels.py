@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from dweyl import clear_caches
 from dweyl.bchar import BClassType, b_centralizer_order, b_char_value, b_memo
 from dweyl.cli import main
 from dweyl.dchar import DClassType, DIrrLabel, d_centralizer_order, d_char_column, d_char_value, d_degree, d_irr_labels, d_memo, delta_value, make_irr_label, parse_class
@@ -205,16 +206,42 @@ class UnhashableTuple(tuple):
     __hash__ = None
 
 
-THREE = [make_irr_label((3,), ()), make_irr_label((2, 1), ())]
+C3, B3 = DClassType((1, 1, 1), (), None), BClassType((3,), ())
+THREE, B_THREE = [make_irr_label((3,), ()), make_irr_label((2, 1), ())], [((3,), ()), ((2, 1), ())]
 
-# (case, view, its store, unhashable label, class, two good labels of the
-# class, the start of its refusal)
-UNHASHABLE = [
+
+def column_of(c, _):
+    """d_char_column(c) in the place of a view (label, class): its
+    "label" is the class asked, and the class is the one it warms."""
+    return d_char_column(c)
+
+
+# (case, view, its store, bad label (a bad class for d_char_column),
+# class, good labels of the class, the start of its refusal)
+COLD_AND_WARM = [
     ("list partition", sym_char_value, s_memo, [3], (3,), [(3,), (2, 1)], "[3] is not a partition"),
-    ("list alpha", b_char_value, b_memo, ([3], ()), BClassType((3,), ()), [((3,), ()), ((2, 1), ())], "[3] is not a partition"),
-    ("list beta", b_char_value, b_memo, ((), [3]), BClassType((3,), ()), [((3,), ()), ((2, 1), ())], "[3] is not a partition"),
-    ("D sign of an unhashable int type", d_char_value, d_memo, DIrrLabel(((3,), ()), UnhashableInt(0)), DClassType((1, 1, 1), (), None), THREE, "eps must be -1, 0 or +1, got UnhashableInt 0 for ([3],[])"),
-    ("D label of an unhashable tuple type", d_char_value, d_memo, UnhashableTuple((((3,), ()), 0)), DClassType((1, 1, 1), (), None), THREE, "label ([3],[]) is unhashable"),
+    ("S unhashable part", sym_char_value, s_memo, (UnhashableInt(3),), (3,), [(3,), (2, 1)], "[3] is not a partition"),
+    ("S wrong rank", sym_char_value, s_memo, (2,), (3,), [(3,), (2, 1)], "size mismatch: |[2]| != |[3]|"),
+    ("S field that is no part", sym_char_value, s_memo, (3, ()), (3,), [(3,), (2, 1)], "[3,()] is not a partition"),
+    ("list alpha", b_char_value, b_memo, ([3], ()), B3, B_THREE, "[3] is not a partition"),
+    ("list beta", b_char_value, b_memo, ((), [3]), B3, B_THREE, "[3] is not a partition"),
+    ("B unhashable part", b_char_value, b_memo, ((UnhashableInt(3),), ()), B3, B_THREE, "[3] is not a partition"),
+    ("B label of an unhashable tuple type", b_char_value, b_memo, UnhashableTuple(((3,), ())), B3, B_THREE, "label ([3],[]) is unhashable"),
+    ("B one field", b_char_value, b_memo, ((3,),), B3, B_THREE, "label ([3]) is not a type B label"),
+    ("B wrong rank", b_char_value, b_memo, ((2,), ()), B3, B_THREE, "size mismatch between ([2],[]) and ([3],[])"),
+    ("B sign 2", b_char_value, b_memo, ((3,), (), 2), B3, B_THREE, "label ([3],[],int 2) is not a type B label"),
+    ("D list part", d_char_value, d_memo, DIrrLabel(([3], ()), 0), C3, THREE, "[3] is not a partition"),
+    ("D sign of an unhashable int type", d_char_value, d_memo, DIrrLabel(((3,), ()), UnhashableInt(0)), C3, THREE, "eps must be -1, 0 or +1, got UnhashableInt 0 for ([3],[])"),
+    ("D label of an unhashable tuple type", d_char_value, d_memo, UnhashableTuple((((3,), ()), 0)), C3, THREE, "label ([3],[]) is unhashable"),
+    ("D one field", d_char_value, d_memo, ((3,),), C3, THREE, "label ([3]) is not a type D label"),
+    ("D wrong rank", d_char_value, d_memo, make_irr_label((2,), ()), C3, THREE, "size mismatch between ([2],[]) and ([1,1,1],[])"),
+    ("D sign 2", d_char_value, d_memo, DIrrLabel(((3,), ()), 2), C3, THREE, "eps must be -1, 0 or +1, got int 2 for ([3],[])"),
+    ("D column list parts", column_of, d_memo, DClassType([1, 1, 1], (), None), C3, [C3], "class (list [1,1,1],[],None) is not a type D class"),
+    ("D column unhashable part", column_of, d_memo, DClassType((UnhashableInt(1),) * 3, (), None), C3, [C3], "[1,1,1] is not a partition"),
+    ("D column class of an unhashable tuple type", column_of, d_memo, UnhashableTuple(((1, 1, 1), (), None)), C3, [C3], "class ([1,1,1],[],None) is unhashable"),
+    ("D column two fields", column_of, d_memo, ((1, 1, 1), ()), C3, [C3], "class ([1,1,1],[]) is not a type D class"),
+    ("D column rank 0", column_of, d_memo, DClassType((), (), 1), C3, [C3], "need n >= 1"),
+    ("D column split 2", column_of, d_memo, DClassType((1, 1, 1), (), 2), C3, [C3], "class ([1,1,1],[],int 2) is not a type D class"),
 ]
 
 
@@ -224,13 +251,16 @@ def stored(memo, c):
     return entry and (dict(entry[0]), list(entry[1]))
 
 
-@pytest.mark.parametrize("view, memo, label, c, good, shown", [pytest.param(*row[1:], id=row[0]) for row in UNHASHABLE])
-def test_unhashable_labels_are_refused_by_name(view, memo, label, c, good, shown):
-    """An S, B or D label that cannot be hashed (an S or B one with a list
-    for a partition gets the ValueError of any other non-partition) is
-    refused by name, at a fresh class and again once the class holds its
-    column, and nothing is stored."""
+@pytest.mark.parametrize("view, memo, label, c, good, shown", [pytest.param(*row[1:], id=row[0]) for row in COLD_AND_WARM])
+def test_bad_input_is_refused_alike_cold_and_warm(view, memo, label, c, good, shown):
+    """A bad S, B or D label, or a bad D class, is refused with one
+    message in the label grammar, at a fresh class and again once the
+    class holds its column, and nothing is stored: list parts,
+    unhashable fields (an S or B one with a list for a partition gets the
+    ValueError of any other non-partition), a wrong field count, a wrong
+    rank and the sign 2."""
     memo.pop(c, None)
+    messages = []
     for warm in (False, True):
         if warm:
             for X in good:
@@ -241,6 +271,30 @@ def test_unhashable_labels_are_refused_by_name(view, memo, label, c, good, shown
             view(label, c)
         assert_grammar_message(str(exc.value), shown)
         assert stored(memo, c) == entry
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="open: a warm store answers a label equal to a stored one that its checked path refuses")
+def test_float_parts_and_bool_signs_are_refused_warm():
+    """The cache-history FOUNDs of PRs 8 and 23, still open: a D label
+    with float parts equal to ints, or with the sign False, is refused at
+    a fresh class, but once the class holds its column the warm hit finds
+    the equal int label and answers it.  dchar._label_state's cache keys
+    by equality too, so the fresh class starts from clear_caches()."""
+    labels = [DIrrLabel(((3.0,), ()), 0), DIrrLabel(((3,), ()), False)]
+    clear_caches()
+    for chi in labels:
+        with pytest.raises(ValueError):
+            d_char_value(chi, C3)
+    d_char_column(C3)
+    warm = []
+    for chi in labels:
+        try:
+            warm.append(d_char_value(chi, C3))
+        except ValueError:
+            warm.append(None)
+    assert warm == [None, None]
 
 
 def test_branch_restriction_refuses_an_unknown_side():
@@ -267,8 +321,7 @@ def test_plain_tuple_labels_answer_as_their_labels(name):
     """A plain tuple (pair, sign) that check_label passes is answered
     exactly as the equal DIrrLabel, on empty stores and warm."""
     call = PLAIN_TUPLE_CALLS[name]
-    for memo in (s_memo, b_memo, d_memo):
-        memo.clear()
+    clear_caches()
     plain = call(lambda pair, eps: (pair, eps))
     assert plain == call(DIrrLabel) == call(lambda pair, eps: (pair, eps))
 
@@ -290,7 +343,6 @@ def test_plain_tuple_classes_answer_as_their_classes(name):
     """A plain tuple that check_class passes is answered exactly as the
     equal DClassType or BClassType, on empty stores and warm."""
     call, named = PLAIN_TUPLE_CLASS_CALLS[name]
-    for memo in (s_memo, b_memo, d_memo):
-        memo.clear()
+    clear_caches()
     plain = call(lambda *fields: fields)
     assert plain == call(named) == call(lambda *fields: fields)

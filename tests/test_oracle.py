@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dweyl import clear_caches
 from dweyl.dchar import (
     DClassType,
     DIrrLabel,
@@ -15,6 +16,7 @@ from dweyl.dchar import (
     d_classes,
     d_degree,
     d_irr_labels,
+    d_store,
     group_order_d,
     make_irr_label,
     parse_irr_label,
@@ -286,8 +288,9 @@ def test_oracle_induce_rejects_splits_before_enumerating(monkeypatch):
         raise AssertionError(f"enumerated {args}")
 
     assert not hasattr(dweyl.oracle, "build_group")
-    for name in ("d_irr_labels", _block_tally.__name__, "d_char_value", "_d_char_column"):
+    for name in ("d_irr_labels", _block_tally.__name__, "d_char_value"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
+    monkeypatch.setattr(d_store, "column", refuse)
     A = B = make_irr_label((2,), ())
     for n, a, b in [(12, 6, 6), (12, 1, 11), (12, 11, 1), (40, 1, 39), (5, 2, 2), (4, 0, 4), (4, 4, 0)]:
         with pytest.raises(RangeError, match="the oracle needs a, b >= 1 with a \\+ b = n <= 11, got"):
@@ -548,18 +551,17 @@ def test_verify_reads_each_block_value_once_per_split(monkeypatch):
     # per split, shared across the labels of the other block, not once
     # per pair, and never value by value
     import dweyl.oracle
-    import dweyl.verify
 
-    columns = []
+    columns, column = [], d_store.column
 
     def counted(c, n):
         columns.append(c)
-        return d_char_column(c)
+        return column(c, n)
 
     def refuse(chi, c):
         raise AssertionError(f"read {chi} at {c} value by value")
 
-    monkeypatch.setattr(dweyl.verify, "_d_char_column", counted)
+    monkeypatch.setattr(d_store, "column", counted)
     monkeypatch.setattr(dweyl.oracle, "d_char_value", refuse)
     for n, a, b in [(6, 3, 3), (6, 1, 5)]:
         split = _packed(n, a, b)
@@ -579,7 +581,7 @@ def test_verify_checks_nothing_its_split_built(monkeypatch, n, a, b):
     import dweyl.symchar
 
     record_tables(monkeypatch)
-    monkeypatch.setattr(dweyl.dchar, "d_memo", {})
+    clear_caches()
     queries, classes = [], []
 
     def validated(q):
@@ -620,7 +622,7 @@ def test_over_bound_split_is_refused_before_packing(monkeypatch):
             refuse(c, n)
         return [1 << 21]
 
-    monkeypatch.setattr(dweyl.oracle, "_d_char_column", identity_only)
+    monkeypatch.setattr(d_store, "column", identity_only)
     for name in ("_fused_counts", "d_char_value"):
         monkeypatch.setattr(dweyl.oracle, name, refuse)
     A, B = make_irr_label((2,), ()), make_irr_label((3,), ())

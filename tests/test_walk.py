@@ -6,7 +6,10 @@ values there are lookups.  Both directions must give the same values and
 reject the same bad labels.
 """
 
+import gc
+import hashlib
 import re
+import sys
 import time
 from contextlib import contextmanager
 
@@ -14,11 +17,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dweyl import bchar, dchar, symchar
+from dweyl import bchar, clear_caches, dchar, symchar
 from dweyl.bchar import BClassType, b_char_value, b_classes, b_degree, b_memo
 from dweyl.dchar import DClassType, DIrrLabel, d_char_column, d_char_value, d_classes, d_irr_labels, d_memo, delta_value, make_irr_label
 from dweyl.partitions import enumerate_bipartitions, enumerate_partitions, format_bipartition
 from dweyl.symchar import COLUMN_LABELS, _cycles, _fold, _moves, _shape, read_column, s_memo, sym_char_value
+from dweyl.verify import verify_formula
 
 VIEWS = {
     "S": (sym_char_value, enumerate_partitions, enumerate_partitions),
@@ -146,28 +150,27 @@ B3, D3 = BClassType((2,), (1,)), DClassType((2, 1), (), None)
 
 
 @pytest.mark.parametrize(
-    "module, counter, first, second",
+    "store, first, second",
     [
-        (symchar, "partition_count", lambda: sym_char_value((2, 1), (2, 1)), lambda: sym_char_value((3,), (2, 1))),
-        (bchar, "bipartition_count", lambda: b_char_value(((2,), (1,)), B3), lambda: b_char_value(((3,), ()), B3)),
+        (symchar.s_store, lambda: sym_char_value((2, 1), (2, 1)), lambda: sym_char_value((3,), (2, 1))),
+        (bchar.b_store, lambda: b_char_value(((2,), (1,)), B3), lambda: b_char_value(((3,), ()), B3)),
         (
-            dchar,
-            "bipartition_count",
+            dchar.d_store,
             lambda: d_char_value(make_irr_label((2,), (1,)), D3),
             lambda: d_char_value(make_irr_label((3,), ()), D3),
         ),
     ],
     ids=["S", "B", "D"],
 )
-def test_labels_are_counted_from_a_class_second_value_on(module, counter, first, second, monkeypatch):
+def test_labels_are_counted_from_a_class_second_value_on(store, first, second, monkeypatch):
     """Whether a class's column is walked depends on the number of labels
     of its rank, which a class's first value, a backward walk, never
     needs: a lone value at a large rank counts no partitions.  A second
     value counts the ranks from 2 up to the first whose labels pass
     COLUMN_LABELS, and no further, whatever its own rank."""
     clear_memos()
-    counted, count = [], getattr(module, counter)
-    monkeypatch.setattr(module, counter, lambda n: counted.append(n) or count(n))
+    counted, count = [], store.count
+    monkeypatch.setattr(store, "count", lambda n: counted.append(n) or count(n))
     first()
     assert counted == []
     second()
@@ -376,7 +379,8 @@ def test_folded_d_columns_equal_unfolded_walk(n):
     for c in d_classes(n):
         states = unfolded_walk(c[:2])
         expected = {X: dchar._restrict(X, c, states.get(masks(X.label), 0)) for X in d_irr_labels(n)}
-        assert labelled(dchar._column(c, n)) == expected
+        (key, column), *_ = dchar._columns(c, n)
+        assert key == c and labelled((dchar._column_keys(n)[0], column)) == expected
 
 
 def times_minus_one(cls):
@@ -559,7 +563,7 @@ def test_past_column_labels_every_label_walks_back(monkeypatch):
     split = DClassType((2,) * 100, (), 1)
     plus, minus = make_irr_label((100,), (100,), 1), make_irr_label((100,), (100,), -1)
     with monkeypatch.context() as patch, counted_walks() as walks:
-        patch.setattr(dchar, "_column", lambda c, n: pytest.fail(f"walked a rank-{n} column"))
+        patch.setattr(dchar.d_store, "walk", lambda c, n: pytest.fail(f"walked a rank-{n} column"))
         for chi in (plus, minus):
             start = time.perf_counter()
             d_char_value(chi, split)
@@ -616,3 +620,47 @@ def test_second_value_far_past_column_labels_answers_fast(view, first, second, c
     start = time.perf_counter()
     assert view(second, cls) == -1
     assert time.perf_counter() - start < 0.1
+
+
+def cache_sizes() -> dict:
+    """Entries held by every value store and functools cache under dweyl."""
+    sizes = {}
+    for name, module in sys.modules.items():
+        if module is not None and name.partition(".")[0] == "dweyl":
+            for key, value in vars(module).items():
+                if isinstance(value, symchar.Store):
+                    sizes[f"{name}.{key}"] = len(value.entries)
+                elif hasattr(value, "cache_info"):
+                    sizes[f"{name}.{key}"] = value.cache_info().currsize
+    return sizes
+
+
+def store_answers() -> str:
+    """A digest of the D_8, B_6 and S_10 tables and of verify_formula(8, 3, 5)."""
+    tables = [
+        [[view(X, c) for X in labels_of(n)] for c in classes_of(n)]
+        for (view, labels_of, classes_of), n in zip(VIEWS.values(), (10, 6, 8))
+    ]
+    return hashlib.sha256(repr((tables, verify_formula(8, 3, 5))).encode()).hexdigest()
+
+
+CLEARED_BLOCKS = 1_000
+"""Most memory blocks a round of store_answers may leave allocated after
+clear_caches(): what the first round makes once, such as interned names."""
+
+
+def test_clear_caches_empties_every_store_and_gives_back_its_memory():
+    clear_caches()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    answers = store_answers()
+    assert len(d_memo) >= len(d_classes(8)) and len(b_memo) == len(b_classes(6)) and len(s_memo) >= len(enumerate_partitions(10))
+    held = sys.getallocatedblocks()
+    for _ in range(2):
+        clear_caches()
+        gc.collect()
+        sizes = cache_sizes()
+        assert len(sizes) > 20 and not any(sizes.values()), {k: v for k, v in sizes.items() if v}
+        assert symchar._grown == {} and symchar._conjugates == {0: 0}
+        assert sys.getallocatedblocks() - before < CLEARED_BLOCKS < held - before
+        assert store_answers() == answers
