@@ -23,13 +23,13 @@ import json
 import sys
 from math import isqrt
 
-from .bchar import b_char_value, b_classes
+from .bchar import b_classes, b_store
 from .dchar import (
     check_label,
-    d_char_value,
     d_classes,
     d_irr_labels,
     d_label_count,
+    d_store,
     format_class,
     format_irr_label,
     parse_irr_label,
@@ -50,7 +50,7 @@ from .partitions import (
     parse_partition,
     partition_count,
 )
-from .symchar import sym_char_value
+from .symchar import s_store
 from .verify import check_verify_rank, verify_formula
 
 CHARTABLE_CELLS = 10**6
@@ -63,15 +63,6 @@ second in all; verify --n checks any rank up to the oracle's cap,
 oracle.MAX_RANK, every split of it or the one that --a or --b fixes."""
 
 _EPILOG = __doc__[__doc__.index("Exit codes:"):] + "\nLabel grammar:\n" + "".join("  " + line for line in GRAMMAR.splitlines(True))
-
-
-def _print_table(rows: dict[str, dict[str, int]]) -> None:
-    cols = list(next(iter(rows.values())).keys()) if rows else []
-    head = max((len(r) for r in rows), default=0)
-    widths = [max(len(c), max((len(str(v[c])) for v in rows.values()), default=0)) for c in cols]
-    print(" " * head + "  " + "  ".join(c.rjust(w) for c, w in zip(cols, widths)))
-    for name, vals in rows.items():
-        print(name.ljust(head) + "  " + "  ".join(str(vals[c]).rjust(w) for c, w in zip(cols, widths)))
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
@@ -95,19 +86,26 @@ def cmd_chartable(args: argparse.Namespace) -> int:
         raise ResourceLimit(f"the {args.type}_{n} table has more than {most:,} labels, so more than {CHARTABLE_CELLS:,} cells, the budget")
     if args.type == "A":
         labels = classes = enumerate_partitions(n)
-        value, label_text, class_text = sym_char_value, format_partition, format_partition
+        store, label_text, class_text = s_store, format_partition, format_partition
     elif args.type == "B":
-        labels, classes, value = enumerate_bipartitions(n), b_classes(n), b_char_value
+        labels, classes, store = enumerate_bipartitions(n), b_classes(n), b_store
         label_text = class_text = format_bipartition
     else:
-        labels, classes, value = d_irr_labels(n), d_classes(n), d_char_value
+        labels, classes, store = d_irr_labels(n), d_classes(n), d_store
         label_text, class_text = format_irr_label, format_class
-    columns = [class_text(c) for c in classes]
-    rows = {label_text(x): dict(zip(columns, [value(x, c) for c in classes])) for x in labels}
+    heads, names = [class_text(c) for c in classes], [label_text(x) for x in labels]
+    columns = [store.column(c, n) for c in classes]  # each in its store's label order, that of labels
+    write = sys.stdout.write
     if args.format == "table":
-        _print_table(rows)
-    else:
-        print(json.dumps(rows))
+        head = max(map(len, names))
+        widths = [max(len(h), *(len(str(v)) for v in column)) for h, column in zip(heads, columns)]
+        write(" " * head + "  " + "  ".join(h.rjust(w) for h, w in zip(heads, widths)) + "\n")
+        for name, row in zip(names, zip(*columns)):
+            write(name.ljust(head) + "  " + "  ".join(str(v).rjust(w) for v, w in zip(row, widths)) + "\n")
+        return 0
+    for i, (name, row) in enumerate(zip(names, zip(*columns))):
+        write(("{" if i == 0 else ", ") + json.dumps(name) + ": " + json.dumps(dict(zip(heads, row))))
+    write("}\n")
     return 0
 
 

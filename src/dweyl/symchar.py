@@ -193,12 +193,13 @@ def check_class(cls, group: str) -> int:
     """Rank of a class of the group view, S, B or D, after checking it:
     a partition mu of S_n, (positive, negative) of B_n, or (positive,
     negative, split) of D_n, with an even number of negative cycles and
-    split 1 or -1 exactly when splittable.  A B or D class of any other
-    shape or type, or with unhashable fields, gets one ValueError."""
+    split an int 1 or -1 exactly when splittable, else None.  A B or D
+    class of any other shape or type, a bool split too, or with
+    unhashable fields, gets one ValueError."""
     if group == "S":
         return sum(as_partition(cls))
     count, fields = (2, "two fields (positive, negative), both tuples") if group == "B" else (3, "three fields (positive, negative, split): two tuples, then None, 1 or -1")
-    if not isinstance(cls, tuple) or len(cls) != count or type(cls[0]) is not tuple or type(cls[1]) is not tuple or cls[2:] not in ((), (None,), (1,), (-1,)):
+    if not isinstance(cls, tuple) or len(cls) != count or type(cls[0]) is not tuple or type(cls[1]) is not tuple or cls[2:] not in ((), (None,), (1,), (-1,)) or group == "D" and type(cls[2]) not in (int, type(None)):
         raise ValueError(f"class {written(cls, count)} is not a type {group} class: it needs {fields}")
     positive, negative, *split = cls
     n = sum(as_partition(positive)) + sum(as_partition(negative))

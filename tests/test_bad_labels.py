@@ -294,7 +294,34 @@ def test_float_parts_and_bool_signs_are_refused_warm():
             warm.append(d_char_value(chi, C3))
         except ValueError:
             warm.append(None)
-    assert warm == [None, None]
+    # The split tag True, refused at a fresh class, once the equal int
+    # class D2_PLUS holds its column.
+    d_char_column(D2_PLUS)
+    try:
+        warm.append(d_char_value(make_irr_label((1,), (1,), 1), D2_TRUE))
+    except ValueError:
+        warm.append(None)
+    assert warm == [None, None, None]
+
+
+D2_PLUS, D2_TRUE = DClassType((2,), (), 1), DClassType((2,), (), True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda c: d_char_value(make_irr_label((1,), (1,), 1), c), id="d_char_value"),
+        pytest.param(d_char_column, id="d_char_column"),
+        pytest.param(d_centralizer_order, id="d_centralizer_order"),
+        pytest.param(lambda c: delta_value((1,), c), id="delta_value"),
+    ],
+)
+def test_bool_split_tag_is_refused(call):
+    """A split tag must be None or the int 1 or -1: True, equal to 1, is
+    refused at a fresh class, by its type."""
+    clear_caches()
+    with pytest.raises(ValueError, match=re.escape("class ([2],[],bool True) is not a type D class")):
+        call(D2_TRUE)
 
 
 def test_branch_restriction_refuses_an_unknown_side():

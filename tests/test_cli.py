@@ -187,6 +187,39 @@ def test_chartable_table_format(capsys):
     assert "[2,1]" in out
 
 
+@pytest.mark.parametrize(
+    "kind, n, digest",
+    [
+        ("A", "6", "7a2ec881e794da8df6b98afceb66239676f045c1e5a469740ec6748a65ed434b"),
+        ("B", "4", "50c1434ed8a7af6ed4b6c0d67294c1ec99e46803bb514ad3a68ec4cdd3d668d3"),
+        ("D", "6", "921d095c87665ac08836d6960ada4886fa3e3576d9d97d74a69ec7167d98e2d9"),
+    ],
+)
+def test_chartable_table_format_is_pinned(capsys, kind, n, digest):
+    """SHA-256 of the text table, pinned while it was printed from a dict
+    of rows; D_6 has split classes."""
+    code, out, _ = run(capsys, "chartable", "--type", kind, "--n", n, "--format", "table")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_chartable_reads_whole_columns(capsys, monkeypatch):
+    """A table is read column by column from the stores, with no value
+    walked back for one label."""
+    from dweyl import clear_caches
+    from dweyl.symchar import Store
+
+    def refuse(*args):
+        raise AssertionError("a per-value store call")
+
+    clear_caches()
+    monkeypatch.setattr(Store, "value", refuse)
+    for kind, n in (("D", "8"), ("B", "5"), ("A", "8")):
+        for form in ("json", "table"):
+            code, out, _ = run(capsys, "chartable", "--type", kind, "--n", n, "--format", form)
+            assert code == 0 and out
+
+
 def test_verify_single(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--a", "2", "--b", "2")
     assert code == 0
