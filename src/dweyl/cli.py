@@ -27,7 +27,6 @@ from .bchar import b_classes, b_store
 from .dchar import (
     check_label,
     d_classes,
-    d_irr_labels,
     d_label_count,
     d_store,
     format_class,
@@ -42,7 +41,6 @@ from .partitions import (
     RangeError,
     ResourceLimit,
     bipartition_count,
-    enumerate_bipartitions,
     enumerate_partitions,
     format_bipartition,
     format_partition,
@@ -85,16 +83,16 @@ def cmd_chartable(args: argparse.Namespace) -> int:
     if n > last_rank_within(count, most):
         raise ResourceLimit(f"the {args.type}_{n} table has more than {most:,} labels, so more than {CHARTABLE_CELLS:,} cells, the budget")
     if args.type == "A":
-        labels = classes = enumerate_partitions(n)
-        store, label_text, class_text = s_store, format_partition, format_partition
+        classes, store = enumerate_partitions(n), s_store
+        label_text = class_text = format_partition
     elif args.type == "B":
-        labels, classes, store = enumerate_bipartitions(n), b_classes(n), b_store
+        classes, store = b_classes(n), b_store
         label_text = class_text = format_bipartition
     else:
-        labels, classes, store = d_irr_labels(n), d_classes(n), d_store
+        classes, store = d_classes(n), d_store
         label_text, class_text = format_irr_label, format_class
-    heads, names = [class_text(c) for c in classes], [label_text(x) for x in labels]
-    columns = [store.column(c, n) for c in classes]  # each in its store's label order, that of labels
+    heads, names = [class_text(c) for c in classes], [label_text(x) for x in store.keys(n)[0]]
+    columns = [store.column(c, n) for c in classes]
     write = sys.stdout.write
     if args.format == "table":
         head = max(map(len, names))

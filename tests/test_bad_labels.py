@@ -275,36 +275,35 @@ def test_bad_input_is_refused_alike_cold_and_warm(view, memo, label, c, good, sh
     assert messages[0] == messages[1]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="open: a warm store answers a label equal to a stored one that its checked path refuses")
-def test_float_parts_and_bool_signs_are_refused_warm():
-    """The cache-history FOUNDs of PRs 8 and 23, still open: a D label
-    with float parts equal to ints, or with the sign False, is refused at
-    a fresh class, but once the class holds its column the warm hit finds
-    the equal int label and answers it.  dchar._label_state's cache keys
-    by equality too, so the fresh class starts from clear_caches()."""
-    labels = [DIrrLabel(((3.0,), ()), 0), DIrrLabel(((3,), ()), False)]
-    clear_caches()
-    for chi in labels:
-        with pytest.raises(ValueError):
-            d_char_value(chi, C3)
-    d_char_column(C3)
-    warm = []
-    for chi in labels:
-        try:
-            warm.append(d_char_value(chi, C3))
-        except ValueError:
-            warm.append(None)
-    # The split tag True, refused at a fresh class, once the equal int
-    # class D2_PLUS holds its column.
-    d_char_column(D2_PLUS)
-    try:
-        warm.append(d_char_value(make_irr_label((1,), (1,), 1), D2_TRUE))
-    except ValueError:
-        warm.append(None)
-    assert warm == [None, None, None]
-
-
 D2_PLUS, D2_TRUE = DClassType((2,), (), 1), DClassType((2,), (), True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="open: a warm store answers a label equal to a stored one that its checked path refuses")
+@pytest.mark.parametrize(
+    "chi, fresh, warm",
+    [
+        pytest.param(DIrrLabel(((3.0,), ()), 0), C3, C3, id="float part"),
+        pytest.param(DIrrLabel(((3,), ()), False), C3, C3, id="sign False"),
+        pytest.param(make_irr_label((1,), (1,), 1), D2_TRUE, D2_PLUS, id="split tag True"),
+    ],
+)
+def test_float_parts_and_bool_signs_are_refused_warm(chi, fresh, warm):
+    """The cache-history FOUNDs of PRs 8, 23 and 26, still open, each case
+    on its own: a D label with float parts equal to ints or with the sign
+    False, or a class with the split tag True, is refused at a fresh
+    class, but once the class, or the equal int class, holds its column
+    the warm hit finds the equal int key and answers it.
+    dchar._label_state's cache keys by equality too, so each case starts
+    from clear_caches()."""
+    clear_caches()
+    with pytest.raises(ValueError):
+        d_char_value(chi, fresh)
+    d_char_column(warm)
+    try:
+        value = d_char_value(chi, fresh)
+    except ValueError:
+        value = None
+    assert value is None
 
 
 @pytest.mark.parametrize(

@@ -144,8 +144,10 @@ def test_chartable_over_budget_exits_three_before_enumerating(capsys, monkeypatc
     def refuse(n):
         raise AssertionError(f"enumerated rank {n}")
 
-    for name in ("d_irr_labels", "d_classes", "enumerate_bipartitions", "b_classes", "enumerate_partitions"):
+    for name in ("d_classes", "b_classes", "enumerate_partitions"):
         monkeypatch.setattr(dweyl.cli, name, refuse)
+    for store in (dweyl.cli.d_store, dweyl.cli.b_store, dweyl.cli.s_store):  # the labels, by their index
+        monkeypatch.setattr(store, "keys", refuse)
     for kind, n in (("D", "30"), ("D", "14"), ("B", "12"), ("A", "22"), ("A", "100000000000000000000")):
         start = time.perf_counter()
         code, out, err = run(capsys, "chartable", "--type", kind, "--n", n)
